@@ -1,35 +1,20 @@
 """Kernel backend selection.
 
-The compiled extension (`qsigns._kernels_cy`) is preferred when it is
+The compiled extension (`qsigns._kernels_cy`) is used when it is
 importable; the pure-Python kernels are the fallback, so the package
-works from a source tree with no compiler.  Set ``QSIGNS_BACKEND`` to
-``python`` or ``cython`` to force a choice (forcing ``cython`` raises
-if the extension is missing).
+works from a source tree with no compiler.
 """
 
 from __future__ import annotations
 
-import os
+try:
+    from . import _kernels_cy as _impl
 
-from . import _kernels_py
+    _name = "cython"
+except ImportError:
+    from . import _kernels_py as _impl  # type: ignore[no-redef]
 
-_requested = os.environ.get("QSIGNS_BACKEND", "auto").lower()
-if _requested not in ("auto", "python", "cython"):
-    raise ValueError(f"QSIGNS_BACKEND must be auto, python or cython, not {_requested!r}")
-
-if _requested == "python":
-    _impl = _kernels_py
     _name = "python"
-else:
-    try:
-        from . import _kernels_cy as _impl  # type: ignore[no-redef]
-
-        _name = "cython"
-    except ImportError:
-        if _requested == "cython":
-            raise
-        _impl = _kernels_py
-        _name = "python"
 
 mul_dense = _impl.mul_dense
 invert_dense = _impl.invert_dense

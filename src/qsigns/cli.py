@@ -4,10 +4,12 @@ Every command is a reproducible batch job: identical requests produce
 byte-identical reports (no timestamps, no environment echoes).  Output
 formats are text (default), csv and json; ``--output`` redirects the
 report to a file.  The exit status is 0 exactly when every verdict in
-the report passed, 1 on a failed verdict, 2 on usage or domain errors.
+the report passed, 1 on a failed verdict, 2 on usage or domain errors
+and on an unwritable ``--output``.
 
 ``QSIGNS_PRECISION`` overrides the default expansion precision (2000)
-used by ``verify`` and ``detect`` when ``--T`` is not given.
+used by ``verify`` and ``detect`` when ``--T`` is not given.  No request
+may expand beyond ``MAX_PRECISION`` coefficients.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import dataclass, field
 
 from . import __version__
 from ._backend import backend_name
@@ -34,298 +37,214 @@ from .signs import (
 
 _SCHEMA_VERSION = 1
 
+# 20x the largest job in the paper, the 7*7142-term census
+MAX_PRECISION = 1_000_000
+
 _VANISHING_SPEC = "1^7 2^-2 3^-1"
 _VANISHING_HORIZON = 3000
 
 
-def _default_precision() -> int:
-    raw = os.environ.get("QSIGNS_PRECISION")
-    if raw is None:
-        return 2000
-    try:
-        value = int(raw)
-    except ValueError:
-        raise QSignsError(f"QSIGNS_PRECISION must be an integer, got {raw!r}")
-    if value < 0:
-        raise QSignsError(f"QSIGNS_PRECISION must be nonnegative, got {value}")
+def _precision(value: int | None, name: str = "--T") -> int:
+    """The expansion size of a request; ``None`` reads QSIGNS_PRECISION (default 2000)."""
+    if value is None:
+        name, raw = "QSIGNS_PRECISION", os.environ.get("QSIGNS_PRECISION", "2000")
+        try:
+            value = int(raw)
+        except ValueError:
+            raise QSignsError(f"QSIGNS_PRECISION must be an integer, got {raw!r}")
+        if value < 0:
+            raise QSignsError(f"QSIGNS_PRECISION must be nonnegative, got {value}")
+    if value > MAX_PRECISION:
+        raise QSignsError(f"{name} = {value} exceeds the limit MAX_PRECISION = {MAX_PRECISION}")
     return value
 
 
-def _json_report(command: str, spec: str | None, parameters: dict, horizon: int | None,
-                 payload: dict) -> str:
-    doc = {
-        "schema_version": _SCHEMA_VERSION,
-        "command": command,
-        "spec": spec,
-        "parameters": parameters,
-        "horizon": horizon,
-    }
-    doc.update(payload)
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+@dataclass
+class Report:
+    """What a command found, before it is rendered in any format.
+
+    csv prints ``columns`` and every row; json prints the request echo,
+    ``fields`` and, under ``key``, at most ``cap`` rows as objects; text
+    prints ``lines``.  ``passed`` decides the exit status.
+    """
+
+    spec: str | None
+    parameters: dict
+    horizon: int | None
+    columns: tuple[str, ...]
+    rows: list[tuple]
+    lines: list[str]
+    passed: bool = True
+    fields: dict = field(default_factory=dict)
+    key: str | None = None
+    cap: int | None = None
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output:
-        with open(output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _verdict(ok: bool) -> str:
+    return "PASS" if ok else "FAIL"
 
 
-# ----------------------------------------------------------------------
-# Command handlers: each returns (report_text, all_passed)
-# ----------------------------------------------------------------------
-
-def _cmd_expand(args) -> tuple[str, bool]:
-    spec = EtaQuotientSpec.parse(args.spec)
-    series = eta_quotient(spec, args.T)
-    if args.format == "json":
-        text = _json_report(
-            "expand", str(spec), {"T": args.T}, args.T,
-            {"coefficients": list(series.coefficients)},
-        )
-    elif args.format == "csv":
-        lines = ["n,coefficient"]
-        lines += [f"{n},{c}" for n, c in enumerate(series.coefficients)]
-        text = "\n".join(lines) + "\n"
-    else:
-        lines = [f"{n}\t{c}" for n, c in enumerate(series.coefficients)]
-        text = "\n".join(lines) + "\n"
-    return text, True
-
-
-def _cmd_dissect(args) -> tuple[str, bool]:
-    expr = quintuple_components(args.M, args.j, args.m)
-    target = quintuple_product(args.M, args.j, args.T)
-    ok = assemble(expr, args.T) == target
-    rows = [
-        (c.r, c.sign_exp, c.offset, c.t1, c.t2, c.period1, c.period2)
-        for c in expr.components
+def _table(columns, rows, pad: bool = False) -> list[str]:
+    """Header and rows joined by two spaces; ``pad`` right-justifies to the header."""
+    return ["  ".join(columns)] + [
+        "  ".join(str(v).rjust(len(c) if pad else 0) for c, v in zip(columns, row))
+        for row in rows
     ]
-    params = {"M": args.M, "j": args.j, "m": args.m, "T": args.T}
-    if args.format == "json":
-        text = _json_report(
-            "dissect", None, params, args.T,
-            {
-                "components": [
-                    {
-                        "r": r, "sign_exp": s, "offset": L,
-                        "t1": t1, "t2": t2, "period1": p1, "period2": p2,
-                    }
-                    for r, s, L, t1, t2, p1, p2 in rows
-                ],
-                "reassembly": ok,
-            },
-        )
-    elif args.format == "csv":
-        lines = ["r,sign_exp,offset,t1,t2,period1,period2"]
-        lines += [",".join(str(v) for v in row) for row in rows]
-        text = "\n".join(lines) + "\n"
-    else:
-        lines = [f"dissection of quintuple product (M={args.M}, j={args.j}) mod {args.m}"]
-        lines.append("r  sign_exp  offset  t1  t2  period1  period2")
-        for row in rows:
-            lines.append("  ".join(str(v) for v in row))
-        lines.append(f"reassembly at T={args.T}: {'PASS' if ok else 'FAIL'}")
-        text = "\n".join(lines) + "\n"
-    return text, ok
 
 
-def _cmd_predict(args) -> tuple[str, bool]:
-    cert = predict_quotient_pattern(args.p, args.i)
-    params = {"p": args.p, "i": args.i}
-    if args.format == "json":
-        text = _json_report(
-            "predict", f"{args.i}^1 {args.p}^-1", params, None,
-            {
-                "pattern": cert.pattern.class_string,
-                "onset": cert.onset,
-                "offsets": list(cert.offsets),
-                "sign_exponents": list(cert.sign_exponents),
-                "residue_map": list(cert.residue_map),
-            },
-        )
-    elif args.format == "csv":
-        lines = ["residue,class"]
-        lines += [f"{r},{c.value}" for r, c in enumerate(cert.pattern.classes)]
-        text = "\n".join(lines) + "\n"
-    else:
-        lines = [
-            f"quotient: (q^{args.i};q^{args.i}) / (q^{args.p};q^{args.p})",
-            f"pattern:  {cert.pattern.class_string}",
-            f"onset:    {cert.onset} (holds for n >= {cert.onset + 1})",
+def _render(report: Report, command: str, fmt: str) -> str:
+    if fmt == "json":
+        doc = {
+            "schema_version": _SCHEMA_VERSION,
+            "command": command,
+            "spec": report.spec,
+            "parameters": report.parameters,
+            "horizon": report.horizon,
+            **report.fields,
+        }
+        if report.key:
+            doc[report.key] = [dict(zip(report.columns, row)) for row in report.rows[:report.cap]]
+        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    if fmt == "csv":
+        lines = [",".join(report.columns)] + [
+            ",".join(str(v).lower() if isinstance(v, bool) else str(v) for v in row)
+            for row in report.rows
         ]
-        text = "\n".join(lines) + "\n"
-    return text, True
+    else:
+        lines = report.lines
+    return "\n".join(lines) + "\n"
 
 
-def _cmd_verify(args) -> tuple[str, bool]:
-    horizon = args.T if args.T is not None else _default_precision()
+# ----------------------------------------------------------------------
+# Command handlers: each returns one Report
+# ----------------------------------------------------------------------
+
+def _cmd_expand(args) -> Report:
+    spec = EtaQuotientSpec.parse(args.spec)
+    T = _precision(args.T)
+    coefficients = eta_quotient(spec, T).coefficients
+    rows = list(enumerate(coefficients))
+    return Report(str(spec), {"T": T}, T, ("n", "coefficient"), rows,
+                  [f"{n}\t{c}" for n, c in rows],
+                  fields={"coefficients": list(coefficients)})
+
+
+def _cmd_dissect(args) -> Report:
+    T = _precision(args.T)
+    expr = quintuple_components(args.M, args.j, args.m)
+    target = quintuple_product(args.M, args.j, T)
+    ok = assemble(expr, T) == target
+    columns = ("r", "sign_exp", "offset", "t1", "t2", "period1", "period2")
+    rows = [(c.r, c.sign_exp, c.offset, c.t1, c.t2, c.period1, c.period2)
+            for c in expr.components]
+    lines = [f"dissection of quintuple product (M={args.M}, j={args.j}) mod {args.m}",
+             *_table(columns, rows), f"reassembly at T={T}: {_verdict(ok)}"]
+    return Report(None, {"M": args.M, "j": args.j, "m": args.m, "T": T}, T, columns, rows,
+                  lines, ok, {"reassembly": ok}, key="components")
+
+
+def _residue_classes(pattern) -> list[tuple]:
+    return [(r, c.value) for r, c in enumerate(pattern.classes)]
+
+
+def _cmd_predict(args) -> Report:
+    cert = predict_quotient_pattern(args.p, args.i)
+    lines = [
+        f"quotient: (q^{args.i};q^{args.i}) / (q^{args.p};q^{args.p})",
+        f"pattern:  {cert.pattern.class_string}",
+        f"onset:    {cert.onset} (holds for n >= {cert.onset + 1})",
+    ]
+    fields = {
+        "pattern": cert.pattern.class_string,
+        "onset": cert.onset,
+        "offsets": list(cert.offsets),
+        "sign_exponents": list(cert.sign_exponents),
+        "residue_map": list(cert.residue_map),
+    }
+    return Report(f"{args.i}^1 {args.p}^-1", {"p": args.p, "i": args.i}, None,
+                  ("residue", "class"), _residue_classes(cert.pattern), lines, fields=fields)
+
+
+def _cmd_verify(args) -> Report:
+    horizon = _precision(args.T)
     cert = predict_quotient_pattern(args.p, args.i)
     spec_text = args.spec if args.spec else f"{args.i}^1 {args.p}^-1"
-    series = eta_quotient(spec_text, horizon)
-    report = verify_pattern(series, cert.pattern, horizon)
-    params = {"p": args.p, "i": args.i, "T": horizon}
-    if args.format == "json":
-        text = _json_report(
-            "verify", spec_text, params, horizon,
-            {
-                "pattern": cert.pattern.class_string,
-                "onset": cert.onset,
-                "passed": report.passed,
-                "violations": [
-                    {"n": n, "expected": cls.value, "sign": s}
-                    for n, cls, s in report.violations[:20]
-                ],
-            },
-        )
-    elif args.format == "csv":
-        lines = ["n,expected,sign"]
-        lines += [f"{n},{cls.value},{s}" for n, cls, s in report.violations]
-        text = "\n".join(lines) + "\n"
-    else:
-        lines = [
-            f"spec:    {spec_text}",
-            f"pattern: {cert.pattern.class_string}",
-            f"onset:   {cert.onset}",
-            f"verify to T={horizon}: {'PASS' if report.passed else 'FAIL'}",
-        ]
-        for n, cls, s in report.violations[:5]:
-            lines.append(f"  violation at n={n}: expected {cls.value}, sign {s}")
-        text = "\n".join(lines) + "\n"
-    return text, report.passed
+    report = verify_pattern(eta_quotient(spec_text, horizon), cert.pattern, horizon)
+    rows = [(n, cls.value, s) for n, cls, s in report.violations]
+    lines = [
+        f"spec:    {spec_text}",
+        f"pattern: {cert.pattern.class_string}",
+        f"onset:   {cert.onset}",
+        f"verify to T={horizon}: {_verdict(report.passed)}",
+    ]
+    lines += [f"  violation at n={n}: expected {e}, sign {s}" for n, e, s in rows[:5]]
+    fields = {"pattern": cert.pattern.class_string, "onset": cert.onset,
+              "passed": report.passed}
+    return Report(spec_text, {"p": args.p, "i": args.i, "T": horizon}, horizon,
+                  ("n", "expected", "sign"), rows, lines, report.passed, fields,
+                  key="violations", cap=20)
 
 
-def _cmd_detect(args) -> tuple[str, bool]:
-    horizon = args.T if args.T is not None else _default_precision()
+def _cmd_detect(args) -> Report:
+    horizon = _precision(args.T)
     spec = EtaQuotientSpec.parse(args.spec)
-    series = eta_quotient(spec, horizon)
-    pattern = detect_pattern(series, args.m, horizon)
-    params = {"m": args.m, "T": horizon}
-    if args.format == "json":
-        text = _json_report(
-            "detect", str(spec), params, horizon,
-            {
-                "pattern": pattern.class_string,
-                "onset": pattern.onset,
-                "empirical": True,
-            },
-        )
-    elif args.format == "csv":
-        lines = ["residue,class"]
-        lines += [f"{r},{c.value}" for r, c in enumerate(pattern.classes)]
-        text = "\n".join(lines) + "\n"
-    else:
-        lines = [
-            f"spec:    {args.spec}",
-            f"pattern: {pattern.class_string} (empirical, horizon {horizon})",
-            f"onset:   {pattern.onset}",
-        ]
-        text = "\n".join(lines) + "\n"
-    return text, True
+    pattern = detect_pattern(eta_quotient(spec, horizon), args.m, horizon)
+    lines = [
+        f"spec:    {args.spec}",
+        f"pattern: {pattern.class_string} (empirical, horizon {horizon})",
+        f"onset:   {pattern.onset}",
+    ]
+    fields = {"pattern": pattern.class_string, "onset": pattern.onset, "empirical": True}
+    return Report(str(spec), {"m": args.m, "T": horizon}, horizon, ("residue", "class"),
+                  _residue_classes(pattern), lines, fields=fields)
 
 
-def _cmd_census(args) -> tuple[str, bool]:
+def _cmd_census(args) -> Report:
     spec = EtaQuotientSpec.parse(args.spec)
-    precision = args.m * args.K - 1
-    series = eta_quotient(spec, precision)
-    rows = sign_census(series, args.m, args.K)
-    params = {"m": args.m, "K": args.K}
-    if args.format == "json":
-        text = _json_report(
-            "census", str(spec), params, precision,
-            {
-                "rows": [
-                    {"residue": r, "negative": neg, "zero": zero, "positive": pos}
-                    for r, (neg, zero, pos) in enumerate(rows)
-                ]
-            },
-        )
-    elif args.format == "csv":
-        lines = ["residue,negative,zero,positive"]
-        lines += [f"{r},{neg},{zero},{pos}" for r, (neg, zero, pos) in enumerate(rows)]
-        text = "\n".join(lines) + "\n"
-    else:
-        lines = [f"sign census of {args.spec} mod {args.m}, {args.K} terms per class"]
-        lines.append("residue  negative  zero  positive")
-        for r, (neg, zero, pos) in enumerate(rows):
-            lines.append(f"{r:7d}  {neg:8d}  {zero:4d}  {pos:8d}")
-        text = "\n".join(lines) + "\n"
-    return text, True
+    precision = _precision(args.m * args.K - 1, "census size m*K - 1")
+    counts = sign_census(eta_quotient(spec, precision), args.m, args.K)
+    columns = ("residue", "negative", "zero", "positive")
+    rows = [(r, *triple) for r, triple in enumerate(counts)]
+    lines = [f"sign census of {args.spec} mod {args.m}, {args.K} terms per class",
+             *_table(columns, rows, pad=True)]
+    return Report(str(spec), {"m": args.m, "K": args.K}, precision, columns, rows, lines,
+                  key="rows")
 
 
-def _cmd_corpus(args) -> tuple[str, bool]:
-    results = []
+def _checklist(columns, rows, row_text, summary, parameters, horizon, key) -> Report:
+    """A PASS/FAIL line per row, whose last value is its verdict, and a summary verdict."""
+    passed = all(row[-1] for row in rows)
+    lines = [f"{_verdict(row[-1])}  {row_text.format(*row)}" for row in rows]
+    lines.append(f"{summary}: {_verdict(passed)}")
+    return Report(None, parameters, horizon, columns, rows, lines, passed,
+                  {"passed": passed}, key=key)
+
+
+def _cmd_corpus(args) -> Report:
+    rows = []
     for entry in corpus():
-        series = eta_quotient(entry.spec, entry.horizon)
-        report = verify_pattern(series, entry.pattern, entry.horizon)
-        results.append((entry.name, entry.pattern.class_string, entry.horizon,
-                        report.passed))
+        report = verify_pattern(eta_quotient(entry.spec, entry.horizon), entry.pattern,
+                                entry.horizon)
+        rows.append((entry.name, entry.pattern.class_string, entry.horizon, report.passed))
     series = eta_quotient(_VANISHING_SPEC, _VANISHING_HORIZON)
     vanish_ok = all(
         (series.coefficient(n) == 0) == vanishing_predicate(n)
         for n in range(1, _VANISHING_HORIZON + 1)
     )
-    results.append(
-        ("vanishing-set", _VANISHING_SPEC, _VANISHING_HORIZON, vanish_ok)
-    )
-    all_ok = all(ok for _, _, _, ok in results)
-    if args.format == "json":
-        text = _json_report(
-            "corpus", None, {}, None,
-            {
-                "entries": [
-                    {"name": n, "pattern": p, "horizon": h, "passed": ok}
-                    for n, p, h, ok in results
-                ],
-                "passed": all_ok,
-            },
-        )
-    elif args.format == "csv":
-        lines = ["name,pattern,horizon,passed"]
-        lines += [f"{n},{p},{h},{str(ok).lower()}" for n, p, h, ok in results]
-        text = "\n".join(lines) + "\n"
-    else:
-        lines = [
-            f"{'PASS' if ok else 'FAIL'}  {n}  ({p}, T={h})" for n, p, h, ok in results
-        ]
-        lines.append(f"corpus: {'PASS' if all_ok else 'FAIL'}")
-        text = "\n".join(lines) + "\n"
-    return text, all_ok
+    rows.append(("vanishing-set", _VANISHING_SPEC, _VANISHING_HORIZON, vanish_ok))
+    return _checklist(("name", "pattern", "horizon", "passed"), rows, "{0}  ({1}, T={2})",
+                      "corpus", {}, None, "entries")
 
 
-def _cmd_catalog(args) -> tuple[str, bool]:
-    horizon = args.T
-    results = []
+def _cmd_catalog(args) -> Report:
+    horizon = _precision(args.T)
+    rows = []
     for case in pattern_catalog():
-        series = eta_quotient(case.spec, horizon)
-        report = verify_pattern(series, case.pattern, horizon)
-        results.append((case.case_id, case.pattern.class_string,
-                        case.pattern.onset, report.passed))
-    all_ok = all(ok for _, _, _, ok in results)
-    if args.format == "json":
-        text = _json_report(
-            "catalog", None, {"T": horizon}, horizon,
-            {
-                "cases": [
-                    {"case": c, "pattern": p, "onset": o, "passed": ok}
-                    for c, p, o, ok in results
-                ],
-                "passed": all_ok,
-            },
-        )
-    elif args.format == "csv":
-        lines = ["case,pattern,onset,passed"]
-        lines += [f"{c},{p},{o},{str(ok).lower()}" for c, p, o, ok in results]
-        text = "\n".join(lines) + "\n"
-    else:
-        lines = [
-            f"{'PASS' if ok else 'FAIL'}  {c}  ({p}, onset {o})"
-            for c, p, o, ok in results
-        ]
-        lines.append(f"catalog at T={horizon}: {'PASS' if all_ok else 'FAIL'}")
-        text = "\n".join(lines) + "\n"
-    return text, all_ok
+        report = verify_pattern(eta_quotient(case.spec, horizon), case.pattern, horizon)
+        rows.append((case.case_id, case.pattern.class_string, case.pattern.onset,
+                     report.passed))
+    return _checklist(("case", "pattern", "onset", "passed"), rows, "{0}  ({1}, onset {2})",
+                      f"catalog at T={horizon}", {"T": horizon}, horizon, "cases")
 
 
 # ----------------------------------------------------------------------
@@ -400,16 +319,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _error(exc: Exception) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return 2
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        text, ok = args.handler(args)
+        report = args.handler(args)
     except QSignsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    _emit(text, args.output)
-    return 0 if ok else 1
+        return _error(exc)
+    text = _render(report, args.command, args.format)
+    if args.output:
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            return _error(exc)
+    else:
+        sys.stdout.write(text)
+    return 0 if report.passed else 1
 
 
 if __name__ == "__main__":

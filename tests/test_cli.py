@@ -1,5 +1,6 @@
 """CLI behaviour: formats, determinism, exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -119,7 +120,7 @@ def test_catalog_small_horizon(capsys):
     assert out.count("PASS") == 17  # 16 cases plus the summary line
 
 
-def test_corpus_with_stubbed_entries(capsys, monkeypatch):
+def stub_corpus(monkeypatch):
     entry = CorpusEntry(
         name="tiny",
         spec=EtaQuotientSpec.parse("2^1 5^-1"),
@@ -128,6 +129,10 @@ def test_corpus_with_stubbed_entries(capsys, monkeypatch):
     )
     monkeypatch.setattr(cli, "corpus", lambda: [entry])
     monkeypatch.setattr(cli, "_VANISHING_HORIZON", 60)
+
+
+def test_corpus_with_stubbed_entries(capsys, monkeypatch):
+    stub_corpus(monkeypatch)
     code, out, _ = run(capsys, "corpus")
     assert code == 0
     assert "PASS  tiny" in out
@@ -146,6 +151,30 @@ def test_negative_precision_exits_2(capsys):
     assert "error:" in err
 
 
+def test_unwritable_output_exits_2(capsys, tmp_path):
+    path = tmp_path / "missing" / "r.txt"
+    code, out, err = run(capsys, "predict", "--p", "7", "--i", "2", "--output", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("env,argv", [
+    ({}, ("expand", "--spec", "1", "--T", str(cli.MAX_PRECISION + 1))),
+    ({}, ("census", "--spec", "2^5 7^-1", "--m", "1", "--K", str(cli.MAX_PRECISION + 2))),
+    ({"QSIGNS_PRECISION": str(cli.MAX_PRECISION + 1)}, ("detect", "--spec", "1", "--m", "2")),
+], ids=["expand", "census", "env-precision"])
+def test_oversized_expansion_exits_2(capsys, monkeypatch, env, argv):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert f"MAX_PRECISION = {cli.MAX_PRECISION}" in err
+
+
 def test_usage_error_exits_nonzero(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["predict", "--p", "7"])
@@ -157,3 +186,84 @@ def test_bad_env_precision_is_diagnosed(capsys, monkeypatch):
     code, _, err = run(capsys, "detect", "--spec", "1^1", "--m", "1")
     assert code == 2
     assert "QSIGNS_PRECISION" in err
+
+
+# ----------------------------------------------------------------------
+# Golden reports: sha256 of stdout and the exit code, per command and format
+# ----------------------------------------------------------------------
+
+GOLDEN_CASES = {
+    "expand": ("expand", "--spec", "2^5 7^-1", "--T", "30"),
+    "dissect": ("dissect", "--M", "7", "--j", "2", "--m", "8"),
+    "predict": ("predict", "--p", "7", "--i", "2"),
+    "verify-pass": ("verify", "--spec", "2^1 5^-1", "--p", "5", "--i", "2", "--T", "300"),
+    "verify-fail": ("verify", "--p", "5", "--i", "2", "--spec", "1^1", "--T", "60"),
+    "detect": ("detect", "--spec", "2^1 5^-1", "--m", "5", "--T", "300"),
+    "census": ("census", "--spec", "2^5 7^-1", "--m", "7", "--K", "10"),
+    "catalog": ("catalog", "--T", "300"),
+    "corpus": ("corpus",),
+    "domain-error": ("census", "--spec", "0^1", "--m", "3", "--K", "5"),
+}
+
+GOLDEN = {
+    ("expand", "text"): ("162227aef84224823e80f67442528b4db84af3ce09a4c79ababf9cbfd1173b5b", 0),
+    ("expand", "csv"): ("12b5803316ed1f423b9e242415c05acba45836b0052889597b75376fea81b888", 0),
+    ("expand", "json"): ("ac833fc32d7586fbc5ae7dd721c3e18dc9eada8a6e7516e189aaacdd3f8b3e2f", 0),
+    ("dissect", "text"): ("c0a9db4d774d025d3026e2d0e69a1fa046f1a21b18d3930e1f4bd15dd120afb6", 0),
+    ("dissect", "csv"): ("522a70e99705a5528847e1c0195cc28673cf57214da9f62fa62bb265cc00ba1b", 0),
+    ("dissect", "json"): ("2ef1088a061f2a9c3dfeb61afc12dbc0bd1916908d2f1c29a1ed1b5e59f3dcae", 0),
+    ("predict", "text"): ("dd61f070923cc129c78f4f97e5b0ebbbb433339007976a4e2f9127803369c573", 0),
+    ("predict", "csv"): ("75aa6c07a2552c30febf3c6440ede295251a50ca81431a0a2e069b499e8a78d3", 0),
+    ("predict", "json"): ("b9c876fb927fed37e5a4419a43a0bc589c195a1e90b11529bbfb536eba8ee6d8", 0),
+    ("verify-pass", "text"): ("574932eb27323c46b571242885243f3ff1762fdc502d24eb00a507c13d7854d3", 0),
+    ("verify-pass", "csv"): ("0c7c802a72bc8f70ad64a591b2d09e5da4f427db2ba8ba142a69b611f026df3f", 0),
+    ("verify-pass", "json"): ("6a20efc2c6f9af590bef1530502ef412ac744df5304c7a4d5b79c16b5bb5006b", 0),
+    ("verify-fail", "text"): ("987499f28978ada9ae68d276fe7b52216ae417de13548a40f23d1f95c4069856", 1),
+    ("verify-fail", "csv"): ("9a32dce2d17251e94fdef92d4c026f794cd82cd3a3ec10d0fdd660d983b17eb8", 1),
+    ("verify-fail", "json"): ("e4d1caa448c892d63fbd1354d360a2141b6920ffd45d81ee8c1692ab1c986a06", 1),
+    ("detect", "text"): ("9fe23d2ab16d831ca3567a2f68d9e1f7d2addd974d826ca31cf650e75ae743a6", 0),
+    ("detect", "csv"): ("a240f7669e66b883f6de70a54ef96a6ba3a5376df8613d5914d2eeb55ccd0351", 0),
+    ("detect", "json"): ("f84bf428489ca4a2bc42b68454ddd033b53ed5f6d4737d1fa292442e430a12f5", 0),
+    ("census", "text"): ("ac5a30128ff911a22f098532d0a2ca4a910657fcc0556725bac0deaaa723aa24", 0),
+    ("census", "csv"): ("c92adeba2f3d272c0b36b0c8835f36c5664363ce27f5efd35839a38e5a249901", 0),
+    ("census", "json"): ("ebc038e1acf9484b96554e28ef507a1474f1a0da17423914b2d9db62a936a8c0", 0),
+    ("catalog", "text"): ("6a50a4dfa577748c189ff472e793fc3e859186c1802abec9dc65771c5f41f55c", 0),
+    ("catalog", "csv"): ("6429a3d8f9593ed0d7b5b4801ad5b2255b4a013f18cfe9163217cb6f7ef51580", 0),
+    ("catalog", "json"): ("9b7a57d93ccf10a9da4695f4af0062a94e3592107fc2e76e1eb3d69e3cbf3971", 0),
+    ("corpus", "text"): ("9166b9638cb916bc3b6a596e4c95f519e1280a8eef512621e24fd3de6ace06c5", 0),
+    ("corpus", "csv"): ("2c332ff62aa51b04ffbef4347d9808aa27c4a07aa2916fb1ce5255ea3e71ff3e", 0),
+    ("corpus", "json"): ("622f3d033c48fa9ef15e2e428fa1f78b2e3781c422eddb58ba97c6dba511fba6", 0),
+    ("domain-error", "text"): ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
+    ("domain-error", "csv"): ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
+    ("domain-error", "json"): ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
+}
+
+GOLDEN_ENV_PRECISION = "e29ea42e4b3e003032995ab51475d12f24a39419ad6ddc9b911fa3e17ac4be11"
+
+
+def golden_report(capsys, monkeypatch, case, fmt, *extra):
+    if case == "corpus":
+        stub_corpus(monkeypatch)
+    code, out, _ = run(capsys, *GOLDEN_CASES[case], "--format", fmt, *extra)
+    return code, out.encode()
+
+
+@pytest.mark.parametrize("case,fmt", sorted(GOLDEN))
+def test_golden_report(capsys, monkeypatch, case, fmt):
+    code, out = golden_report(capsys, monkeypatch, case, fmt)
+    assert (hashlib.sha256(out).hexdigest(), code) == GOLDEN[case, fmt]
+
+
+def test_golden_precision_from_environment(capsys, monkeypatch):
+    monkeypatch.setenv("QSIGNS_PRECISION", "300")
+    code, out, _ = run(capsys, "verify", "--p", "7", "--i", "2", "--format", "json")
+    assert (hashlib.sha256(out.encode()).hexdigest(), code) == (GOLDEN_ENV_PRECISION, 0)
+    assert json.loads(out)["horizon"] == 300
+
+
+def test_golden_output_file_matches_stdout(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "report.json"
+    code, out = golden_report(capsys, monkeypatch, "verify-fail", "json", "--output", str(path))
+    assert (code, out) == (1, b"")
+    assert path.read_bytes() == golden_report(capsys, monkeypatch, "verify-fail", "json")[1]
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN["verify-fail", "json"][0]
