@@ -2,17 +2,20 @@
 
 The compiled extension (`qsigns._kernels_cy`) is used when it is
 importable; the pure-Python kernels are the fallback, so the package
-works from a source tree with no compiler.
+works from a source tree with no compiler.  `pow_sparse` has no compiled
+counterpart and always comes from the pure-Python kernels.
 """
 
 from __future__ import annotations
+
+from . import _kernels_py
 
 try:
     from . import _kernels_cy as _impl
 
     _name = "cython"
 except ImportError:
-    from . import _kernels_py as _impl  # type: ignore[no-redef]
+    _impl = _kernels_py  # type: ignore[assignment]
 
     _name = "python"
 
@@ -20,6 +23,7 @@ mul_dense = _impl.mul_dense
 invert_dense = _impl.invert_dense
 mul_sparse = _impl.mul_sparse
 div_sparse = _impl.div_sparse
+pow_sparse = _kernels_py.pow_sparse
 
 
 def backend_name() -> str:

@@ -5,11 +5,14 @@ All kernels take plain lists of Python ints and an output length ``n``
 Coefficients are arbitrary-precision integers throughout; nothing here
 may introduce floats or rounding.
 
-`qsigns._kernels_cy` provides the same four functions compiled with
+`qsigns._kernels_cy` provides the first four functions compiled with
 Cython; `qsigns._backend` picks whichever is available at import time.
+`pow_sparse` exists only here.
 """
 
 from __future__ import annotations
+
+import math
 
 
 def mul_dense(xs: list, ys: list, n: int) -> list:
@@ -98,4 +101,49 @@ def div_sparse(xs: list, exps: list, cofs: list, n: int) -> list:
                 else:
                     acc -= c * ye
         out[k] = acc if pos else -acc
+    return out
+
+
+def pow_sparse(exps: list, cofs: list, k: int, n: int) -> list:
+    """The k-th power (any integer k) of a sparse polynomial, truncated to n terms.
+
+    Requires exps sorted with exps[0] == 0 and cofs[0] == 1.  One pass of
+    J.C.P. Miller's recurrence for g = f^k (Knuth, TAOCP vol. 2, 4.7),
+
+        m * g_m = sum_{j>=1} ((k+1) * e_j - m) * c_j * g_{m-e_j},
+
+    whose right side is an exact multiple of m because f^k has integer
+    coefficients.  A base in q^d alone is raised in q and spread out again.
+    """
+    if exps[0] != 0 or cofs[0] != 1:
+        raise ValueError("pow_sparse needs a constant term of 1")
+    live = [(e, c) for e, c in zip(exps, cofs) if e < n]
+    d = math.gcd(*(e for e, _ in live))
+    if d > 1:
+        short = pow_sparse([e // d for e, _ in live], [c for _, c in live], k, (n - 1) // d + 1)
+        out = [0] * n
+        out[::d] = short
+        return out
+    out = [0] * n
+    if k == 1:
+        for e, c in live:
+            out[e] += c
+        return out
+    out[0] = 1
+    if k == 0:
+        return out
+    terms = [(e, (k + 1) * e * c, c) for e, c in live[1:]]
+    active = []
+    nt = len(terms)
+    hi = 0
+    for m in range(1, n):
+        while hi < nt and terms[hi][0] <= m:
+            active.append(terms[hi])
+            hi += 1
+        acc = 0
+        for e, kec, c in active:
+            g = out[m - e]
+            if g:
+                acc += (kec - m * c) * g
+        out[m] = acc // m
     return out

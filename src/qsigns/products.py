@@ -1,10 +1,25 @@
 """Constructors for infinite products and theta series.
 
 Everything here returns an exact truncated :class:`~qsigns.series.Series`.
-Products of the form (q^a;q^a) go through the sparse pentagonal-number
-expansion, so a factor costs O(T*sqrt(T/a)) instead of O(T^2/a); that is
-what makes the 50,000-term sign census cheap.  General (q^a;q^b) factors
-with a != b are multiplied or divided one binomial 1-q^{a+kb} at a time.
+`eta_quotient` plans a spec before expanding it:
+
+* **Net exponents.** The exponents of repeated factors (q^a;q^b) are
+  summed, so repeats merge and cancelling factors drop out.
+* **Jacobi triple products.** By the triple product identity
+  (q^a;q^b)(q^{b-a};q^b) = JTP(a,b) / (q^b;q^b), where
+  JTP(a,b) = sum_k (-1)^k q^{b k(k-1)/2 + a k} has O(sqrt(T/b)) terms.
+  Partners whose net exponents share a sign are paired that many times
+  (a factor with b = 2a pairs with itself), and each pair moves its
+  (q^b;q^b) into that factor's net exponent.
+* **Sparse powers.** What is left of the (q^b;q^b) factors is the
+  pentagonal series.  The sparse base with the largest |exponent| seeds
+  the result in one pass of Miller's power recurrence (`pow_sparse`);
+  every other base is multiplied or divided in once per unit of its
+  exponent, at O(T) per sparse term and pass.
+* **Binomial fallback.** Unpaired factors and factors with a > b are
+  multiplied or divided one binomial 1-q^{a+kb} at a time
+  (`_apply_factor`), which also serves the tests as the reference
+  expansion of any spec.
 
 Spec grammar for quotients of such products (also used by the CLI):
 whitespace-separated tokens ``a.b^d`` meaning (q^a;q^b)^d and the
@@ -17,12 +32,13 @@ import math
 import re
 from dataclasses import dataclass
 
-from ._backend import div_sparse, mul_sparse
+from ._backend import div_sparse, mul_sparse, pow_sparse
 from .series import InvalidParameter, Series
 
 __all__ = [
     "PochhammerFactor",
     "EtaQuotientSpec",
+    "ExpansionPlan",
     "pochhammer",
     "eta_quotient",
     "quintuple_product",
@@ -103,22 +119,24 @@ def _check_precision(precision: int) -> None:
         raise InvalidParameter(f"precision must be nonnegative, got {precision}")
 
 
+def jacobi_triple_terms(a: int, b: int, limit: int) -> tuple[list[int], list[int]]:
+    """Sparse JTP(a,b) = (q^a, q^{b-a}, q^b; q^b) = sum_k (-1)^k q^{b k(k-1)/2 + a k}.
+
+    Terms up to exponent limit, sorted; terms of k and -k that meet (b = 2a)
+    are merged, so exponents are distinct and coefficients nonzero.
+    """
+    terms: dict[int, int] = {}
+    for k, step in ((0, 1), (-1, -1)):
+        while (e := b * k * (k - 1) // 2 + a * k) <= limit:
+            terms[e] = terms.get(e, 0) + (-1 if k % 2 else 1)
+            k += step
+    exps = sorted(e for e, c in terms.items() if c)
+    return exps, [terms[e] for e in exps]
+
+
 def pentagonal_terms(step: int, limit: int) -> tuple[list[int], list[int]]:
     """Sparse expansion of (q^step; q^step): exponents step*k(3k+-1)/2, signs (-1)^k."""
-    terms = [(0, 1)]
-    k = 1
-    while True:
-        lo = step * (k * (3 * k - 1) // 2)
-        hi = step * (k * (3 * k + 1) // 2)
-        s = -1 if k % 2 else 1
-        if lo > limit:
-            break
-        terms.append((lo, s))
-        if hi <= limit:
-            terms.append((hi, s))
-        k += 1
-    terms.sort()
-    return [e for e, _ in terms], [c for _, c in terms]
+    return jacobi_triple_terms(step, 3 * step, limit)
 
 
 def _apply_factor(cur: list, a: int, b: int, delta: int, n: int) -> list:
@@ -140,15 +158,69 @@ def _apply_factor(cur: list, a: int, b: int, delta: int, n: int) -> list:
     return cur
 
 
+@dataclass(frozen=True)
+class ExpansionPlan:
+    """A spec rewritten as the product `eta_quotient` expands.
+
+    The product is JTP(a,b)^k over (a, b, k) in thetas, with a <= b - a,
+    times (q^b;q^b)^d over (b, d) in eulers, times (q^a;q^b)^d over
+    (a, b, d) in binomials, which go one binomial at a time.
+    """
+
+    thetas: tuple[tuple[int, int, int], ...]
+    eulers: tuple[tuple[int, int], ...]
+    binomials: tuple[tuple[int, int, int], ...]
+
+    @classmethod
+    def of(cls, spec: "EtaQuotientSpec | str") -> "ExpansionPlan":
+        """Net the exponents of the spec's factors, then pair partners into JTPs."""
+        net: dict[tuple[int, int], int] = {}
+        for f in _as_spec(spec).factors:
+            net[f.a, f.b] = net.get((f.a, f.b), 0) + f.delta
+        thetas = []
+        for a, b in list(net):
+            if a >= b:
+                continue
+            d, partner = net[a, b], net.get((b - a, b), 0)
+            if b == 2 * a:
+                k = d // 2 if d > 0 else -(-d // 2)
+                net[a, b] -= 2 * k
+            elif d * partner > 0:
+                k = min(d, partner) if d > 0 else max(d, partner)
+                net[a, b] -= k
+                net[b - a, b] -= k
+            else:
+                continue
+            if k:
+                thetas.append((min(a, b - a), b, k))
+                net[b, b] = net.get((b, b), 0) - k
+        return cls(
+            thetas=tuple(thetas),
+            eulers=tuple((b, d) for (a, b), d in net.items() if a == b and d),
+            binomials=tuple((a, b, d) for (a, b), d in net.items() if a != b and d),
+        )
+
+
 def eta_quotient(spec: "EtaQuotientSpec | str", precision: int) -> Series:
     """Exact truncated expansion of a product of (q^a;q^b)^delta factors."""
     _check_precision(precision)
-    spec = _as_spec(spec)
+    plan = ExpansionPlan.of(spec)
     n = precision + 1
-    cur = [0] * n
-    cur[0] = 1
-    for f in spec.factors:
-        cur = _apply_factor(cur, f.a, f.b, f.delta, n)
+    bases = [(*jacobi_triple_terms(a, b, precision), k) for a, b, k in plan.thetas]
+    bases += [(*pentagonal_terms(b, precision), d) for b, d in plan.eulers]
+    # the seed is a power computed outright; f^1 is f itself, and f^-1
+    # costs less as a division than as a power
+    seed = max(bases, key=lambda base: (abs(base[2]), base[2], len(base[0])), default=None)
+    if seed is not None and seed[2] != -1:
+        bases.remove(seed)
+        cur = pow_sparse(*seed, n)
+    else:
+        cur = [1] + [0] * precision
+    for exps, cofs, k in bases:
+        for _ in range(abs(k)):
+            cur = div_sparse(cur, exps, cofs, n) if k < 0 else mul_sparse(cur, exps, cofs, n)
+    for a, b, d in plan.binomials:
+        cur = _apply_factor(cur, a, b, d, n)
     return Series(cur)
 
 
@@ -183,6 +255,7 @@ def quintuple_product(M: int, j: int, precision: int) -> Series:
 
 def theta_alt_squares(precision: int) -> Series:
     """sum_{n in Z} (-1)^n q^{n^2} = 1 + 2 sum_{n>=1} (-1)^n q^{n^2}."""
+    _check_precision(precision)
     terms = [(0, 1)]
     n = 1
     while n * n <= precision:
@@ -193,6 +266,7 @@ def theta_alt_squares(precision: int) -> Series:
 
 def theta_triangular(precision: int) -> Series:
     """sum_{n>=0} q^{n(n+1)/2}, the triangular-number indicator."""
+    _check_precision(precision)
     terms = []
     n = 0
     while n * (n + 1) // 2 <= precision:
@@ -203,6 +277,7 @@ def theta_triangular(precision: int) -> Series:
 
 def theta_squares(precision: int) -> Series:
     """sum_{n in Z} q^{n^2} = 1 + 2 sum_{n>=1} q^{n^2}."""
+    _check_precision(precision)
     terms = [(0, 1)]
     n = 1
     while n * n <= precision:
@@ -219,6 +294,7 @@ def theta_weighted(precision: int) -> Series:
 
     Folding +-n (equal weights) absorbs the 1/2 in the two-sided form.
     """
+    _check_precision(precision)
     terms = []
     n = 1
     while (n * n - 1) // 8 <= precision:

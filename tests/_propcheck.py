@@ -16,6 +16,7 @@ from qsigns import (
     eta_quotient,
     predict_quotient_pattern,
 )
+from qsigns.products import _apply_factor
 
 
 def random_series(rng: random.Random, max_len: int = 24, unit: bool = False) -> Series:
@@ -138,4 +139,73 @@ def check_certificate_invariants(
                 parity = cert.sign_exponents[r] % 2
                 if parity_by_residue.setdefault(rho, parity) != parity:
                     failures.append(f"(p={p}, i={i}): parity clash on residue {rho}")
+    return failures
+
+
+def binomial_expansion(spec: EtaQuotientSpec, precision: int) -> Series:
+    """The reference expansion: every factor through the binomial path, in spec order."""
+    n = precision + 1
+    cur = [1] + [0] * precision
+    for f in spec.factors:
+        cur = _apply_factor(cur, f.a, f.b, f.delta, n)
+    return Series(cur)
+
+
+def _random_factors(rng: random.Random) -> list[PochhammerFactor]:
+    """One building block of a random spec, chosen to reach every branch of the plan."""
+    b = rng.randint(2, 12)
+    a = rng.randint(1, b - 1)
+    d = rng.choice((-3, -2, -1, 1, 2, 3))
+    kind = rng.randrange(6)
+    if kind == 0:  # partners, same or opposite sign
+        return [PochhammerFactor(a, b, d), PochhammerFactor(b - a, b, rng.choice((-2, -1, 1, 2)))]
+    if kind == 1:  # a self-paired factor, odd or even exponent
+        h = rng.randint(1, 6)
+        return [PochhammerFactor(h, 2 * h, rng.randint(-5, 5))]
+    if kind == 2:  # offset beyond the period
+        return [PochhammerFactor(b + rng.randint(1, 6), b, d)]
+    if kind == 3:  # repeated tokens that cancel
+        return [PochhammerFactor(a, b, d), PochhammerFactor(a, b, -d)]
+    if kind == 4:
+        return [PochhammerFactor(b, b, d)]
+    return [PochhammerFactor(a, b, d)]
+
+
+def _spec_features(spec: EtaQuotientSpec) -> set[str]:
+    net: dict[tuple[int, int], int] = {}
+    for f in spec.factors:
+        net[f.a, f.b] = net.get((f.a, f.b), 0) + f.delta
+    features = set()
+    for (a, b), d in net.items():
+        if a > b:
+            features.add("a > b")
+        if b == 2 * a and d:
+            features.add("b = 2a, odd" if d % 2 else "b = 2a, even")
+        if a < b and d * net.get((b - a, b), 0) < 0:
+            features.add("opposite partners")
+        if d == 0:
+            features.add("cancelling repeats")
+    return features
+
+
+def check_plan_matches_binomial_oracle(seed: int, rounds: int = 1000,
+                                       max_precision: int = 150) -> list[str]:
+    """eta_quotient equals the factor-by-factor binomial expansion on random specs."""
+    rng = random.Random(seed)
+    failures = []
+    seen = dict.fromkeys(
+        ("a > b", "b = 2a, odd", "b = 2a, even", "opposite partners",
+         "cancelling repeats", "T = 0"), 0)
+    for k in range(rounds):
+        factors = []
+        for _ in range(rng.randint(1, 4)):
+            factors += _random_factors(rng)
+        rng.shuffle(factors)
+        spec = EtaQuotientSpec(tuple(factors))
+        T = 0 if rng.random() < 0.05 else rng.randint(1, max_precision)
+        for feature in _spec_features(spec) | ({"T = 0"} if T == 0 else set()):
+            seen[feature] += 1
+        if eta_quotient(spec, T) != binomial_expansion(spec, T):
+            failures.append(f"round {k}: {spec} at T={T}")
+    failures += [f"no spec with {feature}" for feature, count in seen.items() if count == 0]
     return failures

@@ -17,6 +17,7 @@ from qsigns import (
     three_dissection_qq,
     three_dissection_qq3,
 )
+from qsigns.dissect import _PROBE_PRECISION, _candidate
 
 MODULI = (2, 4, 5, 7, 8, 10, 11, 13)
 
@@ -78,6 +79,29 @@ def test_general_reassembly_with_equal_t_parameters():
     expr = quintuple_components(3, 1, 5)
     assert any(c.t1 == c.t2 for c in expr.components)
     assert assemble(expr, 150) == quintuple_product(3, 1, 150)
+
+
+def test_sign_choice_is_the_one_tied_to_m_mod_3():
+    cases = 0
+    for M in range(3, 13):
+        for j in range(1, (M + 1) // 2):
+            for m in range(2, 20):
+                if m % 3 == 0:
+                    continue
+                preferred = 1 if m % 3 == 1 else -1
+                expr = quintuple_components(M, j, m)
+                assert expr.components == tuple(_candidate(M, j, m, preferred)), (M, j, m)
+                cases += 1
+    assert cases == 360
+
+
+def test_dissections_reassemble_far_above_the_probe():
+    T = 10 * _PROBE_PRECISION
+    for M in range(3, 9):
+        for j in range(1, (M + 1) // 2):
+            target = quintuple_product(M, j, T)
+            for m in MODULI:
+                assert assemble(quintuple_components(M, j, m), T) == target, (M, j, m)
 
 
 # -- structural invariants ------------------------------------------------------

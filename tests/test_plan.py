@@ -1,0 +1,128 @@
+"""The expansion plan of eta_quotient and the Miller power kernel, against the binomial path."""
+
+import pytest
+from _propcheck import check_plan_matches_binomial_oracle
+
+from qsigns import corpus, eta_quotient, quintuple_components, quintuple_product
+from qsigns import products, ramanujan5, three_dissection_qq
+from qsigns._kernels_py import div_sparse, mul_sparse, pow_sparse
+from qsigns.dissect import component_series
+from qsigns.products import ExpansionPlan, jacobi_triple_terms, pentagonal_terms
+
+MODULI = (2, 4, 5, 7, 8, 10, 11, 13)
+
+
+# -- differential suite ---------------------------------------------------------
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_plan_matches_binomial_oracle(seed):
+    assert check_plan_matches_binomial_oracle(seed, rounds=500) == []
+
+
+# -- pow_sparse -------------------------------------------------------------------
+
+N = 121
+BASES = {
+    "(q;q)": pentagonal_terms(1, N - 1),
+    "(q^3;q^3)": pentagonal_terms(3, N - 1),
+    "JTP(1,5)": jacobi_triple_terms(1, 5, N - 1),
+    "JTP(1,2)": jacobi_triple_terms(1, 2, N - 1),
+    "JTP(3,6)": jacobi_triple_terms(3, 6, N - 1),
+}
+
+
+@pytest.mark.parametrize("name", BASES)
+def test_pow_sparse_equals_repeated_passes(name):
+    exps, cofs = BASES[name]
+    for k in range(-12, 13):
+        expected = [1] + [0] * (N - 1)
+        for _ in range(abs(k)):
+            expected = (div_sparse if k < 0 else mul_sparse)(expected, exps, cofs, N)
+        assert pow_sparse(exps, cofs, k, N) == expected, k
+
+
+def test_pow_sparse_short_and_degenerate():
+    exps, cofs = BASES["(q;q)"]
+    assert pow_sparse(exps, cofs, 5, 1) == [1]
+    assert pow_sparse([0], [1], -7, 4) == [1, 0, 0, 0]
+    with pytest.raises(ValueError):
+        pow_sparse([0, 1], [-1, 1], 2, 4)
+
+
+def test_jacobi_triple_terms_merge_colliding_exponents():
+    # JTP(1,2) = sum_n (-1)^n q^{n^2}
+    assert jacobi_triple_terms(1, 2, 16) == ([0, 1, 4, 9, 16], [1, -2, 2, -2, 2])
+    assert jacobi_triple_terms(1, 5, 13) == ([0, 1, 4, 7, 13], [1, -1, -1, 1, 1])
+    assert pentagonal_terms(1, 12) == ([0, 1, 2, 5, 7, 12], [1, -1, -1, 1, 1, -1])
+
+
+# -- plan shapes --------------------------------------------------------------------
+
+CORPUS_PLANS = {
+    "period8-quartic": ((), ((1, 4), (2, 2), (4, -2))),
+    "period9-ninth": ((), ((1, 9), (3, -5))),
+    "rr-quotient": (((2, 5, 1), (1, 5, -1)), ()),
+    "octic-quotient": (((3, 8, 1), (1, 8, -1)), ()),
+    "hirschhorn-a": (((2, 10, 1), (1, 5, -1), (1, 10, 3)), ((10, -4), (5, 1))),
+    "hirschhorn-b": (((4, 10, 1), (2, 5, -1), (3, 10, 3)), ((10, -4), (5, 1))),
+}
+
+
+def test_corpus_plans_are_pinned():
+    for entry in corpus():
+        assert ExpansionPlan.of(entry.spec) == ExpansionPlan(
+            *CORPUS_PLANS[entry.name], binomials=()
+        ), entry.name
+
+
+@pytest.mark.parametrize(
+    "spec,thetas,eulers,binomials",
+    [
+        ("1 1^-1", (), (), ()),
+        ("2.5^1 2.5^-1 3.5", (), (), ((3, 5, 1),)),
+        ("2.5 3.5^-1", (), (), ((2, 5, 1), (3, 5, -1))),
+        ("3.5^2 2.5 5^-1", ((2, 5, 1),), ((5, -2),), ((3, 5, 1),)),
+        ("1.4^-3 3.4^-2", ((1, 4, -2),), ((4, 2),), ((1, 4, -1),)),
+        ("1.2^3", ((1, 2, 1),), ((2, -1),), ((1, 2, 1),)),
+        ("1.2^-4", ((1, 2, -2),), ((2, 2),), ()),
+        ("3.6^-1", (), (), ((3, 6, -1),)),
+        ("7.5 2.5", (), (), ((7, 5, 1), (2, 5, 1))),
+    ],
+)
+def test_plan_shapes(spec, thetas, eulers, binomials):
+    assert ExpansionPlan.of(spec) == ExpansionPlan(thetas, eulers, binomials)
+
+
+def test_dissection_components_are_two_triple_products():
+    for M in range(3, 9):
+        for j in range(1, (M + 1) // 2):
+            for m in MODULI:
+                for c in quintuple_components(M, j, m).components:
+                    spec = (
+                        f"{c.t1}.{c.period1} {c.period1 - c.t1}.{c.period1} {c.period1} "
+                        f"{c.t2}.{c.period2} {c.period2 - c.t2}.{c.period2}"
+                    )
+                    assert ExpansionPlan.of(spec) == ExpansionPlan(
+                        thetas=(
+                            (min(c.t1, c.period1 - c.t1), c.period1, 1),
+                            (min(c.t2, c.period2 - c.t2), c.period2, 1),
+                        ),
+                        eulers=((c.period2, -1),),
+                        binomials=(),
+                    )
+
+
+def test_paper_products_never_take_the_binomial_path(monkeypatch):
+    def refuse(*args):
+        raise AssertionError(f"binomial path reached with {args[1:]}")
+
+    monkeypatch.setattr(products, "_apply_factor", refuse)
+    for entry in corpus():
+        eta_quotient(entry.spec, 200)
+    for M in range(3, 9):
+        for j in range(1, (M + 1) // 2):
+            quintuple_product(M, j, 200)
+            for comp in quintuple_components(M, j, 5).components:
+                component_series(comp, 200)
+    three_dissection_qq(200)
+    ramanujan5(200)

@@ -67,8 +67,11 @@ def test_constructors_reject_negative_precision():
         lambda: theta_threevar(-3),
         lambda: borwein_c3(-1),
         lambda: theta_alt_squares(-1),
+        lambda: theta_triangular(-1),
+        lambda: theta_squares(-1),
+        lambda: theta_weighted(-1),
     ):
-        with pytest.raises(InvalidParameter):
+        with pytest.raises(InvalidParameter, match="precision must be nonnegative"):
             build()
 
 
