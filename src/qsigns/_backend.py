@@ -3,7 +3,9 @@
 The compiled extension (`qsigns._kernels_cy`) is used when it is
 importable; the pure-Python kernels are the fallback, so the package
 works from a source tree with no compiler.  `pow_sparse` has no compiled
-counterpart and always comes from the pure-Python kernels.
+counterpart and always comes from the pure-Python kernels.  No package
+code calls `invert_dense` any more; it stays exported as the reference
+inversion.
 """
 
 from __future__ import annotations

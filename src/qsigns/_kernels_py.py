@@ -5,6 +5,13 @@ All kernels take plain lists of Python ints and an output length ``n``
 Coefficients are arbitrary-precision integers throughout; nothing here
 may introduce floats or rounding.
 
+The sparse kernels take the nonzero terms of one operand as sorted
+exponent and coefficient lists, so their cost is O(n) per term rather
+than O(n) per coefficient: `pow_sparse` raises a series to any power and
+`div_sparse` inverts it (dividing one by it) in a single pass each.
+`mul_dense` and `invert_dense` are the schoolbook forms; `invert_dense`
+is kept as the slow reference that `Series.invert` is tested against.
+
 `qsigns._kernels_cy` provides the first four functions compiled with
 Cython; `qsigns._backend` picks whichever is available at import time.
 `pow_sparse` exists only here.
@@ -107,16 +114,21 @@ def div_sparse(xs: list, exps: list, cofs: list, n: int) -> list:
 def pow_sparse(exps: list, cofs: list, k: int, n: int) -> list:
     """The k-th power (any integer k) of a sparse polynomial, truncated to n terms.
 
-    Requires exps sorted with exps[0] == 0 and cofs[0] == 1.  One pass of
-    J.C.P. Miller's recurrence for g = f^k (Knuth, TAOCP vol. 2, 4.7),
+    Requires exps sorted with exps[0] == 0 and a nonzero constant term
+    c0 = cofs[0]; a negative k also needs c0 in (1, -1), so that f^k has
+    integer coefficients.  One pass of J.C.P. Miller's recurrence for
+    g = f^k (Knuth, TAOCP vol. 2, 4.7), starting from g_0 = c0^k,
 
-        m * g_m = sum_{j>=1} ((k+1) * e_j - m) * c_j * g_{m-e_j},
+        m * c0 * g_m = sum_{j>=1} ((k+1) * e_j - m) * c_j * g_{m-e_j},
 
-    whose right side is an exact multiple of m because f^k has integer
+    whose right side is an exact multiple of m * c0 because g has integer
     coefficients.  A base in q^d alone is raised in q and spread out again.
     """
-    if exps[0] != 0 or cofs[0] != 1:
-        raise ValueError("pow_sparse needs a constant term of 1")
+    c0 = cofs[0] if exps[0] == 0 else 0
+    if c0 == 0:
+        raise ValueError("pow_sparse needs a nonzero constant term")
+    if k < 0 and c0 not in (1, -1):
+        raise ValueError(f"pow_sparse cannot raise constant term {c0} to the power {k}")
     live = [(e, c) for e, c in zip(exps, cofs) if e < n]
     d = math.gcd(*(e for e, _ in live))
     if d > 1:
@@ -129,7 +141,8 @@ def pow_sparse(exps: list, cofs: list, k: int, n: int) -> list:
         for e, c in live:
             out[e] += c
         return out
-    out[0] = 1
+    # c0^|k| is c0^k whenever k < 0, since then c0 is 1 or -1
+    out[0] = c0 ** abs(k)
     if k == 0:
         return out
     terms = [(e, (k + 1) * e * c, c) for e, c in live[1:]]
@@ -145,5 +158,5 @@ def pow_sparse(exps: list, cofs: list, k: int, n: int) -> list:
             g = out[m - e]
             if g:
                 acc += (kec - m * c) * g
-        out[m] = acc // m
+        out[m] = acc // (m * c0)
     return out

@@ -201,6 +201,9 @@ def _cmd_detect(args) -> Report:
 
 def _cmd_census(args) -> Report:
     spec = EtaQuotientSpec.parse(args.spec)
+    for name, value in (("--m", args.m), ("--K", args.K)):
+        if value < 1:
+            raise QSignsError(f"{name} must be at least 1, got {value}")
     precision = _precision(args.m * args.K - 1, "census size m*K - 1")
     counts = sign_census(eta_quotient(spec, precision), args.m, args.K)
     columns = ("residue", "negative", "zero", "positive")

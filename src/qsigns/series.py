@@ -4,13 +4,18 @@ A :class:`Series` stores the coefficients of q^0 .. q^T exactly, as
 arbitrary-precision Python ints; T is the inclusive truncation order.
 Binary operations truncate to the shorter operand and never extend
 precision.  Instances are immutable and safe to share across threads.
+
+Products of two series use the dense Cauchy kernel.  Powers and inverses
+use only the nonzero terms of the base: `power` is one pass of Miller's
+power recurrence (`pow_sparse`) and `invert` one sparse division of 1
+(`div_sparse`), so both cost O(T) per nonzero term, whatever the exponent.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from ._backend import invert_dense, mul_dense
+from ._backend import div_sparse, mul_dense, pow_sparse
 
 
 class QSignsError(Exception):
@@ -134,29 +139,41 @@ class Series:
         n = min(len(self._coeffs), len(other._coeffs))
         return Series(mul_dense(list(self._coeffs), list(other._coeffs), n))
 
-    def invert(self) -> "Series":
-        """Series y with self * y = 1 + O(q^{T+1}); constant term must be +-1."""
+    def _check_unit(self) -> None:
         if self._coeffs[0] not in (1, -1):
             raise NonUnitConstantTerm(
                 f"cannot invert series with constant term {self._coeffs[0]}"
             )
-        return Series(invert_dense(list(self._coeffs), len(self._coeffs)))
+
+    def _nonzero_terms(self) -> tuple[list[int], list[int]]:
+        """Exponents and coefficients of the nonzero terms, by exponent."""
+        exps = [i for i, c in enumerate(self._coeffs) if c]
+        return exps, [self._coeffs[i] for i in exps]
+
+    def invert(self) -> "Series":
+        """Series y with self * y = 1 + O(q^{T+1}); constant term must be +-1."""
+        self._check_unit()
+        return Series(div_sparse([1], *self._nonzero_terms(), len(self._coeffs)))
 
     def power(self, e: int) -> "Series":
-        """Integer power by repeated squaring; negative e inverts first."""
+        """Integer power in one pass of Miller's recurrence over the nonzero terms.
+
+        A negative e needs constant term +-1.  The lowest term q^v of the
+        base is factored out, the rest is raised to precision T - v*e, and
+        the result is shifted back up by v*e.
+        """
         if e == 0:
             return Series.one(self.precision)
-        base = self.invert() if e < 0 else self
-        k = abs(e)
-        acc = None
-        sq = base
-        while k:
-            if k & 1:
-                acc = sq if acc is None else acc * sq
-            k >>= 1
-            if k:
-                sq = sq * sq
-        return acc
+        if e < 0:
+            self._check_unit()
+        exps, cofs = self._nonzero_terms()
+        if not exps:
+            return Series.zero(self.precision)
+        shift = exps[0] * e
+        if shift > self.precision:
+            return Series.zero(self.precision)
+        raised = pow_sparse([x - exps[0] for x in exps], cofs, e, len(self._coeffs) - shift)
+        return Series([0] * shift + raised)
 
     def __pow__(self, e: int) -> "Series":
         return self.power(e)

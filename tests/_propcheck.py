@@ -11,11 +11,13 @@ import random
 
 from qsigns import (
     EtaQuotientSpec,
+    NonUnitConstantTerm,
     PochhammerFactor,
     Series,
     eta_quotient,
     predict_quotient_pattern,
 )
+from qsigns._kernels_py import invert_dense, mul_dense
 from qsigns.products import _apply_factor
 
 
@@ -208,4 +210,78 @@ def check_plan_matches_binomial_oracle(seed: int, rounds: int = 1000,
         if eta_quotient(spec, T) != binomial_expansion(spec, T):
             failures.append(f"round {k}: {spec} at T={T}")
     failures += [f"no spec with {feature}" for feature, count in seen.items() if count == 0]
+    return failures
+
+
+def _random_base(rng: random.Random) -> tuple[list[int], set[str]]:
+    """A base for the power and inverse checks, and the categories it falls in."""
+    T = rng.randint(0, 40)
+    big = rng.random() < 0.3
+    bound = 10**40 if big else 9
+    if rng.random() < 0.05:
+        return [0] * (T + 1), {"all zero"}
+    dense = rng.random() < 0.5
+    cs = [0] * (T + 1)
+    for i in range(T + 1):
+        if dense or rng.random() < 0.15:
+            cs[i] = rng.randint(-bound, bound)
+    v = rng.randint(1, 4) if rng.random() < 0.25 else 0
+    cs = ([0] * v + cs)[: T + 1]
+    if v == 0:
+        cs[0] = rng.choice((1, -1, rng.choice((2, -3, 7, bound))))
+    elif v <= T:
+        cs[v] = cs[v] or rng.choice((1, -1, 5))
+    if not any(cs):
+        return cs, {"all zero"}
+    features = {"dense" if dense else "sparse"}
+    if big:
+        features.add("coefficients ~ 10^40")
+    if v:
+        features.add("leading zeros")
+    else:
+        features.add({1: "c0 = 1", -1: "c0 = -1"}.get(cs[0], "non-unit c0"))
+    return cs, features
+
+
+def _power_oracle(cs: list[int], e: int) -> "list[int] | None":
+    """cs^e by |e| schoolbook products, of cs^-1 when e < 0; None if that cannot exist."""
+    n = len(cs)
+    if e < 0 and cs[0] not in (1, -1):
+        return None
+    base = invert_dense(cs, n) if e < 0 else cs
+    acc = [1] + [0] * (n - 1)
+    for _ in range(abs(e)):
+        acc = mul_dense(acc, base, n)
+    return acc
+
+
+def check_power_and_inverse_match_oracle(seed: int, rounds: int = 400) -> list[str]:
+    """Series.power and Series.invert against repeated mul_dense products and invert_dense."""
+    rng = random.Random(seed)
+    failures = []
+    seen = dict.fromkeys(
+        ("c0 = 1", "c0 = -1", "non-unit c0", "leading zeros", "all zero", "v*e > T",
+         "sparse", "dense", "coefficients ~ 10^40", "negative e, non-unit c0"), 0)
+    for k in range(rounds):
+        cs, features = _random_base(rng)
+        e = rng.randint(-12, 12)
+        nonzero = [i for i, c in enumerate(cs) if c]
+        if e > 0 and nonzero and nonzero[0] * e >= len(cs):
+            features.add("v*e > T")
+        if e < 0 and cs[0] not in (1, -1):
+            features.add("negative e, non-unit c0")
+        for feature in features:
+            seen[feature] += 1
+        s = Series(cs)
+        for name, compute, expected in (
+            (f"power({e})", lambda: s.power(e), _power_oracle(cs, e)),
+            ("invert()", s.invert, _power_oracle(cs, -1)),
+        ):
+            try:
+                got = list(compute().coefficients)
+            except NonUnitConstantTerm:
+                got = None
+            if got != expected:
+                failures.append(f"round {k}: {name} of {cs}")
+    failures += [f"no base with {feature}" for feature, count in seen.items() if count == 0]
     return failures

@@ -175,6 +175,20 @@ def test_oversized_expansion_exits_2(capsys, monkeypatch, env, argv):
     assert f"MAX_PRECISION = {cli.MAX_PRECISION}" in err
 
 
+@pytest.mark.parametrize("m,K,name", [
+    ("-1000", "-1000", "--m"), ("0", "5", "--m"), ("7", "0", "--K"), ("3", "-2", "--K"),
+])
+def test_census_rejects_nonpositive_m_and_K_before_expanding(capsys, monkeypatch, m, K, name):
+    def no_expansion(*args):
+        raise AssertionError("census expanded a series for an invalid request")
+
+    monkeypatch.setattr(cli, "eta_quotient", no_expansion)
+    code, out, err = run(capsys, "census", "--spec", "2^5 7^-1", "--m", m, "--K", K)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {name} must be at least 1")
+
+
 def test_usage_error_exits_nonzero(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["predict", "--p", "7"])

@@ -41,12 +41,29 @@ def test_pow_sparse_equals_repeated_passes(name):
         assert pow_sparse(exps, cofs, k, N) == expected, k
 
 
+@pytest.mark.parametrize("name", BASES)
+@pytest.mark.parametrize("c0", [2, -3, 10**40])
+def test_pow_sparse_non_unit_constant_term_equals_repeated_passes(name, c0):
+    exps, cofs = BASES[name]
+    cofs = [c0] + cofs[1:]
+    expected = [1] + [0] * (N - 1)
+    for k in range(13):
+        assert pow_sparse(exps, cofs, k, N) == expected, k
+        expected = mul_sparse(expected, exps, cofs, N)
+
+
 def test_pow_sparse_short_and_degenerate():
     exps, cofs = BASES["(q;q)"]
     assert pow_sparse(exps, cofs, 5, 1) == [1]
     assert pow_sparse([0], [1], -7, 4) == [1, 0, 0, 0]
+    # (q - 1)^2: a constant term of -1 is a unit like 1
+    assert pow_sparse([0, 1], [-1, 1], 2, 4) == [1, -2, 1, 0]
     with pytest.raises(ValueError):
-        pow_sparse([0, 1], [-1, 1], 2, 4)
+        pow_sparse([0, 1], [0, 1], 2, 4)
+    with pytest.raises(ValueError):
+        pow_sparse([1, 2], [1, 1], 2, 4)
+    with pytest.raises(ValueError):
+        pow_sparse([0, 1], [3, 1], -1, 4)
 
 
 def test_jacobi_triple_terms_merge_colliding_exponents():

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from _propcheck import check_power_and_inverse_match_oracle
 
 from qsigns import BeyondPrecision, InvalidParameter, NonUnitConstantTerm, Series
 
@@ -124,6 +125,24 @@ def test_power_negative_one_is_geometric():
 def test_power_negative_rejects_non_unit():
     with pytest.raises(NonUnitConstantTerm):
         Series([3, 1]).power(-1)
+    with pytest.raises(NonUnitConstantTerm, match="constant term 0"):
+        Series([0, 1, 1]).power(-2)
+
+
+def test_power_of_non_unit_constant_term():
+    assert Series([3, 1, 0, 0]).power(3) == Series([27, 27, 9, 1])
+
+
+def test_power_factors_out_the_lowest_term():
+    # (q^2 + q^3)^2 = q^4 + 2q^5 + q^6
+    assert Series([0, 0, 1, 1, 0, 0, 0]).power(2) == Series([0, 0, 0, 0, 1, 2, 1])
+    assert Series([0, 0, 1, 1, 0, 0]).power(3) == Series.zero(5)
+    assert Series.zero(4).power(5) == Series.zero(4)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_power_and_inverse_match_oracle(seed):
+    assert check_power_and_inverse_match_oracle(seed, rounds=600) == []
 
 
 # -- shift / dilate / slice ----------------------------------------------
