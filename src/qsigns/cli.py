@@ -52,11 +52,18 @@ def _precision(value: int | None, name: str = "--T") -> int:
             value = int(raw)
         except ValueError:
             raise QSignsError(f"QSIGNS_PRECISION must be an integer, got {raw!r}")
-        if value < 0:
-            raise QSignsError(f"QSIGNS_PRECISION must be nonnegative, got {value}")
+    if value < 0:
+        raise QSignsError(f"{name} must be nonnegative, got {value}")
     if value > MAX_PRECISION:
         raise QSignsError(f"{name} = {value} exceeds the limit MAX_PRECISION = {MAX_PRECISION}")
     return value
+
+
+def _check_positive(*named: tuple[str, int]) -> None:
+    """Reject a count argument below 1 before anything is expanded."""
+    for name, value in named:
+        if value < 1:
+            raise QSignsError(f"{name} must be at least 1, got {value}")
 
 
 @dataclass
@@ -186,8 +193,9 @@ def _cmd_verify(args) -> Report:
 
 
 def _cmd_detect(args) -> Report:
-    horizon = _precision(args.T)
     spec = EtaQuotientSpec.parse(args.spec)
+    _check_positive(("--m", args.m))
+    horizon = _precision(args.T)
     pattern = detect_pattern(eta_quotient(spec, horizon), args.m, horizon)
     lines = [
         f"spec:    {args.spec}",
@@ -201,9 +209,7 @@ def _cmd_detect(args) -> Report:
 
 def _cmd_census(args) -> Report:
     spec = EtaQuotientSpec.parse(args.spec)
-    for name, value in (("--m", args.m), ("--K", args.K)):
-        if value < 1:
-            raise QSignsError(f"{name} must be at least 1, got {value}")
+    _check_positive(("--m", args.m), ("--K", args.K))
     precision = _precision(args.m * args.K - 1, "census size m*K - 1")
     counts = sign_census(eta_quotient(spec, precision), args.m, args.K)
     columns = ("residue", "negative", "zero", "positive")

@@ -6,13 +6,17 @@ component for residue r is
 
     (-1)^{s(r)} q^{L(r)} (q^{t1}, q^{P1-t1}, q^{P1}; q^{P1}) (q^{t2}, q^{P2-t2}; q^{P2})
 
-with periods P1 = m^2*M and P2 = 2*m^2*M.  The t parameters are only
-determined up to a +- choice tied to m mod 3; `quintuple_components`
-resolves it by probing both candidates against a direct expansion at a
-small precision and keeping the one that reassembles exactly.  For the
-(q;q) case (M=4, j=1), `qq_components` evaluates the explicit closed
-forms instead, which double as a regression oracle for the general
-routine.
+with periods P1 = m^2*M and P2 = 2*m^2*M.  The t parameters carry a
+sign eps fixed by m mod 3: eps = +1 when m = 1 (mod 3) and eps = -1 when
+m = 2 (mod 3).  Then m + eps*(6r - 1) is divisible by 3, and it is even
+whenever m is odd, so m*M*(m + eps*(6r - 1)) is divisible by 6 for every
+M and r, and t1 and t2 are integers.  `quintuple_components` is therefore
+pure arithmetic; it expands nothing.  Integral t's and offsets and
+nonnegative offsets are still checked, and a failure raises
+`QSignsError`; the reassembly checks in the CLI and the tests compare
+the result with a direct expansion.  For the (q;q) case (M=4, j=1),
+`qq_components` evaluates the explicit closed forms instead, which
+double as a regression oracle for the general routine.
 
 All threshold comparisons and offset evaluations are exact rational
 arithmetic; no floats anywhere.
@@ -29,7 +33,6 @@ from .products import (
     eta_quotient,
     lambert_cubic,
     pochhammer,
-    quintuple_product,
 )
 from .series import InvalidParameter, QSignsError, Series
 
@@ -46,11 +49,6 @@ __all__ = [
     "three_dissection_qq3",
     "ramanujan5",
 ]
-
-# probe precision for resolving the +- choice; the swept parameter ranges
-# all disambiguate (or coincide) well below this order
-_PROBE_PRECISION = 60
-
 
 @dataclass(frozen=True)
 class DissectionComponent:
@@ -180,8 +178,8 @@ def qq_components(m: int) -> DissectionExpression:
 # General quintuple dissection
 # ----------------------------------------------------------------------
 
-def _candidate(M: int, j: int, m: int, eps: int) -> list[DissectionComponent] | None:
-    """Components for one aligned +- choice, or None when a t is non-integral."""
+def _candidate(M: int, j: int, m: int, eps: int) -> list[DissectionComponent]:
+    """Components for the sign choice eps; raises when eps does not suit m."""
     P1 = m * m * M
     P2 = 2 * m * m * M
     ref = (
@@ -200,20 +198,19 @@ def _candidate(M: int, j: int, m: int, eps: int) -> list[DissectionComponent] | 
         t1_raw = Fraction(m * M * (m + eps * (6 * r - 1)), 6) + eps * j * m
         t2_raw = m * m * M + 2 * j * m + eps * Fraction(M * (m + eps * (6 * r - 1)) * m, 3)
         if t1_raw.denominator != 1 or t2_raw.denominator != 1:
-            return None
+            raise QSignsError(f"non-integral t for (M={M}, j={j}, m={m}, r={r}, eps={eps})")
         t1 = int(t1_raw) % P1
         t2 = int(t2_raw) % P2
-        if t1 == 0 or t2 == 0:
-            return None
         offset = (
             Fraction(7 * P1, 24)
             + Fraction(t1, 2) * (Fraction(t1, P1) - 1)
             + Fraction(t2, 2) * (Fraction(t2, P2) - 1)
             - ref
         )
-        if offset.denominator != 1 or offset < 0:
-            return None
+        if offset.denominator != 1:
+            raise QSignsError(f"non-integral offset for (M={M}, j={j}, m={m}, r={r}, eps={eps})")
         s = 0 if r <= s_lo else (1 if r <= s_hi else 2)
+        # a zero t or a negative offset fails the component's own range checks
         comps.append(
             DissectionComponent(
                 r=r, sign_exp=s, offset=int(offset), t1=t1, t2=t2, period1=P1, period2=P2
@@ -225,25 +222,16 @@ def _candidate(M: int, j: int, m: int, eps: int) -> list[DissectionComponent] | 
 def quintuple_components(M: int, j: int, m: int) -> DissectionExpression:
     """The m-dissection of the (M, j) quintuple product.
 
-    Requires M >= 3, 1 <= j < M/2, and m >= 2 not divisible by 3.
+    Requires M >= 3, 1 <= j < M/2, and m >= 2 not divisible by 3.  The
+    sign choice is eps = +1 for m = 1 (mod 3) and -1 for m = 2 (mod 3).
     """
     if M < 3:
         raise InvalidParameter(f"need M >= 3, got {M}")
     if not 1 <= j or not 2 * j < M:
         raise InvalidParameter(f"need 1 <= j < M/2, got j={j}, M={M}")
     _check_modulus(m)
-    target = quintuple_product(M, j, _PROBE_PRECISION)
-    # +1 pairs with m = 1 mod 3, -1 with m = -1 mod 3; probe both anyway
-    # and keep whichever reassembles (they can coincide as products)
-    preferred = 1 if m % 3 == 1 else -1
-    for eps in (preferred, -preferred):
-        comps = _candidate(M, j, m, eps)
-        if comps is None:
-            continue
-        expr = DissectionExpression(target=("quintuple", M, j, m), components=tuple(comps))
-        if assemble(expr, _PROBE_PRECISION) == target:
-            return expr
-    raise QSignsError(f"no sign choice reassembles for (M={M}, j={j}, m={m})")
+    comps = _candidate(M, j, m, 1 if m % 3 == 1 else -1)
+    return DissectionExpression(target=("quintuple", M, j, m), components=tuple(comps))
 
 
 def component_series(comp: DissectionComponent, precision: int) -> Series:
@@ -257,14 +245,8 @@ def component_series(comp: DissectionComponent, precision: int) -> Series:
             PochhammerFactor(comp.period2 - comp.t2, comp.period2),
         )
     )
-    prod = eta_quotient(spec, precision)
-    out = [0] * (precision + 1)
-    sign = comp.sign
-    cs = prod.coefficients
-    for i in range(precision + 1 - comp.offset):
-        if cs[i]:
-            out[i + comp.offset] = sign * cs[i]
-    return Series(out)
+    shifted = eta_quotient(spec, precision).shift(comp.offset)
+    return -shifted if comp.sign < 0 else shifted
 
 
 def assemble(expr: DissectionExpression, precision: int) -> Series:

@@ -185,10 +185,7 @@ class Series:
         if k < 0:
             raise InvalidParameter(f"shift must be nonnegative, got {k}")
         n = len(self._coeffs)
-        out = [0] * n
-        for i in range(n - k):
-            out[i + k] = self._coeffs[i]
-        return Series(out)
+        return Series((0,) * min(k, n) + self._coeffs[: max(n - k, 0)])
 
     def dilate(self, m: int, cap: int | None = None) -> "Series":
         """Substitute q -> q^m; precision grows to m*T (or ``cap`` if smaller)."""

@@ -146,9 +146,11 @@ def test_domain_error_exits_2(capsys):
 
 
 def test_negative_precision_exits_2(capsys):
-    code, _, err = run(capsys, "expand", "--spec", "1^1", "--T", "-1")
-    assert code == 2
-    assert "error:" in err
+    for argv in (("expand", "--spec", "1^1"), ("dissect", "--m", "5")):
+        code, out, err = run(capsys, *argv, "--T", "-3")
+        assert code == 2
+        assert out == ""
+        assert err == "error: --T must be nonnegative, got -3\n"
 
 
 def test_unwritable_output_exits_2(capsys, tmp_path):
@@ -187,6 +189,18 @@ def test_census_rejects_nonpositive_m_and_K_before_expanding(capsys, monkeypatch
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: {name} must be at least 1")
+
+
+@pytest.mark.parametrize("m", ["0", "-5"])
+def test_detect_rejects_nonpositive_m_before_expanding(capsys, monkeypatch, m):
+    def no_expansion(*args):
+        raise AssertionError("detect expanded a series for an invalid request")
+
+    monkeypatch.setattr(cli, "eta_quotient", no_expansion)
+    code, out, err = run(capsys, "detect", "--spec", "2^5 7^-1", "--m", m, "--T", "40000")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --m must be at least 1, got {m}\n"
 
 
 def test_usage_error_exits_nonzero(capsys):

@@ -3,6 +3,7 @@
 import pytest
 
 from qsigns import (
+    DissectionExpression,
     InvalidParameter,
     assemble,
     component_series,
@@ -17,7 +18,9 @@ from qsigns import (
     three_dissection_qq,
     three_dissection_qq3,
 )
-from qsigns.dissect import _PROBE_PRECISION, _candidate
+from qsigns import dissect, products
+from qsigns.dissect import _candidate
+from qsigns.series import QSignsError
 
 MODULI = (2, 4, 5, 7, 8, 10, 11, 13)
 
@@ -81,6 +84,21 @@ def test_general_reassembly_with_equal_t_parameters():
     assert assemble(expr, 150) == quintuple_product(3, 1, 150)
 
 
+def probe_sign_choice(M, j, m, precision=60):
+    """The sign choice a direct expansion picks: the first candidate that reassembles."""
+    target = quintuple_product(M, j, precision)
+    preferred = 1 if m % 3 == 1 else -1
+    for eps in (preferred, -preferred):
+        try:
+            comps = tuple(_candidate(M, j, m, eps))
+        except QSignsError:
+            continue
+        expr = DissectionExpression(("quintuple", M, j, m), comps)
+        if assemble(expr, precision) == target:
+            return expr
+    raise AssertionError(f"no sign choice reassembles for {(M, j, m)}")
+
+
 def test_sign_choice_is_the_one_tied_to_m_mod_3():
     cases = 0
     for M in range(3, 13):
@@ -88,20 +106,41 @@ def test_sign_choice_is_the_one_tied_to_m_mod_3():
             for m in range(2, 20):
                 if m % 3 == 0:
                     continue
-                preferred = 1 if m % 3 == 1 else -1
-                expr = quintuple_components(M, j, m)
-                assert expr.components == tuple(_candidate(M, j, m, preferred)), (M, j, m)
+                assert quintuple_components(M, j, m) == probe_sign_choice(M, j, m), (M, j, m)
                 cases += 1
     assert cases == 360
 
 
 def test_dissections_reassemble_far_above_the_probe():
-    T = 10 * _PROBE_PRECISION
+    T = 600
     for M in range(3, 9):
         for j in range(1, (M + 1) // 2):
             target = quintuple_product(M, j, T)
             for m in MODULI:
                 assert assemble(quintuple_components(M, j, m), T) == target, (M, j, m)
+
+
+def test_derived_sign_choice_always_builds():
+    # integral t and offset, 0 < t < period and offset >= 0 are checked on construction
+    cases = 0
+    for M in range(3, 25):
+        for j in range(1, (M + 1) // 2):
+            for m in range(2, 32):
+                if m % 3 == 0:
+                    continue
+                assert len(quintuple_components(M, j, m).components) == m
+                cases += 1
+    assert cases == 2640
+
+
+def test_quintuple_components_expands_nothing(monkeypatch):
+    def no_expansion(*args):
+        raise AssertionError("quintuple_components expanded a series")
+
+    monkeypatch.setattr(products, "eta_quotient", no_expansion)
+    monkeypatch.setattr(dissect, "eta_quotient", no_expansion)
+    assert quintuple_components(7, 2, 8).modulus == 8
+    assert quintuple_components(4, 1, 5) == qq_components(5)
 
 
 # -- structural invariants ------------------------------------------------------
