@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from . import __version__
 from ._backend import backend_name
-from .dissect import assemble, quintuple_components
+from .dissect import assemble, check_quintuple, quintuple_components
 from .products import EtaQuotientSpec, eta_quotient, quintuple_product
 from .series import QSignsError
 from .signs import (
@@ -138,6 +138,9 @@ def _cmd_expand(args) -> Report:
 
 def _cmd_dissect(args) -> Report:
     T = _precision(args.T)
+    check_quintuple(args.M, args.j, args.m)
+    # the reassembly check expands m components and the target, T + 1 terms each
+    _precision((args.m + 1) * (T + 1) - 1, "dissection size (m+1)*(T+1) - 1")
     expr = quintuple_components(args.M, args.j, args.m)
     target = quintuple_product(args.M, args.j, T)
     ok = assemble(expr, T) == target

@@ -18,14 +18,15 @@ the result with a direct expansion.  For the (q;q) case (M=4, j=1),
 `qq_components` evaluates the explicit closed forms instead, which
 double as a regression oracle for the general routine.
 
-All threshold comparisons and offset evaluations are exact rational
-arithmetic; no floats anywhere.
+Offsets are evaluated scaled by 24*P2, which makes every term an
+integer, and the sign thresholds are compared after multiplying out
+their denominators, so all of it is exact integer arithmetic; no
+fractions and no floats anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .products import (
     EtaQuotientSpec,
@@ -41,6 +42,7 @@ __all__ = [
     "DissectionExpression",
     "qq_offset",
     "qq_sign_exp",
+    "check_quintuple",
     "quintuple_components",
     "qq_components",
     "component_series",
@@ -178,42 +180,44 @@ def qq_components(m: int) -> DissectionExpression:
 # General quintuple dissection
 # ----------------------------------------------------------------------
 
+def check_quintuple(M: int, j: int, m: int) -> None:
+    """Reject parameters that `quintuple_components` does not accept."""
+    if M < 3:
+        raise InvalidParameter(f"need M >= 3, got {M}")
+    if not 1 <= j or not 2 * j < M:
+        raise InvalidParameter(f"need 1 <= j < M/2, got j={j}, M={M}")
+    _check_modulus(m)
+
+
 def _candidate(M: int, j: int, m: int, eps: int) -> list[DissectionComponent]:
-    """Components for the sign choice eps; raises when eps does not suit m."""
+    """Components for the sign choice eps; raises when eps does not suit m.
+
+    The offset L = 7*P1/24 + t1*(t1/P1 - 1)/2 + t2*(t2/P2 - 1)/2 - ref is
+    computed as 24*P2*L, which clears every denominator since P2 = 2*P1
+    and P2 = 2*m^2*M.
+    """
     P1 = m * m * M
     P2 = 2 * m * m * M
-    ref = (
-        Fraction(7 * M, 24)
-        + Fraction(j, 2) * (Fraction(j, M) - 1)
-        + Fraction(M - 2 * j, 2) * (Fraction(M - 2 * j, 2 * M) - 1)
-    )
-    if m % 3 == 1:
-        s_lo = Fraction((2 * m + 1) * M - 6 * j, 6 * M)
-        s_hi = Fraction((5 * m + 1) * M - 6 * j, 6 * M)
-    else:
-        s_lo = Fraction((m + 1) * M - 6 * j, 6 * M)
-        s_hi = Fraction((4 * m + 1) * M - 6 * j, 6 * M)
+    scale = 24 * P2
+    ref = 7 * M * P2 + 24 * m * m * j * (j - M) - 12 * m * m * (M * M - 4 * j * j)
+    lo, hi = (2 * m + 1, 5 * m + 1) if m % 3 == 1 else (m + 1, 4 * m + 1)
     comps = []
     for r in range(m):
-        t1_raw = Fraction(m * M * (m + eps * (6 * r - 1)), 6) + eps * j * m
-        t2_raw = m * m * M + 2 * j * m + eps * Fraction(M * (m + eps * (6 * r - 1)) * m, 3)
-        if t1_raw.denominator != 1 or t2_raw.denominator != 1:
+        a = m * M * (m + eps * (6 * r - 1))
+        # t1 needs a divisible by 6 and t2 by 3, so one test covers both
+        if a % 6:
             raise QSignsError(f"non-integral t for (M={M}, j={j}, m={m}, r={r}, eps={eps})")
-        t1 = int(t1_raw) % P1
-        t2 = int(t2_raw) % P2
-        offset = (
-            Fraction(7 * P1, 24)
-            + Fraction(t1, 2) * (Fraction(t1, P1) - 1)
-            + Fraction(t2, 2) * (Fraction(t2, P2) - 1)
-            - ref
-        )
-        if offset.denominator != 1:
+        t1 = (a // 6 + eps * j * m) % P1
+        t2 = (m * m * M + 2 * j * m + eps * (a // 3)) % P2
+        offset = 7 * P1 * P2 + 24 * t1 * (t1 - P1) + 12 * t2 * (t2 - P2) - ref
+        if offset % scale:
             raise QSignsError(f"non-integral offset for (M={M}, j={j}, m={m}, r={r}, eps={eps})")
-        s = 0 if r <= s_lo else (1 if r <= s_hi else 2)
+        # r <= (k*M - 6j) / (6M), for k = lo and k = hi
+        s = 0 if 6 * M * r <= lo * M - 6 * j else (1 if 6 * M * r <= hi * M - 6 * j else 2)
         # a zero t or a negative offset fails the component's own range checks
         comps.append(
             DissectionComponent(
-                r=r, sign_exp=s, offset=int(offset), t1=t1, t2=t2, period1=P1, period2=P2
+                r=r, sign_exp=s, offset=offset // scale, t1=t1, t2=t2, period1=P1, period2=P2
             )
         )
     return comps
@@ -225,11 +229,7 @@ def quintuple_components(M: int, j: int, m: int) -> DissectionExpression:
     Requires M >= 3, 1 <= j < M/2, and m >= 2 not divisible by 3.  The
     sign choice is eps = +1 for m = 1 (mod 3) and -1 for m = 2 (mod 3).
     """
-    if M < 3:
-        raise InvalidParameter(f"need M >= 3, got {M}")
-    if not 1 <= j or not 2 * j < M:
-        raise InvalidParameter(f"need 1 <= j < M/2, got j={j}, M={M}")
-    _check_modulus(m)
+    check_quintuple(M, j, m)
     comps = _candidate(M, j, m, 1 if m % 3 == 1 else -1)
     return DissectionExpression(target=("quintuple", M, j, m), components=tuple(comps))
 

@@ -17,7 +17,7 @@ from qsigns import (
     eta_quotient,
     predict_quotient_pattern,
 )
-from qsigns._kernels_py import invert_dense, mul_dense
+from qsigns._backend import invert_dense, mul_dense
 from qsigns.products import _apply_factor
 
 

@@ -2,9 +2,7 @@
 
 Every criterion is an exact integer check (tolerance zero) and prints
 one [PASS]/[FAIL] line; run with ``pytest tests/test_acceptance.py -v -s``
-to see the lines as they complete.  The whole module takes a couple of
-minutes with the pure-Python kernels and well under that with the
-compiled extension.
+to see the lines as they complete.
 """
 
 from _propcheck import (

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from qsigns import EtaQuotientSpec, SignPattern
+from qsigns import EtaQuotientSpec, SignPattern, backend_name
 from qsigns import cli
 from qsigns.signs import CorpusEntry
 
@@ -162,14 +162,23 @@ def test_unwritable_output_exits_2(capsys, tmp_path):
     assert not path.exists()
 
 
+def no_expansion(*args):
+    raise AssertionError("a request that should be rejected started to expand")
+
+
 @pytest.mark.parametrize("env,argv", [
     ({}, ("expand", "--spec", "1", "--T", str(cli.MAX_PRECISION + 1))),
     ({}, ("census", "--spec", "2^5 7^-1", "--m", "1", "--K", str(cli.MAX_PRECISION + 2))),
     ({"QSIGNS_PRECISION": str(cli.MAX_PRECISION + 1)}, ("detect", "--spec", "1", "--m", "2")),
-], ids=["expand", "census", "env-precision"])
+    ({}, ("dissect", "--m", "100000000", "--T", "10")),
+    # 5 * 200001 - 1 = MAX_PRECISION + 4: over only when the target counts too
+    ({}, ("dissect", "--m", "4", "--T", "200000")),
+], ids=["expand", "census", "env-precision", "dissect", "dissect-target"])
 def test_oversized_expansion_exits_2(capsys, monkeypatch, env, argv):
     for name, value in env.items():
         monkeypatch.setenv(name, value)
+    monkeypatch.setattr(cli, "eta_quotient", no_expansion)
+    monkeypatch.setattr(cli, "quintuple_components", no_expansion)
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
@@ -181,9 +190,6 @@ def test_oversized_expansion_exits_2(capsys, monkeypatch, env, argv):
     ("-1000", "-1000", "--m"), ("0", "5", "--m"), ("7", "0", "--K"), ("3", "-2", "--K"),
 ])
 def test_census_rejects_nonpositive_m_and_K_before_expanding(capsys, monkeypatch, m, K, name):
-    def no_expansion(*args):
-        raise AssertionError("census expanded a series for an invalid request")
-
     monkeypatch.setattr(cli, "eta_quotient", no_expansion)
     code, out, err = run(capsys, "census", "--spec", "2^5 7^-1", "--m", m, "--K", K)
     assert code == 2
@@ -191,16 +197,33 @@ def test_census_rejects_nonpositive_m_and_K_before_expanding(capsys, monkeypatch
     assert err.startswith(f"error: {name} must be at least 1")
 
 
+@pytest.mark.parametrize("m,message", [
+    ("-100000000", "need m >= 2, got -100000000"),
+    ("300000000", "modulus must not be divisible by 3, got 300000000"),
+])
+def test_dissect_checks_the_modulus_before_the_size(capsys, monkeypatch, m, message):
+    monkeypatch.setattr(cli, "quintuple_components", no_expansion)
+    code, out, err = run(capsys, "dissect", "--m", m)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("m", ["0", "-5"])
 def test_detect_rejects_nonpositive_m_before_expanding(capsys, monkeypatch, m):
-    def no_expansion(*args):
-        raise AssertionError("detect expanded a series for an invalid request")
-
     monkeypatch.setattr(cli, "eta_quotient", no_expansion)
     code, out, err = run(capsys, "detect", "--spec", "2^5 7^-1", "--m", m, "--T", "40000")
     assert code == 2
     assert out == ""
     assert err == f"error: --m must be at least 1, got {m}\n"
+
+
+def test_version_names_the_python_kernels(capsys):
+    assert backend_name() == "python"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == "qsigns 0.1.0 (python kernels)\n"
 
 
 def test_usage_error_exits_nonzero(capsys):

@@ -5,7 +5,7 @@ from _propcheck import check_plan_matches_binomial_oracle
 
 from qsigns import corpus, eta_quotient, quintuple_components, quintuple_product
 from qsigns import products, ramanujan5, three_dissection_qq
-from qsigns._kernels_py import div_sparse, mul_sparse, pow_sparse
+from qsigns._backend import div_sparse, mul_sparse, pow_sparse
 from qsigns.dissect import component_series
 from qsigns.products import ExpansionPlan, jacobi_triple_terms, pentagonal_terms
 
