@@ -10,10 +10,10 @@ The sparse kernels take the nonzero terms of one operand as sorted
 exponent and coefficient lists, so their cost is O(n) per term rather
 than O(n) per coefficient: `mul_sparse` multiplies by a sparse series,
 `pow_sparse` raises one to any power and `div_sparse` divides by one, in
-a single pass each.  `mul_dense` and `invert_dense` are the schoolbook
-forms.  `mul_dense` stays because `Series.__mul__` multiplies two dense
-series with it; `invert_dense` stays as the slow reference that the
-tests check `Series.invert` against.
+a single pass each; the package uses no other kernel.  `mul_dense` and
+`invert_dense` are the schoolbook forms, kept as the slow references
+that the tests check `Series.__mul__`, `Series.power` and `Series.invert`
+against.
 """
 
 from __future__ import annotations
@@ -22,7 +22,10 @@ import math
 
 
 def mul_dense(xs: list, ys: list, n: int) -> list:
-    """Cauchy product of two dense coefficient lists, truncated to n terms."""
+    """Cauchy product of two dense coefficient lists, truncated to n terms.
+
+    The package does not call it; it is the tests' oracle for `Series.__mul__`.
+    """
     out = [0] * n
     lx = min(len(xs), n)
     ly = len(ys)
@@ -41,6 +44,7 @@ def invert_dense(xs: list, n: int) -> list:
     """Multiplicative inverse of xs, truncated to n terms.
 
     Requires xs[0] in (1, -1); the recurrence then stays in the integers.
+    The package does not call it; it is the tests' oracle for `Series.invert`.
     """
     x0 = xs[0]
     out = [0] * n

@@ -11,6 +11,14 @@ Everything here returns an exact truncated :class:`~qsigns.series.Series`.
   Partners whose net exponents share a sign are paired that many times
   (a factor with b = 2a pairs with itself), and each pair moves its
   (q^b;q^b) into that factor's net exponent.
+* **Quintuple products.** By the quintuple product identity in Cooper's
+  form, JTP(j,M) JTP(M-2j,2M) = Q(M,j) (q^{2M};q^{2M}) for 1 <= j < M/2,
+  where Q(M,j) = (q^j, q^{M-j}, q^M; q^M)(q^{M-2j}, q^{M+2j}; q^{2M})
+  = sum_n q^{M n(3n+1)/2} (q^{-3jn} - q^{j(3n+1)}) also has O(sqrt(T/M))
+  terms.  Two such thetas whose exponents share a sign become one atom
+  Q(M,j)^k, k their common part, and k is added to the net exponent of
+  (q^{2M};q^{2M}).  A quintuple product, and so every dissection
+  component, plans as the single atom Q(M,j)^1, which is one scatter.
 * **Sparse powers.** What is left of the (q^b;q^b) factors is the
   pentagonal series.  The sparse base with the largest |exponent| seeds
   the result in one pass of Miller's power recurrence (`pow_sparse`);
@@ -33,7 +41,7 @@ import re
 from dataclasses import dataclass
 
 from ._backend import div_sparse, mul_sparse, pow_sparse
-from .series import InvalidParameter, Series
+from .series import InvalidParameter, Series, _check_precision
 
 __all__ = [
     "PochhammerFactor",
@@ -114,11 +122,6 @@ def _as_spec(spec: "EtaQuotientSpec | str") -> EtaQuotientSpec:
 # Product expansion
 # ----------------------------------------------------------------------
 
-def _check_precision(precision: int) -> None:
-    if precision < 0:
-        raise InvalidParameter(f"precision must be nonnegative, got {precision}")
-
-
 def jacobi_triple_terms(a: int, b: int, limit: int) -> tuple[list[int], list[int]]:
     """Sparse JTP(a,b) = (q^a, q^{b-a}, q^b; q^b) = sum_k (-1)^k q^{b k(k-1)/2 + a k}.
 
@@ -130,6 +133,31 @@ def jacobi_triple_terms(a: int, b: int, limit: int) -> tuple[list[int], list[int
         while (e := b * k * (k - 1) // 2 + a * k) <= limit:
             terms[e] = terms.get(e, 0) + (-1 if k % 2 else 1)
             k += step
+    exps = sorted(e for e, c in terms.items() if c)
+    return exps, [terms[e] for e in exps]
+
+
+def quintuple_terms(M: int, j: int, limit: int) -> tuple[list[int], list[int]]:
+    """Sparse Q(M,j) = (q^j, q^{M-j}, q^M; q^M)(q^{M-2j}, q^{M+2j}; q^{2M}), 1 <= j < M/2.
+
+    By the quintuple product identity (S. Cooper, Int. J. Number Theory 2,
+    2006) Q(M,j) = sum_n q^{M n(3n+1)/2} (q^{-3jn} - q^{j(3n+1)}).  Both
+    exponents are nonnegative and grow with |n| on each side of n = 0.
+    Terms up to exponent limit, sorted, with colliding terms merged, so
+    exponents are distinct and coefficients nonzero.
+    """
+    terms: dict[int, int] = {}
+    for n, step in ((0, 1), (-1, -1)):
+        while True:
+            base = M * n * (3 * n + 1) // 2
+            live = False
+            for e, c in ((base - 3 * j * n, 1), (base + j * (3 * n + 1), -1)):
+                if e <= limit:
+                    terms[e] = terms.get(e, 0) + c
+                    live = True
+            if not live:
+                break
+            n += step
     exps = sorted(e for e, c in terms.items() if c)
     return exps, [terms[e] for e in exps]
 
@@ -164,20 +192,26 @@ class ExpansionPlan:
 
     The product is JTP(a,b)^k over (a, b, k) in thetas, with a <= b - a,
     times (q^b;q^b)^d over (b, d) in eulers, times (q^a;q^b)^d over
-    (a, b, d) in binomials, which go one binomial at a time.
+    (a, b, d) in binomials, which go one binomial at a time, times
+    Q(M,j)^k over (M, j, k) in quintuples.  Since JTP(j,M) JTP(M-2j,2M)
+    = Q(M,j) (q^{2M};q^{2M}), each atom replaces the thetas JTP(j,M)^k
+    and JTP(M-2j,2M)^k, and k is added to the exponent of (q^{2M};q^{2M})
+    in eulers.
     """
 
     thetas: tuple[tuple[int, int, int], ...]
     eulers: tuple[tuple[int, int], ...]
     binomials: tuple[tuple[int, int, int], ...]
+    quintuples: tuple[tuple[int, int, int], ...] = ()
 
     @classmethod
     def of(cls, spec: "EtaQuotientSpec | str") -> "ExpansionPlan":
-        """Net the exponents of the spec's factors, then pair partners into JTPs."""
+        """Net the exponents of the spec's factors, pair partners into JTPs,
+        then pair JTPs into quintuple products."""
         net: dict[tuple[int, int], int] = {}
         for f in _as_spec(spec).factors:
             net[f.a, f.b] = net.get((f.a, f.b), 0) + f.delta
-        thetas = []
+        thetas: dict[tuple[int, int], int] = {}
         for a, b in list(net):
             if a >= b:
                 continue
@@ -186,19 +220,35 @@ class ExpansionPlan:
                 k = d // 2 if d > 0 else -(-d // 2)
                 net[a, b] -= 2 * k
             elif d * partner > 0:
-                k = min(d, partner) if d > 0 else max(d, partner)
+                k = _common(d, partner)
                 net[a, b] -= k
                 net[b - a, b] -= k
             else:
                 continue
             if k:
-                thetas.append((min(a, b - a), b, k))
+                thetas[min(a, b - a), b] = k
                 net[b, b] = net.get((b, b), 0) - k
+        # JTP(j,M) JTP(M-2j,2M) = Q(M,j) (q^{2M};q^{2M})
+        quintuples = []
+        for j, M in list(thetas):
+            k, partner = thetas[j, M], thetas.get((M - 2 * j, 2 * M), 0)
+            if 2 * j < M and k * partner > 0:
+                k = _common(k, partner)
+                thetas[j, M] -= k
+                thetas[M - 2 * j, 2 * M] -= k
+                quintuples.append((M, j, k))
+                net[2 * M, 2 * M] = net.get((2 * M, 2 * M), 0) + k
         return cls(
-            thetas=tuple(thetas),
+            thetas=tuple((a, b, k) for (a, b), k in thetas.items() if k),
             eulers=tuple((b, d) for (a, b), d in net.items() if a == b and d),
             binomials=tuple((a, b, d) for (a, b), d in net.items() if a != b and d),
+            quintuples=tuple(quintuples),
         )
+
+
+def _common(d: int, e: int) -> int:
+    """The part two exponents of one sign have in common: the one nearer zero."""
+    return min(d, e) if d > 0 else max(d, e)
 
 
 def eta_quotient(spec: "EtaQuotientSpec | str", precision: int) -> Series:
@@ -206,7 +256,8 @@ def eta_quotient(spec: "EtaQuotientSpec | str", precision: int) -> Series:
     _check_precision(precision)
     plan = ExpansionPlan.of(spec)
     n = precision + 1
-    bases = [(*jacobi_triple_terms(a, b, precision), k) for a, b, k in plan.thetas]
+    bases = [(*quintuple_terms(M, j, precision), k) for M, j, k in plan.quintuples]
+    bases += [(*jacobi_triple_terms(a, b, precision), k) for a, b, k in plan.thetas]
     bases += [(*pentagonal_terms(b, precision), d) for b, d in plan.eulers]
     # the seed is a power computed outright; f^1 is f itself, and f^-1
     # costs less as a division than as a power

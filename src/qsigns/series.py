@@ -5,17 +5,18 @@ arbitrary-precision Python ints; T is the inclusive truncation order.
 Binary operations truncate to the shorter operand and never extend
 precision.  Instances are immutable and safe to share across threads.
 
-Products of two series use the dense Cauchy kernel.  Powers and inverses
-use only the nonzero terms of the base: `power` is one pass of Miller's
-power recurrence (`pow_sparse`) and `invert` one sparse division of 1
-(`div_sparse`), so both cost O(T) per nonzero term, whatever the exponent.
+Products, powers and inverses use only nonzero terms: `*` is one sparse
+multiplication (`mul_sparse`) by the operand with fewer nonzero terms,
+`power` is one pass of Miller's power recurrence (`pow_sparse`) over the
+base and `invert` one sparse division of 1 (`div_sparse`), so each costs
+O(T) per nonzero term, whatever the exponent.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from ._backend import div_sparse, mul_dense, pow_sparse
+from ._backend import div_sparse, mul_sparse, pow_sparse
 
 
 class QSignsError(Exception):
@@ -34,6 +35,11 @@ class InvalidParameter(QSignsError):
     """Parameter outside its documented range."""
 
 
+def _check_precision(precision: int, name: str = "precision") -> None:
+    if precision < 0:
+        raise InvalidParameter(f"{name} must be nonnegative, got {precision}")
+
+
 class Series:
     """A truncated power series sum_{n=0}^{T} c_n q^n with exact integer c_n."""
 
@@ -49,15 +55,18 @@ class Series:
 
     @classmethod
     def zero(cls, precision: int) -> "Series":
+        _check_precision(precision)
         return cls([0] * (precision + 1))
 
     @classmethod
     def one(cls, precision: int) -> "Series":
+        _check_precision(precision)
         return cls([1] + [0] * precision)
 
     @classmethod
     def from_terms(cls, terms: Iterable[tuple[int, int]], precision: int) -> "Series":
         """Build a series from (exponent, coefficient) pairs; others are zero."""
+        _check_precision(precision)
         out = [0] * (precision + 1)
         for e, c in terms:
             if e < 0:
@@ -113,7 +122,8 @@ class Series:
         return self._coeffs[:n] == other._coeffs[:n]
 
     def truncate(self, precision: int) -> "Series":
-        """Drop coefficients above ``precision`` (which must not exceed T)."""
+        """Drop coefficients above ``precision`` (which must lie in 0..T)."""
+        _check_precision(precision)
         if precision > self.precision:
             raise BeyondPrecision(
                 f"cannot extend precision {self.precision} to {precision}"
@@ -136,8 +146,13 @@ class Series:
         return Series([-c for c in self._coeffs])
 
     def __mul__(self, other: "Series") -> "Series":
+        """Product in one sparse pass over the nonzero terms of the sparser operand."""
         n = min(len(self._coeffs), len(other._coeffs))
-        return Series(mul_dense(list(self._coeffs), list(other._coeffs), n))
+        xs, ys = self._coeffs[:n], other._coeffs[:n]
+        if sum(map(bool, ys)) > sum(map(bool, xs)):
+            xs, ys = ys, xs
+        exps = [i for i, c in enumerate(ys) if c]
+        return Series(mul_sparse(list(xs), exps, [ys[i] for i in exps], n))
 
     def _check_unit(self) -> None:
         if self._coeffs[0] not in (1, -1):
@@ -193,6 +208,7 @@ class Series:
             raise InvalidParameter(f"dilation step must be positive, got {m}")
         prec = self.precision * m
         if cap is not None:
+            _check_precision(cap, "cap")
             prec = min(prec, cap)
         out = [0] * (prec + 1)
         for i, c in enumerate(self._coeffs):

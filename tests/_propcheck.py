@@ -158,7 +158,7 @@ def _random_factors(rng: random.Random) -> list[PochhammerFactor]:
     b = rng.randint(2, 12)
     a = rng.randint(1, b - 1)
     d = rng.choice((-3, -2, -1, 1, 2, 3))
-    kind = rng.randrange(6)
+    kind = rng.randrange(7)
     if kind == 0:  # partners, same or opposite sign
         return [PochhammerFactor(a, b, d), PochhammerFactor(b - a, b, rng.choice((-2, -1, 1, 2)))]
     if kind == 1:  # a self-paired factor, odd or even exponent
@@ -170,6 +170,15 @@ def _random_factors(rng: random.Random) -> list[PochhammerFactor]:
         return [PochhammerFactor(a, b, d), PochhammerFactor(a, b, -d)]
     if kind == 4:
         return [PochhammerFactor(b, b, d)]
+    if kind == 5:  # a quintuple product, or its two thetas with other exponents
+        M = rng.randint(3, 12)
+        j = rng.randint(1, (M - 1) // 2)
+        wide = rng.choice((d, d, -2, -1, 1, 2))
+        return [
+            PochhammerFactor(j, M, d), PochhammerFactor(M - j, M, d),
+            *([PochhammerFactor(M, M, d)] if wide == d else []),
+            PochhammerFactor(M - 2 * j, 2 * M, wide), PochhammerFactor(M + 2 * j, 2 * M, wide),
+        ]
     return [PochhammerFactor(a, b, d)]
 
 
@@ -187,6 +196,29 @@ def _spec_features(spec: EtaQuotientSpec) -> set[str]:
             features.add("opposite partners")
         if d == 0:
             features.add("cancelling repeats")
+        if 2 * a < b:
+            features |= _quintuple_features(net, a, b)
+    return features
+
+
+def _quintuple_features(net: dict[tuple[int, int], int], j: int, M: int) -> set[str]:
+    """How the two thetas of the quintuple product Q(M,j) appear in a netted spec."""
+    def jtp(a: int, b: int) -> int:
+        """The exponent of JTP(a,b) that pairing (q^a;q^b) with (q^{b-a};q^b) gives."""
+        x, y = net.get((a, b), 0), net.get((b - a, b), 0)
+        return 0 if x * y <= 0 else min(x, y) if x > 0 else max(x, y)
+
+    narrow, wide = jtp(j, M), jtp(M - 2 * j, 2 * M)
+    if narrow * wide < 0:
+        return {"quintuple thetas of opposite signs"}
+    if narrow * wide == 0:
+        return set()
+    features = {"negative quintuple atom" if narrow < 0 else "positive quintuple atom"}
+    full = {net.get(f, 0) for f in ((j, M), (M - j, M), (M, M), (M - 2 * j, 2 * M), (M + 2 * j, 2 * M))}
+    if full == {narrow}:
+        features.add("full quintuple product")
+    if narrow != wide:
+        features.add("partial quintuple overlap")
     return features
 
 
@@ -197,7 +229,9 @@ def check_plan_matches_binomial_oracle(seed: int, rounds: int = 1000,
     failures = []
     seen = dict.fromkeys(
         ("a > b", "b = 2a, odd", "b = 2a, even", "opposite partners",
-         "cancelling repeats", "T = 0"), 0)
+         "cancelling repeats", "T = 0", "full quintuple product", "partial quintuple overlap",
+         "positive quintuple atom", "negative quintuple atom",
+         "quintuple thetas of opposite signs"), 0)
     for k in range(rounds):
         factors = []
         for _ in range(rng.randint(1, 4)):
@@ -284,4 +318,26 @@ def check_power_and_inverse_match_oracle(seed: int, rounds: int = 400) -> list[s
             if got != expected:
                 failures.append(f"round {k}: {name} of {cs}")
     failures += [f"no base with {feature}" for feature, count in seen.items() if count == 0]
+    return failures
+
+
+def check_mul_matches_dense_oracle(seed: int, rounds: int = 400) -> list[str]:
+    """Series.__mul__, either way round, against the schoolbook mul_dense."""
+    rng = random.Random(seed)
+    failures = []
+    seen = dict.fromkeys(
+        ("sparse x dense", "dense x dense", "sparse x sparse", "unequal lengths",
+         "zero operand"), 0)
+    for k in range(rounds):
+        (xs, fx), (ys, fy) = _random_base(rng), _random_base(rng)
+        kinds = sorted("zero" if "all zero" in f else "dense" if "dense" in f else "sparse"
+                       for f in (fx, fy))
+        seen["zero operand" if "zero" in kinds else f"{kinds[1]} x {kinds[0]}"] += 1
+        if len(xs) != len(ys):
+            seen["unequal lengths"] += 1
+        expected = mul_dense(xs, ys, min(len(xs), len(ys)))
+        x, y = Series(xs), Series(ys)
+        if list((x * y).coefficients) != expected or list((y * x).coefficients) != expected:
+            failures.append(f"round {k}: {xs} * {ys}")
+    failures += [f"no pair with {feature}" for feature, count in seen.items() if count == 0]
     return failures

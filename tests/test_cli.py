@@ -197,6 +197,27 @@ def test_census_rejects_nonpositive_m_and_K_before_expanding(capsys, monkeypatch
     assert err.startswith(f"error: {name} must be at least 1")
 
 
+def no_kernel_pass(*args):
+    raise AssertionError("a sparse kernel pass ran")
+
+
+def test_dissect_runs_no_kernel_pass(capsys, monkeypatch):
+    # every component and the target are single quintuple atoms, scattered
+    monkeypatch.setattr("qsigns.products.mul_sparse", no_kernel_pass)
+    monkeypatch.setattr("qsigns.products.div_sparse", no_kernel_pass)
+    requests = [
+        (M, j, m, 300)
+        for M in range(3, 9)
+        for j in range(1, (M + 1) // 2)
+        for m in (2, 4, 5, 7, 8, 10, 11, 13)
+    ]
+    for M, j, m, T in requests + [(8, 3, 13, 20000)]:
+        code, out, err = run(capsys, "dissect", "--M", str(M), "--j", str(j), "--m", str(m),
+                             "--T", str(T))
+        assert (code, err) == (0, ""), (M, j, m, T)
+        assert out.endswith(f"reassembly at T={T}: PASS\n"), (M, j, m, T)
+
+
 @pytest.mark.parametrize("m,message", [
     ("-100000000", "need m >= 2, got -100000000"),
     ("300000000", "modulus must not be divisible by 3, got 300000000"),

@@ -1,13 +1,14 @@
 """The expansion plan of eta_quotient and the Miller power kernel, against the binomial path."""
 
 import pytest
-from _propcheck import check_plan_matches_binomial_oracle
+from _propcheck import binomial_expansion, check_plan_matches_binomial_oracle
 
-from qsigns import corpus, eta_quotient, quintuple_components, quintuple_product
+from qsigns import EtaQuotientSpec, corpus, eta_quotient, quintuple_components
+from qsigns import quintuple_product
 from qsigns import products, ramanujan5, three_dissection_qq
 from qsigns._backend import div_sparse, mul_sparse, pow_sparse
 from qsigns.dissect import component_series
-from qsigns.products import ExpansionPlan, jacobi_triple_terms, pentagonal_terms
+from qsigns.products import ExpansionPlan, jacobi_triple_terms, pentagonal_terms, quintuple_terms
 
 MODULI = (2, 4, 5, 7, 8, 10, 11, 13)
 
@@ -73,6 +74,22 @@ def test_jacobi_triple_terms_merge_colliding_exponents():
     assert pentagonal_terms(1, 12) == ([0, 1, 2, 5, 7, 12], [1, -1, -1, 1, 1, -1])
 
 
+def test_quintuple_terms_merge_colliding_exponents():
+    # M = 3j and M = 6j are the periods where the two sums of Cooper's form meet
+    assert quintuple_terms(3, 1, 28) == ([0, 1, 3, 6, 10, 15, 21, 28], [1, -2, 1, 1, -2, 1, 1, -2])
+    assert quintuple_terms(6, 1, 16) == ([0, 1, 4, 9, 16], [1, -1, -1, 2, -1])
+    # Q(4,1) = (q;q)
+    assert quintuple_terms(4, 1, 26) == pentagonal_terms(1, 26)
+    assert quintuple_terms(5, 2, -1) == ([], [])
+
+
+def test_quintuple_product_equals_binomial_expansion():
+    for M in range(3, 25):
+        for j in range(1, (M + 1) // 2):
+            spec = EtaQuotientSpec.parse(f"{j}.{M} {M - j}.{M} {M} {M - 2 * j}.{2 * M} {M + 2 * j}.{2 * M}")
+            assert quintuple_product(M, j, 400) == binomial_expansion(spec, 400), (M, j)
+
+
 # -- plan shapes --------------------------------------------------------------------
 
 CORPUS_PLANS = {
@@ -110,7 +127,25 @@ def test_plan_shapes(spec, thetas, eulers, binomials):
     assert ExpansionPlan.of(spec) == ExpansionPlan(thetas, eulers, binomials)
 
 
-def test_dissection_components_are_two_triple_products():
+@pytest.mark.parametrize(
+    "spec,thetas,eulers,quintuples",
+    [
+        ("1.4 3.4 4 2.8 6.8", (), (), ((4, 1, 1),)),
+        ("1.4^-3 3.4^-3 4^-3 2.8^-3 6.8^-3", (), (), ((4, 1, -3),)),
+        # partial overlap: one JTP(1,4) is left over
+        ("1.4^2 3.4^2 2.8 6.8", ((1, 4, 1),), ((4, -2),), ((4, 1, 1),)),
+        ("1.4^-1 3.4^-1 2.8^-2 6.8^-2", ((2, 8, -1),), ((4, 1), (8, 1)), ((4, 1, -1),)),
+        # opposite signs form no atom
+        ("1.4 3.4 2.8^-1 6.8^-1", ((1, 4, 1), (2, 8, -1)), ((4, -1), (8, 1)), ()),
+        # a theta can be the wide factor of one atom and the narrow one of the next
+        ("1.3 2.3 1.6^2 5.6^2 4.12 8.12", (), ((3, -1), (6, -1)), ((3, 1, 1), (6, 1, 1))),
+    ],
+)
+def test_plan_quintuple_atoms(spec, thetas, eulers, quintuples):
+    assert ExpansionPlan.of(spec) == ExpansionPlan(thetas, eulers, (), quintuples)
+
+
+def test_dissection_components_are_one_quintuple_atom():
     for M in range(3, 9):
         for j in range(1, (M + 1) // 2):
             for m in MODULI:
@@ -120,12 +155,10 @@ def test_dissection_components_are_two_triple_products():
                         f"{c.t2}.{c.period2} {c.period2 - c.t2}.{c.period2}"
                     )
                     assert ExpansionPlan.of(spec) == ExpansionPlan(
-                        thetas=(
-                            (min(c.t1, c.period1 - c.t1), c.period1, 1),
-                            (min(c.t2, c.period2 - c.t2), c.period2, 1),
-                        ),
-                        eulers=((c.period2, -1),),
+                        thetas=(),
+                        eulers=(),
                         binomials=(),
+                        quintuples=((c.period1, min(c.t1, c.period1 - c.t1), 1),),
                     )
 
 

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from _propcheck import check_power_and_inverse_match_oracle
+from _propcheck import check_mul_matches_dense_oracle, check_power_and_inverse_match_oracle
 
 from qsigns import BeyondPrecision, InvalidParameter, NonUnitConstantTerm, Series
 
@@ -71,6 +71,11 @@ def test_mul_matches_naive_oracle_on_random_input():
         ys = [rng.randint(-9, 9) for _ in range(rng.randint(1, 20))]
         n = min(len(xs), len(ys))
         assert list((Series(xs) * Series(ys)).coefficients) == naive_mul(xs, ys, n)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_mul_matches_dense_oracle(seed):
+    assert check_mul_matches_dense_oracle(seed, rounds=400) == []
 
 
 # -- invert -------------------------------------------------------------
@@ -231,6 +236,18 @@ def test_empty_series_rejected():
 def test_truncate_cannot_extend():
     with pytest.raises(BeyondPrecision):
         Series([1, 2]).truncate(5)
+
+
+@pytest.mark.parametrize("call,name", [
+    (lambda: Series([1, 2]).truncate(-1), "precision"),
+    (lambda: Series([1, 2]).dilate(2, cap=-1), "cap"),
+    (lambda: Series.zero(-1), "precision"),
+    (lambda: Series.one(-2), "precision"),
+    (lambda: Series.from_terms([(0, 1)], -1), "precision"),
+], ids=["truncate", "dilate", "zero", "one", "from_terms"])
+def test_negative_precision_is_named(call, name):
+    with pytest.raises(InvalidParameter, match=f"^{name} must be nonnegative, got -"):
+        call()
 
 
 def test_from_terms_drops_overflow():
