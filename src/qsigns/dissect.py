@@ -29,11 +29,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .products import (
-    EtaQuotientSpec,
-    PochhammerFactor,
+    _check_quintuple,
     eta_quotient,
     lambert_cubic,
     pochhammer,
+    quintuple_product,
 )
 from .series import InvalidParameter, QSignsError, Series
 
@@ -75,17 +75,27 @@ class DissectionComponent:
             raise InvalidParameter(f"t1={self.t1} outside (0, {self.period1})")
         if not 0 < self.t2 < self.period2:
             raise InvalidParameter(f"t2={self.t2} outside (0, {self.period2})")
+        # the five factors are the quintuple product (period1, j), j below
+        if self.period2 != 2 * self.period1 or abs(self.t2 - self.period1) != 2 * self.j:
+            raise InvalidParameter(
+                f"(t1={self.t1}, t2={self.t2}; {self.period1}, {self.period2}) "
+                "is not a quintuple product"
+            )
 
     @property
     def sign(self) -> int:
         return -1 if self.sign_exp % 2 else 1
+
+    @property
+    def j(self) -> int:
+        """The quintuple parameter: t1 or period1 - t1, whichever is smaller."""
+        return min(self.t1, self.period1 - self.t1)
 
 
 @dataclass(frozen=True)
 class DissectionExpression:
     """A full m-dissection: one component per residue class of the target."""
 
-    target: tuple
     components: tuple[DissectionComponent, ...]
 
     @property
@@ -173,7 +183,7 @@ def qq_components(m: int) -> DissectionExpression:
                 period2=8 * m * m,
             )
         )
-    return DissectionExpression(target=("quintuple", 4, 1, m), components=tuple(comps))
+    return DissectionExpression(tuple(comps))
 
 
 # ----------------------------------------------------------------------
@@ -182,10 +192,7 @@ def qq_components(m: int) -> DissectionExpression:
 
 def check_quintuple(M: int, j: int, m: int) -> None:
     """Reject parameters that `quintuple_components` does not accept."""
-    if M < 3:
-        raise InvalidParameter(f"need M >= 3, got {M}")
-    if not 1 <= j or not 2 * j < M:
-        raise InvalidParameter(f"need 1 <= j < M/2, got j={j}, M={M}")
+    _check_quintuple(M, j)
     _check_modulus(m)
 
 
@@ -231,21 +238,12 @@ def quintuple_components(M: int, j: int, m: int) -> DissectionExpression:
     """
     check_quintuple(M, j, m)
     comps = _candidate(M, j, m, 1 if m % 3 == 1 else -1)
-    return DissectionExpression(target=("quintuple", M, j, m), components=tuple(comps))
+    return DissectionExpression(tuple(comps))
 
 
 def component_series(comp: DissectionComponent, precision: int) -> Series:
-    """Expand one dissection component to the given precision."""
-    spec = EtaQuotientSpec(
-        (
-            PochhammerFactor(comp.t1, comp.period1),
-            PochhammerFactor(comp.period1 - comp.t1, comp.period1),
-            PochhammerFactor(comp.period1, comp.period1),
-            PochhammerFactor(comp.t2, comp.period2),
-            PochhammerFactor(comp.period2 - comp.t2, comp.period2),
-        )
-    )
-    shifted = eta_quotient(spec, precision).shift(comp.offset)
+    """Expand one dissection component: the quintuple product (period1, j), shifted and signed."""
+    shifted = quintuple_product(comp.period1, comp.j, precision).shift(comp.offset)
     return -shifted if comp.sign < 0 else shifted
 
 
@@ -281,11 +279,8 @@ def three_dissection_qq3(precision: int) -> tuple[Series, Series]:
     sum equals (q;q)^3.
     """
     s0 = pochhammer(3, 3, precision) * lambert_cubic(precision)
-    cube = eta_quotient("9^3", precision)
-    out = [0] * (precision + 1)
-    for i in range(precision):
-        out[i + 1] = -3 * cube.coefficient(i)
-    return s0, Series(out)
+    s1 = Series([-3 * c for c in eta_quotient("9^3", precision).coefficients]).shift(1)
+    return s0, s1
 
 
 def ramanujan5(precision: int) -> tuple[Series, Series, Series]:

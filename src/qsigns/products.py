@@ -282,12 +282,16 @@ def pochhammer(a: int, b: int, precision: int) -> Series:
     return eta_quotient(EtaQuotientSpec((PochhammerFactor(a, b, 1),)), precision)
 
 
-def quintuple_product(M: int, j: int, precision: int) -> Series:
-    """(q^j, q^{M-j}, q^M; q^M) (q^{M-2j}, q^{M+2j}; q^{2M}), truncated."""
+def _check_quintuple(M: int, j: int) -> None:
     if M < 3:
         raise InvalidParameter(f"need M >= 3, got {M}")
     if not 1 <= j or not 2 * j < M:
         raise InvalidParameter(f"need 1 <= j < M/2, got j={j}, M={M}")
+
+
+def quintuple_product(M: int, j: int, precision: int) -> Series:
+    """(q^j, q^{M-j}, q^M; q^M) (q^{M-2j}, q^{M+2j}; q^{2M}), truncated."""
+    _check_quintuple(M, j)
     spec = EtaQuotientSpec(
         (
             PochhammerFactor(j, M),
@@ -383,11 +387,7 @@ def borwein_c3(precision: int) -> Series:
     Only this substituted form exists here; the unsubstituted function has
     exponents in 1/3 + Z, which this integral-exponent carrier cannot hold.
     """
-    _check_precision(precision)
-    if precision == 0:
-        return Series.zero(0)
-    f = eta_quotient("9^3 3^-1", precision - 1)
-    return Series([0] + [3 * c for c in f.coefficients])
+    return Series([3 * c for c in eta_quotient("9^3 3^-1", precision).coefficients]).shift(1)
 
 
 def lambert_cubic(precision: int) -> Series:

@@ -11,6 +11,14 @@ n > N (N = -1 covers every n >= 0).  Patterns come from three places:
   theta-series dissections;
 * `detect_pattern` scans an expansion empirically.
 
+The proven patterns (the predictions and both catalog families) follow
+one rule.  The quotient is a sum of pieces +-q^e F(q^m), m the modulus,
+each F a series with positive coefficients from its constant term on.
+Residue class e mod m then takes the sign of the pieces landing on it,
+which must agree, and is zero when no piece lands there; every class is
+signed from its least exponent e on, so the onset is the largest least
+exponent minus m.  `_signed_pieces` applies it.
+
 `verify_pattern` checks any pattern against an exact expansion and
 reports every violation, and `sign_census` tabulates coefficient signs
 per residue class.
@@ -140,6 +148,27 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _signed_pieces(modulus: int, pieces) -> tuple[tuple[SignClass, ...], int]:
+    """Sign classes and raw onset of a sum of pieces sign*q^e*F(q^modulus).
+
+    ``pieces`` holds (e, sign) pairs with sign +1 or -1; each F has
+    positive coefficients.  Residue e mod modulus takes the sign of its
+    pieces (ZERO when none lands there), and the raw onset is the largest
+    least exponent over the attained residues minus the modulus.  Two
+    pieces of opposite sign on one residue raise `QSignsError`.
+    """
+    classes = [SignClass.ZERO] * modulus
+    least: dict[int, int] = {}
+    for e, sign in pieces:
+        rho = e % modulus
+        cls = SignClass.POS if sign > 0 else SignClass.NEG
+        if classes[rho] not in (SignClass.ZERO, cls):
+            raise QSignsError(f"sign clash on residue {rho} mod {modulus}")
+        classes[rho] = cls
+        least[rho] = min(e, least.get(rho, e))
+    return tuple(classes), max(least.values()) - modulus
+
+
 def predict_quotient_pattern(p: int, i: int) -> SignCertificate:
     """Predict the sign pattern of (q^i;q^i)/(q^p;q^p) mod p with its onset.
 
@@ -158,23 +187,14 @@ def predict_quotient_pattern(p: int, i: int) -> SignCertificate:
     offsets = tuple(qq_offset(p, r) for r in range(p))
     sign_exponents = tuple(qq_sign_exp(p, r) for r in range(p))
     residue_map = tuple((i * (6 * r * r + r)) % p for r in range(p))
-
-    classes: list[SignClass] = [SignClass.ZERO] * p
-    least: dict[int, int] = {}
     for r in range(p):
         # the offset realizes the residue: i*L(r) = i(6r^2+r) (mod p)
         if (i * offsets[r]) % p != residue_map[r]:
             raise QSignsError(f"offset congruence broken at r={r} for (p={p}, i={i})")
-        cls = SignClass.POS if sign_exponents[r] % 2 == 0 else SignClass.NEG
-        rho = residue_map[r]
-        if classes[rho] is not SignClass.ZERO and classes[rho] is not cls:
-            raise QSignsError(f"sign parity clash on residue {rho} for (p={p}, i={i})")
-        classes[rho] = cls
-        v = i * offsets[r]
-        if rho not in least or v < least[rho]:
-            least[rho] = v
-    onset = max(least.values()) - p
-    pattern = SignPattern(p, tuple(classes), max(onset, -1))
+    classes, onset = _signed_pieces(
+        p, [(i * offsets[r], (-1) ** sign_exponents[r]) for r in range(p)]
+    )
+    pattern = SignPattern(p, classes, max(onset, -1))
     return SignCertificate(
         p=p,
         i=i,
@@ -292,49 +312,26 @@ class CatalogCase:
     params: dict = field(default_factory=dict)
 
 
-def _triangular_case(p: int) -> CatalogCase:
-    # positive exactly on residues of r(r+1)/2; onset from the least
-    # triangular number landing in each attained residue class
-    least: dict[int, int] = {}
-    for r in range(p):
-        t = r * (r + 1) // 2
-        s = t % p
-        if s not in least or t < least[s]:
-            least[s] = t
-    raw = max(least.values()) - p
-    classes = tuple(
-        SignClass.POS if s in least else SignClass.ZERO for s in range(p)
-    )
+def _family_case(family: str, p: int, spec: str, modulus: int, pieces) -> CatalogCase:
+    classes, raw = _signed_pieces(modulus, pieces)
     return CatalogCase(
-        case_id=f"2^2 1^-1 {p}^-1",
-        spec=EtaQuotientSpec.parse(f"2^2 1^-1 {p}^-1"),
-        pattern=SignPattern(p, classes, max(raw, -1)),
-        params={"family": "triangular", "p": p, "raw_onset": raw},
+        case_id=spec,
+        spec=EtaQuotientSpec.parse(spec),
+        pattern=SignPattern(modulus, classes, max(raw, -1)),
+        params={"family": family, "p": p, "raw_onset": raw},
     )
+
+
+def _triangular_case(p: int) -> CatalogCase:
+    # psi(q)/(q^p;q^p): one positive piece q^{r(r+1)/2} per r < p
+    pieces = [(r * (r + 1) // 2, 1) for r in range(p)]
+    return _family_case("triangular", p, f"2^2 1^-1 {p}^-1", p, pieces)
 
 
 def _alt_squares_case(p: int) -> CatalogCase:
-    # mod 4p: positive on even squares, negative on odd squares, zero off
-    # the squares; onset from least squares per attained residue mod 4p
-    mod = 4 * p
-    pos = {(4 * t * t) % mod for t in range(p)}
-    neg = {(4 * t * t + 4 * t + 1) % mod for t in range(p)}
-    least: dict[int, int] = {}
-    for r in range(mod):
-        s = (r * r) % mod
-        if s not in least or r * r < least[s]:
-            least[s] = r * r
-    raw = max(least.values()) - mod
-    classes = tuple(
-        SignClass.POS if s in pos else SignClass.NEG if s in neg else SignClass.ZERO
-        for s in range(mod)
-    )
-    return CatalogCase(
-        case_id=f"1^2 2^-1 {mod}^-1",
-        spec=EtaQuotientSpec.parse(f"1^2 2^-1 {mod}^-1"),
-        pattern=SignPattern(mod, classes, max(raw, -1)),
-        params={"family": "alt-squares", "p": p, "raw_onset": raw},
-    )
+    # phi(-q)/(q^{4p};q^{4p}): one piece (-1)^r q^{r^2} per r < 4p
+    pieces = [(r * r, (-1) ** r) for r in range(4 * p)]
+    return _family_case("alt-squares", p, f"1^2 2^-1 {4 * p}^-1", 4 * p, pieces)
 
 
 def _fixed_case(spec: str, classes: str) -> CatalogCase:
@@ -377,47 +374,28 @@ class CorpusEntry:
     pattern: SignPattern
     horizon: int
 
-    def to_record(self) -> str:
-        p = self.pattern
-        return "|".join(
-            (self.name, str(self.spec), str(p.modulus), p.class_string,
-             str(p.onset), str(self.horizon))
-        )
 
-    @classmethod
-    def from_record(cls, record: str) -> "CorpusEntry":
-        parts = record.strip().split("|")
-        if len(parts) != 6:
-            raise InvalidParameter(f"corpus record needs 6 fields, got {len(parts)}")
-        name, spec, modulus, classes, onset, horizon = parts
-        if len(classes) != int(modulus):
-            raise InvalidParameter(
-                f"class string {classes!r} does not match modulus {modulus}"
-            )
-        return cls(
-            name=name,
-            spec=EtaQuotientSpec.parse(spec),
-            pattern=SignPattern.from_string(classes, onset=int(onset)),
-            horizon=int(horizon),
-        )
-
-
-# Onsets below were read off the exact expansions once and frozen; the
-# test suite re-derives them.  Products with negated arguments use
-# (-x; q) = (x^2; q^2)/(x; q) to stay inside the (a, b, delta) grammar.
-_CORPUS_RECORDS = (
-    "period8-quartic|1^4 2^2 4^-2|8|+-0+--0+|0|5000",
-    "period9-ninth|1^9 3^-5|9|+-+--++-+|-1|5000",
-    "rr-quotient|2.5^1 3.5^1 1.5^-1 4.5^-1|5|++---|9|5000",
-    "octic-quotient|3.8^1 5.8^1 1.8^-1 7.8^-1|4|???0|-1|5000",
-    "hirschhorn-a|2.10^1 8.10^1 1.5^-1 4.5^-1 1.10^3 9.10^3|5|??0?0|-1|5000",
-    "hirschhorn-b|4.10^1 6.10^1 2.5^-1 3.5^-1 3.10^3 7.10^3|5|?0??0|-1|5000",
+# (name, spec, classes, onset, horizon).  Onsets below were read off the
+# exact expansions once and frozen; the test suite re-derives them.
+# Products with negated arguments use (-x; q) = (x^2; q^2)/(x; q) to stay
+# inside the (a, b, delta) grammar.
+_CORPUS = (
+    ("period8-quartic", "1^4 2^2 4^-2", "+-0+--0+", 0, 5000),
+    ("period9-ninth", "1^9 3^-5", "+-+--++-+", -1, 5000),
+    ("rr-quotient", "2.5^1 3.5^1 1.5^-1 4.5^-1", "++---", 9, 5000),
+    ("octic-quotient", "3.8^1 5.8^1 1.8^-1 7.8^-1", "???0", -1, 5000),
+    ("hirschhorn-a", "2.10^1 8.10^1 1.5^-1 4.5^-1 1.10^3 9.10^3", "??0?0", -1, 5000),
+    ("hirschhorn-b", "4.10^1 6.10^1 2.5^-1 3.5^-1 3.10^3 7.10^3", "?0??0", -1, 5000),
 )
 
 
 def corpus() -> list[CorpusEntry]:
     """The regression corpus of quoted sign-pattern and vanishing results."""
-    return [CorpusEntry.from_record(r) for r in _CORPUS_RECORDS]
+    return [
+        CorpusEntry(name, EtaQuotientSpec.parse(spec),
+                    SignPattern.from_string(classes, onset), horizon)
+        for name, spec, classes, onset, horizon in _CORPUS
+    ]
 
 
 def vanishing_predicate(n: int) -> bool:

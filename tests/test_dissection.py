@@ -1,5 +1,7 @@
 """Dissection components, reassembly oracles and the special 3- and 5-dissections."""
 
+from dataclasses import replace
+
 import pytest
 
 from qsigns import (
@@ -93,7 +95,7 @@ def probe_sign_choice(M, j, m, precision=60):
             comps = tuple(_candidate(M, j, m, eps))
         except QSignsError:
             continue
-        expr = DissectionExpression(("quintuple", M, j, m), comps)
+        expr = DissectionExpression(comps)
         if assemble(expr, precision) == target:
             return expr
     raise AssertionError(f"no sign choice reassembles for {(M, j, m)}")
@@ -182,6 +184,13 @@ def test_rejects_bad_moduli(m):
         qq_components(m)
     with pytest.raises(InvalidParameter):
         quintuple_components(4, 1, m)
+
+
+@pytest.mark.parametrize("field,delta", [("t2", 1), ("t2", -2), ("period2", 2)])
+def test_component_rejects_a_non_quintuple_shape(field, delta):
+    comp = qq_components(5).components[1]
+    with pytest.raises(InvalidParameter, match="not a quintuple product"):
+        replace(comp, **{field: getattr(comp, field) + delta})
 
 
 def test_rejects_bad_quintuple_parameters():

@@ -4,8 +4,8 @@ import pytest
 
 from qsigns import (
     BeyondPrecision,
-    CorpusEntry,
     InvalidParameter,
+    QSignsError,
     Series,
     SignClass,
     SignPattern,
@@ -19,6 +19,8 @@ from qsigns import (
     vanishing_predicate,
     verify_pattern,
 )
+from qsigns.dissect import qq_offset, qq_sign_exp
+from qsigns.signs import _alt_squares_case, _signed_pieces, _triangular_case
 
 
 # -- prediction ---------------------------------------------------------------
@@ -177,12 +179,94 @@ def test_catalog_case_verifies_at_small_horizon():
     assert verify_pattern(series, case.pattern, 500).passed
 
 
+# -- the signed-pieces rule ------------------------------------------------------------
+# Test-local copies of the three loops that each derived classes and onsets
+# on their own before `_signed_pieces` took over; the rule must agree with all.
+
+def _predict_loop(p, i):
+    offsets = tuple(qq_offset(p, r) for r in range(p))
+    sign_exponents = tuple(qq_sign_exp(p, r) for r in range(p))
+    residue_map = tuple((i * (6 * r * r + r)) % p for r in range(p))
+    classes = [SignClass.ZERO] * p
+    least = {}
+    for r in range(p):
+        cls = SignClass.POS if sign_exponents[r] % 2 == 0 else SignClass.NEG
+        rho = residue_map[r]
+        assert classes[rho] in (SignClass.ZERO, cls)
+        classes[rho] = cls
+        v = i * offsets[r]
+        if rho not in least or v < least[rho]:
+            least[rho] = v
+    return offsets, sign_exponents, residue_map, tuple(classes), max(least.values()) - p
+
+
+def _triangular_loop(p):
+    least = {}
+    for r in range(p):
+        t = r * (r + 1) // 2
+        if t % p not in least or t < least[t % p]:
+            least[t % p] = t
+    classes = tuple(SignClass.POS if s in least else SignClass.ZERO for s in range(p))
+    return classes, max(least.values()) - p
+
+
+def _alt_squares_loop(p):
+    mod = 4 * p
+    pos = {(4 * t * t) % mod for t in range(p)}
+    neg = {(4 * t * t + 4 * t + 1) % mod for t in range(p)}
+    least = {}
+    for r in range(mod):
+        s = (r * r) % mod
+        if s not in least or r * r < least[s]:
+            least[s] = r * r
+    classes = tuple(
+        SignClass.POS if s in pos else SignClass.NEG if s in neg else SignClass.ZERO
+        for s in range(mod)
+    )
+    return classes, max(least.values()) - mod
+
+
+def test_signed_pieces_matches_the_predict_loop():
+    pairs = [(p, i) for p in range(5, 100) for i in range(2, 31)
+             if all(p % d for d in range(2, p)) and i % p]
+    assert len(pairs) == 649
+    for p, i in pairs:
+        cert = predict_quotient_pattern(p, i)
+        offsets, sign_exponents, residue_map, classes, onset = _predict_loop(p, i)
+        assert (cert.p, cert.i) == (p, i)
+        assert cert.offsets == offsets, (p, i)
+        assert cert.sign_exponents == sign_exponents, (p, i)
+        assert cert.residue_map == residue_map, (p, i)
+        assert cert.onset == onset, (p, i)
+        assert cert.pattern == SignPattern(p, classes, max(onset, -1)), (p, i)
+
+
+@pytest.mark.parametrize("build,loop,top", [
+    (_triangular_case, _triangular_loop, 40),
+    (_alt_squares_case, _alt_squares_loop, 25),
+])
+def test_signed_pieces_matches_the_family_loops(build, loop, top):
+    for p in range(1, top + 1):
+        case = build(p)
+        classes, raw = loop(p)
+        assert case.params["raw_onset"] == raw, p
+        assert case.params["p"] == p
+        assert case.pattern == SignPattern(len(classes), classes, max(raw, -1)), p
+
+
+def test_signed_pieces_rejects_a_sign_clash():
+    # 1 and 5 share the residue 1 mod 4 with opposite signs
+    with pytest.raises(QSignsError, match="residue 1 mod 4"):
+        _signed_pieces(4, [(0, 1), (1, 1), (5, -1)])
+
+
+def test_signed_pieces_least_exponents():
+    classes, onset = _signed_pieces(4, [(9, -1), (1, -1), (4, 1), (6, 1)])
+    assert "".join(c.value for c in classes) == "+-+0"
+    assert onset == 6 - 4
+
+
 # -- corpus -------------------------------------------------------------------------------
-
-def test_corpus_records_roundtrip():
-    for entry in corpus():
-        assert CorpusEntry.from_record(entry.to_record()) == entry
-
 
 def test_corpus_names_and_onsets():
     entries = {e.name: e for e in corpus()}
@@ -193,13 +277,6 @@ def test_corpus_names_and_onsets():
     assert entries["rr-quotient"].pattern.class_string == "++---"
     assert entries["rr-quotient"].pattern.onset == 9
     assert entries["period8-quartic"].pattern.class_string == "+-0+--0+"
-
-
-def test_corpus_record_parsing_rejects_malformed():
-    with pytest.raises(InvalidParameter):
-        CorpusEntry.from_record("name|1^1|5|++|0|100")
-    with pytest.raises(InvalidParameter):
-        CorpusEntry.from_record("name|1^1|5|++---|0")
 
 
 def test_corpus_entry_verifies_at_small_horizon():
