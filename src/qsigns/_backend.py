@@ -90,7 +90,11 @@ def div_sparse(xs: list, exps: list, cofs: list, n: int) -> list:
     The divisor terms must be sorted by exponent with exps[0] == 0 and
     cofs[0] in (1, -1), so the quotient recurrence stays integral.
     """
-    c0 = cofs[0]
+    c0 = cofs[0] if exps and exps[0] == 0 else 0
+    if c0 == 0:
+        raise ValueError("div_sparse needs a nonzero constant term")
+    if c0 not in (1, -1):
+        raise ValueError(f"div_sparse cannot divide by constant term {c0}")
     out = [0] * n
     lx = len(xs)
     nt = len(exps)

@@ -18,6 +18,7 @@ from qsigns import (
     predict_quotient_pattern,
 )
 from qsigns._backend import invert_dense, mul_dense
+from qsigns.plan import THETA_ATOMS, ExpansionPlan
 from qsigns.products import _apply_factor
 
 
@@ -158,7 +159,7 @@ def _random_factors(rng: random.Random) -> list[PochhammerFactor]:
     b = rng.randint(2, 12)
     a = rng.randint(1, b - 1)
     d = rng.choice((-3, -2, -1, 1, 2, 3))
-    kind = rng.randrange(7)
+    kind = rng.randrange(8)
     if kind == 0:  # partners, same or opposite sign
         return [PochhammerFactor(a, b, d), PochhammerFactor(b - a, b, rng.choice((-2, -1, 1, 2)))]
     if kind == 1:  # a self-paired factor, odd or even exponent
@@ -179,7 +180,28 @@ def _random_factors(rng: random.Random) -> list[PochhammerFactor]:
             *([PochhammerFactor(M, M, d)] if wide == d else []),
             PochhammerFactor(M - 2 * j, 2 * M, wide), PochhammerFactor(M + 2 * j, 2 * M, wide),
         ]
+    if kind == 6:  # a theta atom in q^s to a positive or negative power, or part of one
+        signature, _ = THETA_ATOMS[rng.choice(list(THETA_ATOMS))]
+        s = rng.randint(1, 6)
+        exps = {s * c: d * x for c, x in signature.items()}
+        if rng.random() < 0.5:
+            exps[rng.choice(list(exps))] += rng.choice((-2, -1, 1, 2))
+        return [PochhammerFactor(c, c, x) for c, x in exps.items()]
     return [PochhammerFactor(a, b, d)]
+
+
+def _atom_features(spec: EtaQuotientSpec) -> set[str]:
+    """The theta atoms the plan takes: to which power, in which q^s, and whether in part."""
+    plan = ExpansionPlan.of(spec)
+    eulers = dict(plan.eulers)
+    features = set()
+    for name, s, k in plan.atoms:
+        features.add(f"{name} atom, {'positive' if k > 0 else 'negative'}")
+        if s > 1:
+            features.add(f"{name} atom, dilated")
+        if any(eulers.get(s * c) for c in THETA_ATOMS[name][0]):
+            features.add(f"{name} atom, partial")
+    return features
 
 
 def _spec_features(spec: EtaQuotientSpec) -> set[str]:
@@ -231,7 +253,9 @@ def check_plan_matches_binomial_oracle(seed: int, rounds: int = 1000,
         ("a > b", "b = 2a, odd", "b = 2a, even", "opposite partners",
          "cancelling repeats", "T = 0", "full quintuple product", "partial quintuple overlap",
          "positive quintuple atom", "negative quintuple atom",
-         "quintuple thetas of opposite signs"), 0)
+         "quintuple thetas of opposite signs",
+         *(f"{name} atom, {how}" for name in THETA_ATOMS
+           for how in ("positive", "negative", "dilated", "partial"))), 0)
     for k in range(rounds):
         factors = []
         for _ in range(rng.randint(1, 4)):
@@ -239,7 +263,7 @@ def check_plan_matches_binomial_oracle(seed: int, rounds: int = 1000,
         rng.shuffle(factors)
         spec = EtaQuotientSpec(tuple(factors))
         T = 0 if rng.random() < 0.05 else rng.randint(1, max_precision)
-        for feature in _spec_features(spec) | ({"T = 0"} if T == 0 else set()):
+        for feature in _spec_features(spec) | _atom_features(spec) | ({"T = 0"} if T == 0 else set()):
             seen[feature] += 1
         if eta_quotient(spec, T) != binomial_expansion(spec, T):
             failures.append(f"round {k}: {spec} at T={T}")

@@ -1,14 +1,22 @@
 """The expansion plan of eta_quotient and the Miller power kernel, against the binomial path."""
 
+import math
+
 import pytest
 from _propcheck import binomial_expansion, check_plan_matches_binomial_oracle
 
-from qsigns import EtaQuotientSpec, corpus, eta_quotient, quintuple_components
+from qsigns import EtaQuotientSpec, Series, corpus, eta_quotient, quintuple_components
 from qsigns import quintuple_product
 from qsigns import products, ramanujan5, three_dissection_qq
 from qsigns._backend import div_sparse, mul_sparse, pow_sparse
 from qsigns.dissect import component_series
-from qsigns.products import ExpansionPlan, jacobi_triple_terms, pentagonal_terms, quintuple_terms
+from qsigns.plan import (
+    THETA_ATOMS,
+    ExpansionPlan,
+    jacobi_triple_terms,
+    pentagonal_terms,
+    quintuple_terms,
+)
 
 MODULI = (2, 4, 5, 7, 8, 10, 11, 13)
 
@@ -18,6 +26,10 @@ MODULI = (2, 4, 5, 7, 8, 10, 11, 13)
 @pytest.mark.parametrize("seed", [0, 1])
 def test_plan_matches_binomial_oracle(seed):
     assert check_plan_matches_binomial_oracle(seed, rounds=500) == []
+
+
+def test_binomial_oracle_reports_atom_kinds_it_never_drew():
+    assert "no spec with phi(q) atom, partial" in check_plan_matches_binomial_oracle(0, rounds=1)
 
 
 # -- pow_sparse -------------------------------------------------------------------
@@ -67,6 +79,13 @@ def test_pow_sparse_short_and_degenerate():
         pow_sparse([0, 1], [3, 1], -1, 4)
 
 
+def test_div_sparse_rejects_a_divisor_without_a_unit_constant_term():
+    with pytest.raises(ValueError, match="cannot divide by constant term 2"):
+        div_sparse([1, 0, 0, 0, 0], [0, 1], [2, 1], 5)
+    with pytest.raises(ValueError, match="needs a nonzero constant term"):
+        div_sparse([1, 0, 0, 0, 0], [1, 2], [1, 1], 5)
+
+
 def test_jacobi_triple_terms_merge_colliding_exponents():
     # JTP(1,2) = sum_n (-1)^n q^{n^2}
     assert jacobi_triple_terms(1, 2, 16) == ([0, 1, 4, 9, 16], [1, -2, 2, -2, 2])
@@ -92,20 +111,22 @@ def test_quintuple_product_equals_binomial_expansion():
 
 # -- plan shapes --------------------------------------------------------------------
 
+# (thetas, eulers, theta atoms) of each corpus entry; the spec has no binomial left
 CORPUS_PLANS = {
-    "period8-quartic": ((), ((1, 4), (2, 2), (4, -2))),
-    "period9-ninth": ((), ((1, 9), (3, -5))),
-    "rr-quotient": (((2, 5, 1), (1, 5, -1)), ()),
-    "octic-quotient": (((3, 8, 1), (1, 8, -1)), ()),
-    "hirschhorn-a": (((2, 10, 1), (1, 5, -1), (1, 10, 3)), ((10, -4), (5, 1))),
-    "hirschhorn-b": (((4, 10, 1), (2, 5, -1), (3, 10, 3)), ((10, -4), (5, 1))),
+    "period8-quartic": ((), ((1, 1), (2, 1)), (("psi", 2, -1), ("J", 1, 1))),
+    "period9-ninth": ((), ((3, -2),), (("J", 3, -1), ("J", 1, 3))),
+    "rr-quotient": (((2, 5, 1), (1, 5, -1)), (), ()),
+    "octic-quotient": (((3, 8, 1), (1, 8, -1)), (), ()),
+    "hirschhorn-a": (((2, 10, 1), (1, 5, -1), (1, 10, 3)), ((10, -2),), (("psi", 5, -1),)),
+    "hirschhorn-b": (((4, 10, 1), (2, 5, -1), (3, 10, 3)), ((10, -2),), (("psi", 5, -1),)),
 }
 
 
 def test_corpus_plans_are_pinned():
     for entry in corpus():
+        thetas, eulers, atoms = CORPUS_PLANS[entry.name]
         assert ExpansionPlan.of(entry.spec) == ExpansionPlan(
-            *CORPUS_PLANS[entry.name], binomials=()
+            thetas, eulers, binomials=(), atoms=atoms
         ), entry.name
 
 
@@ -143,6 +164,67 @@ def test_plan_shapes(spec, thetas, eulers, binomials):
 )
 def test_plan_quintuple_atoms(spec, thetas, eulers, quintuples):
     assert ExpansionPlan.of(spec) == ExpansionPlan(thetas, eulers, (), quintuples)
+
+
+@pytest.mark.parametrize(
+    "spec,eulers,atoms",
+    [
+        ("1^9 3^-13", ((3, -13),), (("J", 1, 3),)),
+        ("2^10 1^-4 4^-5", ((4, -1),), (("phi(q)", 1, 2),)),
+        ("2^2 1^-1 5^-1", ((5, -1),), (("psi", 1, 1),)),
+        ("1^2 2^-1 28^-1", ((28, -1),), (("phi(-q)", 1, 1),)),
+        # dilated, and to a negative power
+        ("9^3 3^-1", ((3, -1),), (("J", 9, 1),)),
+        ("4^-2 2", (), (("psi", 2, -1),)),
+        # partial: what the atom leaves stays with the eulers
+        ("1^7 2^-2 3^-1", ((3, -1),), (("psi", 1, -1), ("J", 1, 2))),
+    ],
+)
+def test_plan_theta_atoms(spec, eulers, atoms):
+    assert ExpansionPlan.of(spec) == ExpansionPlan((), eulers, (), atoms=atoms)
+
+
+@pytest.mark.parametrize("spec", ["2^5 7^-1", "3^5 7^-1", "2^5 11^-1", "3^5 11^-1"])
+def test_census_specs_take_no_theta_atom(spec):
+    # J(q^a) (q^a;q^a)^2 would cost a pass more than the one Miller power (q^a;q^a)^5
+    a, m = (int(token.split("^")[0]) for token in spec.split())
+    assert ExpansionPlan.of(spec) == ExpansionPlan((), ((a, 5), (m, -1)), ())
+
+
+@pytest.mark.parametrize(
+    "spec,seed",
+    [
+        ("2^5 7^-1", (2, 5)),
+        ("1^9 3^-13", (3, -13)),
+        ("2^10 1^-4 4^-5", (1, 2)),
+        ("2 5^-1", (2, 1)),
+        # Miller at n/3 coefficients beats a division at n
+        ("1^-1 3^-1", (3, -1)),
+        # in q itself Miller costs more than the division
+        ("1^-1", None),
+    ],
+)
+def test_seed_is_the_cheapest(monkeypatch, spec, seed):
+    """The seed that eta_quotient raises outright, as (step of its series, power)."""
+    seeds = []
+
+    def recording(exps, cofs, k, n):
+        seeds.append((math.gcd(*exps), k))
+        return pow_sparse(exps, cofs, k, n)
+
+    monkeypatch.setattr(products, "pow_sparse", recording)
+    assert eta_quotient(spec, 300) == binomial_expansion(EtaQuotientSpec.parse(spec), 300)
+    assert seeds == ([seed] if seed else [])
+
+
+@pytest.mark.parametrize("name", THETA_ATOMS)
+def test_theta_atom_terms_equal_binomial_expansion(name):
+    signature, terms = THETA_ATOMS[name]
+    for s in range(1, 7):
+        spec = EtaQuotientSpec.parse(" ".join(f"{s * b}^{x}" for b, x in signature.items()))
+        exps, cofs = terms(s, 400)
+        assert Series.from_terms(zip(exps, cofs), 400) == binomial_expansion(spec, 400), (name, s)
+        assert exps == sorted(set(exps)) and 0 not in cofs, (name, s)
 
 
 def test_dissection_components_are_one_quintuple_atom():
