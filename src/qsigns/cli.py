@@ -24,7 +24,7 @@ from . import __version__
 from ._backend import backend_name
 from .dissect import assemble, check_quintuple, quintuple_components
 from .products import EtaQuotientSpec, eta_quotient, quintuple_product
-from .series import QSignsError
+from .series import MAX_PRECISION, QSignsError
 from .signs import (
     corpus,
     detect_pattern,
@@ -36,9 +36,6 @@ from .signs import (
 )
 
 _SCHEMA_VERSION = 1
-
-# 20x the largest job in the paper, the 7*7142-term census
-MAX_PRECISION = 1_000_000
 
 _VANISHING_SPEC = "1^7 2^-2 3^-1"
 _VANISHING_HORIZON = 3000

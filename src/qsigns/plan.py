@@ -4,7 +4,8 @@ Spec grammar for quotients of q-Pochhammer products (also used by the
 CLI): whitespace-separated tokens ``a.b^d`` meaning (q^a;q^b)^d and the
 shorthand ``j^d`` meaning (q^j;q^j)^d; ``^d`` defaults to 1.
 
-`ExpansionPlan.of` rewrites a spec as a product of sparse series:
+`ExpansionPlan.of` rewrites a spec as a product of sparse series, each
+raised to a power, and names the one to raise outright:
 
 * **Net exponents.** The exponents of repeated factors (q^a;q^b) are
   summed, so repeats merge and cancelling factors drop out.
@@ -19,7 +20,8 @@ shorthand ``j^d`` meaning (q^j;q^j)^d; ``^d`` defaults to 1.
   where Q(M,j) = (q^j, q^{M-j}, q^M; q^M)(q^{M-2j}, q^{M+2j}; q^{2M})
   = sum_n q^{M n(3n+1)/2} (q^{-3jn} - q^{j(3n+1)}) also has O(sqrt(T/M))
   terms.  Two such thetas whose exponents share a sign become one atom
-  Q(M,j)^k, k their common part, and k is added to the net exponent of
+  Q(M,j)^k, k their common part, by the same pairing rule (`_pair`) as
+  the partners above, and k is added to the net exponent of
   (q^{2M};q^{2M}).  A quintuple product, and so every dissection
   component, plans as the single atom Q(M,j)^1, which is one scatter.
 * **Theta atoms.** Four eta quotients are sparse theta series (R. J.
@@ -28,20 +30,21 @@ shorthand ``j^d`` meaning (q^j;q^j)^d; ``^d`` defaults to 1.
   psi(q) = (q^2;q^2)^2/(q;q) = sum_{n>=0} q^{n(n+1)/2},
   phi(-q) = (q;q)^2/(q^2;q^2) = sum_n (-1)^n q^{n^2} and
   phi(q) = (q^2;q^2)^5/((q;q)^2 (q^4;q^4)^2) = sum_n q^{n^2}.  Dilated by
-  q -> q^s, each is an atom of `THETA_ATOMS` whose power is the common
-  part of its signature in the net exponents of the (q^b;q^b) factors.
+  q -> q^s, each is an atom whose power is the common part of its
+  `THETA_ATOMS` signature in the net exponents of the (q^b;q^b) factors.
   An atom is taken only when it lowers the cost estimate below, the one
   that lowers it most first.  So (q^2;q^2)^5 stays one Miller power: as
   the atom J(q^2) times (q^2;q^2)^2 it would cost one pass more.
 * **Sparse powers and the seed.** What is left of the (q^b;q^b) factors
-  is the pentagonal series.  One sparse base seeds the result, raised to
-  its power in one pass of Miller's power recurrence (`pow_sparse`);
-  every other base is multiplied or divided in once per unit of its
-  exponent.  The seed (`seed_index`) is the base that minimises the estimate
-  sum |k| * work * T over the remaining passes plus work * T/d for the
-  seed, a series in q^d; a base to the power 1 seeds as a free scatter.
-  The work of a term is 1 in a pass when its coefficient is +-1, and 2
-  otherwise and in Miller's recurrence, which multiply.
+  is the pentagonal series.  Each sparse series is a (form, params, k)
+  entry; `FORMS` maps the form to its term generator.  The plan names
+  one entry, the seed, to raise in one pass of Miller's power recurrence
+  (`pow_sparse`); every other one is multiplied or divided in once per
+  unit of k.  The seed minimises the same estimate that takes the atoms:
+  sum |k| * work * T over the other passes plus work * T/d for the seed,
+  a series in q^d, or 0 for a free scatter when k = 1.  The work of a
+  term is 1 in a pass when its coefficient is +-1, and 2 otherwise and
+  in Miller's recurrence, which multiply.
 * **Binomial fallback.** Unpaired factors and factors with a > b stay
   binomials, multiplied or divided in one binomial 1-q^{a+kb} at a
   time (`products._apply_factor`), which also serves the tests as the
@@ -53,8 +56,7 @@ from __future__ import annotations
 import functools
 import math
 import re
-from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .series import InvalidParameter
 
@@ -62,8 +64,8 @@ __all__ = [
     "PochhammerFactor",
     "EtaQuotientSpec",
     "ExpansionPlan",
+    "FORMS",
     "THETA_ATOMS",
-    "seed_index",
 ]
 
 
@@ -201,12 +203,23 @@ def square_terms(s: int, sign: int, limit: int) -> tuple[list[int], list[int]]:
     return exps, [1] + [2 * sign ** n for n in range(1, len(exps))]
 
 
-# name: (signature {b: exponent of (q^b;q^b)}, sparse terms of the atom in q^s)
+# form: sparse terms of the series, called with its parameters and a limit
+FORMS = {
+    "jtp": jacobi_triple_terms,
+    "Q": quintuple_terms,
+    "euler": pentagonal_terms,
+    "J": jacobi_cube_terms,
+    "psi": triangular_terms,
+    "phi(-q)": lambda s, limit: square_terms(s, -1, limit),
+    "phi(q)": lambda s, limit: square_terms(s, 1, limit),
+}
+
+# theta atom: its signature {b: exponent of (q^b;q^b)}; its form has the same name
 THETA_ATOMS = {
-    "J": ({1: 3}, jacobi_cube_terms),
-    "psi": ({2: 2, 1: -1}, triangular_terms),
-    "phi(-q)": ({1: 2, 2: -1}, lambda s, limit: square_terms(s, -1, limit)),
-    "phi(q)": ({2: 5, 1: -2, 4: -2}, lambda s, limit: square_terms(s, 1, limit)),
+    "J": {1: 3},
+    "psi": {2: 2, 1: -1},
+    "phi(-q)": {1: 2, 2: -1},
+    "phi(q)": {2: 5, 1: -2, 4: -2},
 }
 
 
@@ -214,153 +227,139 @@ THETA_ATOMS = {
 # The plan and its cost estimate
 # ----------------------------------------------------------------------
 
+# a sparse series raised to a power: (form, its parameters, k)
+Power = tuple[str, tuple[int, ...], int]
+
+
 @dataclass(frozen=True)
 class ExpansionPlan:
-    """A spec rewritten as the product `eta_quotient` expands.
+    """A spec rewritten as the recipe `eta_quotient` follows: seed times powers times binomials.
 
-    The product is JTP(a,b)^k over (a, b, k) in thetas, with a <= b - a,
-    times (q^b;q^b)^d over (b, d) in eulers, times (q^a;q^b)^d over
-    (a, b, d) in binomials, which go one binomial at a time, times
-    Q(M,j)^k over (M, j, k) in quintuples, times the theta atom
-    name(q^s)^k over (name, s, k) in atoms.  Since JTP(j,M) JTP(M-2j,2M)
-    = Q(M,j) (q^{2M};q^{2M}), each quintuple atom replaces the thetas
-    JTP(j,M)^k and JTP(M-2j,2M)^k, and k is added to the exponent of
-    (q^{2M};q^{2M}) in eulers.  Each theta atom stands for k times its
-    `THETA_ATOMS` signature, dilated by s, taken out of eulers.
+    The seed (or None) and each of powers is (form, params, k), the series
+    ``FORMS[form](*params, limit)`` to the power k: "jtp" (a, b) is
+    JTP(a,b) with a <= b - a, "Q" (M, j) the quintuple atom Q(M,j),
+    "euler" (b,) the pentagonal (q^b;q^b), and a `THETA_ATOMS` name (s,)
+    that theta atom in q^s.  The seed is raised outright; powers are
+    multiplied or divided in once per unit of k, in order: theta atoms as
+    taken, quintuple atoms, JTPs, eulers.  Each (a, b, d) in binomials is
+    (q^a;q^b)^d, applied one binomial at a time.
     """
 
-    thetas: tuple[tuple[int, int, int], ...]
-    eulers: tuple[tuple[int, int], ...]
+    seed: "Power | None"
+    powers: tuple[Power, ...]
     binomials: tuple[tuple[int, int, int], ...]
-    quintuples: tuple[tuple[int, int, int], ...] = ()
-    atoms: tuple[tuple[str, int, int], ...] = ()
 
     @classmethod
     def of(cls, spec: "EtaQuotientSpec | str") -> "ExpansionPlan":
         """Net the exponents of the spec's factors, pair partners into JTPs,
-        pair JTPs into quintuple products, then take the theta atoms that
-        lower the estimated cost."""
+        pair JTPs into quintuple products, take the theta atoms that lower
+        the estimated cost, then seed with the power the estimate picks."""
         net: dict[tuple[int, int], int] = {}
         for f in _as_spec(spec).factors:
             net[f.a, f.b] = net.get((f.a, f.b), 0) + f.delta
-        thetas: dict[tuple[int, int], int] = {}
+        # (q^a;q^b)(q^{b-a};q^b) = JTP(a,b) / (q^b;q^b)
+        jtps: dict[tuple[int, int], int] = {}
         for a, b in list(net):
-            if a >= b:
-                continue
-            d, partner = net[a, b], net.get((b - a, b), 0)
-            if b == 2 * a:
-                k = _toward_zero(d, 2)
-                net[a, b] -= 2 * k
-            elif d * partner > 0:
-                k = _common(d, partner)
-                net[a, b] -= k
-                net[b - a, b] -= k
-            else:
-                continue
-            if k:
-                thetas[min(a, b - a), b] = k
+            if a < b and (k := _pair(net, (a, b), (b - a, b))):
+                jtps[min(a, b - a), b] = k
                 net[b, b] = net.get((b, b), 0) - k
         # JTP(j,M) JTP(M-2j,2M) = Q(M,j) (q^{2M};q^{2M})
         quintuples = []
-        for j, M in list(thetas):
-            k, partner = thetas[j, M], thetas.get((M - 2 * j, 2 * M), 0)
-            if 2 * j < M and k * partner > 0:
-                k = _common(k, partner)
-                thetas[j, M] -= k
-                thetas[M - 2 * j, 2 * M] -= k
-                quintuples.append((M, j, k))
+        for j, M in list(jtps):
+            if 2 * j < M and (k := _pair(jtps, (j, M), (M - 2 * j, 2 * M))):
+                quintuples.append(("Q", (M, j), k))
                 net[2 * M, 2 * M] = net.get((2 * M, 2 * M), 0) + k
-        plan = cls(
-            thetas=tuple((a, b, k) for (a, b), k in thetas.items() if k),
-            eulers=tuple((b, d) for (a, b), d in net.items() if a == b and d),
+        powers = _with_theta_atoms([
+            *quintuples,
+            *(("jtp", ab, k) for ab, k in jtps.items() if k),
+            *(("euler", (b,), d) for (a, b), d in net.items() if a == b and d),
+        ])
+        seed = _cost(powers)[1]
+        return cls(
+            seed=None if seed is None else powers.pop(seed),
+            powers=tuple(powers),
             binomials=tuple((a, b, d) for (a, b), d in net.items() if a != b and d),
-            quintuples=tuple(quintuples),
-        )
-        return plan._with_theta_atoms() if plan.eulers else plan
-
-    def _with_theta_atoms(self) -> "ExpansionPlan":
-        """Take theta atoms greedily, first the one that lowers the cost estimate most."""
-        plan = self
-        while trials := plan._atom_trials():
-            best = min(trials, key=ExpansionPlan.cost)
-            if best.cost() >= plan.cost():
-                break
-            plan = best
-        return plan
-
-    def _atom_trials(self) -> list["ExpansionPlan"]:
-        """This plan with one more theta atom, for each atom not yet taken that eulers hold."""
-        eulers = dict(self.eulers)
-        taken = {(name, s) for name, s, _ in self.atoms}
-        trials = []
-        for name, (signature, _) in THETA_ATOMS.items():
-            for s in sorted({m // b for m in eulers for b in signature if m % b == 0}):
-                # the atom's power is the common part of its signature in eulers
-                parts = [_toward_zero(eulers.get(s * b, 0), x) for b, x in signature.items()]
-                if (name, s) in taken or 0 in parts or len({p > 0 for p in parts}) > 1:
-                    continue
-                k = functools.reduce(_common, parts)
-                rest = dict(eulers)
-                for b, x in signature.items():
-                    rest[s * b] -= k * x
-                trials.append(replace(
-                    self,
-                    eulers=tuple((b, d) for b, d in rest.items() if d),
-                    atoms=(*self.atoms, (name, s, k)),
-                ))
-        return trials
-
-    def sparse_bases(self) -> list[tuple[Callable, tuple, int]]:
-        """Every sparse series of the plan as (term generator, its parameters, power)."""
-        return (
-            [(THETA_ATOMS[name][1], (s,), k) for name, s, k in self.atoms]
-            + [(quintuple_terms, (M, j), k) for M, j, k in self.quintuples]
-            + [(jacobi_triple_terms, (a, b), k) for a, b, k in self.thetas]
-            + [(pentagonal_terms, (b,), d) for b, d in self.eulers]
         )
 
-    def cost(self) -> int:
-        """The estimated cost of expanding the sparse bases, with the cheapest seed.
 
-        Terms are counted up to a fixed reference horizon.  Each count
-        grows as the square root of the horizon, so every cost scales as
-        T^(3/2) alike and comparing two costs does not depend on T.
-        Binomials cost the same whatever the plan takes, so they are left out.
-        """
-        shapes = [(*_reference_shape(terms, params), k) for terms, params, k in self.sparse_bases()]
-        return _cheapest_seed(shapes, _REFERENCE_T + 1)[0]
+def _pair(exps: dict, x, y) -> int:
+    """Pair x with y in exps as often as their exponents allow, and return how often.
+
+    Two exponents of one sign have in common the one nearer zero; a key
+    that pairs with itself pairs half its exponent, rounded toward zero.
+    """
+    if x == y:
+        k = _toward_zero(exps[x], 2)
+        exps[x] -= 2 * k
+    elif exps.get(x, 0) * exps.get(y, 0) > 0:
+        k = min(exps[x], exps[y]) if exps[x] > 0 else max(exps[x], exps[y])
+        exps[x] -= k
+        exps[y] -= k
+    else:
+        k = 0
+    return k
+
+
+def _toward_zero(d: int, e: int) -> int:
+    """The quotient d / e rounded toward zero."""
+    return d // e if d * e >= 0 else -(-d // e)
+
+
+def _with_theta_atoms(powers: list[Power]) -> list[Power]:
+    """Take theta atoms out of the eulers greedily, first the one that lowers the cost estimate most."""
+    while trials := _atom_trials(powers):
+        best = min(trials, key=lambda trial: _cost(trial)[0])
+        if _cost(best)[0] >= _cost(powers)[0]:
+            break
+        powers = best
+    return powers
+
+
+def _atom_trials(powers: list[Power]) -> list[list[Power]]:
+    """powers with one more theta atom in front of the others, for each atom the eulers hold.
+
+    The atom's power is the common part of its signature in the eulers;
+    the eulers keep what it leaves, which holds that atom no more.
+    """
+    eulers = {params[0]: d for form, params, d in powers if form == "euler"}
+    if not eulers:
+        return []
+    atoms = [p for p in powers if p[0] in THETA_ATOMS]
+    others = [p for p in powers if p[0] not in THETA_ATOMS and p[0] != "euler"]
+    trials = []
+    for name, signature in THETA_ATOMS.items():
+        for s in sorted({m // b for m in eulers for b in signature if m % b == 0}):
+            parts = [_toward_zero(eulers.get(s * b, 0), x) for b, x in signature.items()]
+            if 0 in parts or len({p > 0 for p in parts}) > 1:
+                continue
+            k = min(parts, key=abs)
+            rest = dict(eulers)
+            for b, x in signature.items():
+                rest[s * b] -= k * x
+            trials.append([
+                *atoms, (name, (s,), k), *others,
+                *(("euler", (b,), d) for b, d in rest.items() if d),
+            ])
+    return trials
 
 
 # the horizon at which plans count the terms of their sparse series
 _REFERENCE_T = 10_000
 
 
-def _shape(exps: list[int], cofs: list[int]) -> tuple[int, int, int]:
-    """The work per coefficient of a pass and of a Miller power, and the step d of a series in q^d.
+def _cost(powers: list[Power]) -> tuple[int, "int | None"]:
+    """The estimated cost of expanding the sparse powers, and the index of its seed.
 
-    A pass costs 1 per term with coefficient +-1 and 2 per other term,
-    which takes a multiplication; Miller's recurrence multiplies at
-    every term, so it costs 2 per term.
+    Each power but the seed costs |k| passes of pass work * n.  The seed
+    is raised outright: Miller's recurrence runs in q^step at Miller
+    work * n/step, and f^1 is a scatter, free; the seed is None when every
+    power is best applied in passes.  Terms are counted up to a fixed
+    reference horizon, and every count grows as its square root, so
+    neither comparing two costs nor the seed depends on T.  Binomials cost
+    the same whatever the plan takes, so they are left out.
     """
-    return 2 * len(cofs) - cofs.count(1) - cofs.count(-1), 2 * len(cofs), math.gcd(*exps) or 1
-
-
-@functools.lru_cache(maxsize=None)
-def _reference_shape(terms: Callable, params: tuple) -> tuple[int, int, int]:
-    """The shape of a sparse series up to the reference horizon."""
-    return _shape(*terms(*params, _REFERENCE_T))
-
-
-def _cheapest_seed(shapes: list[tuple[int, int, int, int]], n: int) -> tuple[int, "int | None"]:
-    """The estimated cost of n coefficients of a product of sparse powers, and its seed.
-
-    shapes holds (pass work, Miller work, step, k) for each f^k, with f
-    a series in q^step.  Each base but the seed costs |k| passes of
-    pass work * n.  The seed is raised outright: Miller's recurrence runs
-    in q^step at Miller work * n/step, and f^1 is a scatter, free.
-    Returns the least total and the index of the seed that gives it, or
-    None when every base is best applied in passes.
-    """
+    n = _REFERENCE_T + 1
+    shapes = [(*_reference_shape(form, params), k) for form, params, k in powers]
     passes = [abs(k) * work * n for work, _, _, k in shapes]
     total = sum(passes)
     best, seed = total, None
@@ -371,16 +370,14 @@ def _cheapest_seed(shapes: list[tuple[int, int, int, int]], n: int) -> tuple[int
     return best, seed
 
 
-def _common(d: int, e: int) -> int:
-    """The part two exponents of one sign have in common: the one nearer zero."""
-    return min(d, e) if d > 0 else max(d, e)
+@functools.lru_cache(maxsize=None)
+def _reference_shape(form: str, params: tuple) -> tuple[int, int, int]:
+    """The work per coefficient of a pass and of a Miller power, and the step d of a series in q^d.
 
-
-def _toward_zero(d: int, e: int) -> int:
-    """The quotient d / e rounded toward zero."""
-    return d // e if d * e >= 0 else -(-d // e)
-
-
-def seed_index(bases: list[tuple[list[int], list[int], int]], n: int) -> "int | None":
-    """Which sparse power (exps, cofs, k) to raise outright for n coefficients, if any."""
-    return _cheapest_seed([(*_shape(exps, cofs), k) for exps, cofs, k in bases], n)[1]
+    Terms are counted up to the reference horizon.  A pass costs 1 per
+    term with coefficient +-1 and 2 per other term, which takes a
+    multiplication; Miller's recurrence multiplies at every term, so it
+    costs 2 per term.
+    """
+    exps, cofs = FORMS[form](*params, _REFERENCE_T)
+    return 2 * len(cofs) - cofs.count(1) - cofs.count(-1), 2 * len(cofs), math.gcd(*exps) or 1

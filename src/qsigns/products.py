@@ -1,12 +1,13 @@
 """Constructors for infinite products and theta series.
 
 Everything here returns an exact truncated :class:`~qsigns.series.Series`.
-`eta_quotient` expands a spec as `qsigns.plan` plans it: the seed that
-the plan's cost estimate picks is raised to its power in one pass of
-Miller's recurrence (`pow_sparse`), every other sparse series is
-multiplied or divided in once per unit of its power, and the binomials
-left over go one at a time (`_apply_factor`).  `qsigns.plan` also holds
-the spec grammar and the sparse closed forms.
+`eta_quotient` follows the recipe `ExpansionPlan.of` writes for a spec
+in three loops: it raises the plan's seed to its power in one pass of
+Miller's recurrence (`pow_sparse`), multiplies or divides in each of its
+powers once per unit, and then applies the binomials one at a time
+(`_apply_factor`).  Every sparse series comes from its term generator in
+`plan.FORMS`.  `qsigns.plan` also holds the spec grammar and the sparse
+closed forms.
 """
 
 from __future__ import annotations
@@ -14,14 +15,7 @@ from __future__ import annotations
 import math
 
 from ._backend import div_sparse, mul_sparse, pow_sparse
-from .plan import (
-    THETA_ATOMS,
-    EtaQuotientSpec,
-    ExpansionPlan,
-    PochhammerFactor,
-    pentagonal_terms,
-    seed_index,
-)
+from .plan import FORMS, EtaQuotientSpec, ExpansionPlan, PochhammerFactor, pentagonal_terms
 from .series import InvalidParameter, Series, _check_precision
 
 __all__ = [
@@ -71,13 +65,13 @@ def eta_quotient(spec: "EtaQuotientSpec | str", precision: int) -> Series:
     _check_precision(precision)
     plan = ExpansionPlan.of(spec)
     n = precision + 1
-    bases = [(*terms(*params, precision), k) for terms, params, k in plan.sparse_bases()]
-    seed = seed_index(bases, n)
-    if seed is not None:
-        cur = pow_sparse(*bases.pop(seed), n)
-    else:
+    if plan.seed is None:
         cur = [1] + [0] * precision
-    for exps, cofs, k in bases:
+    else:
+        form, params, k = plan.seed
+        cur = pow_sparse(*FORMS[form](*params, precision), k, n)
+    for form, params, k in plan.powers:
+        exps, cofs = FORMS[form](*params, precision)
         for _ in range(abs(k)):
             cur = div_sparse(cur, exps, cofs, n) if k < 0 else mul_sparse(cur, exps, cofs, n)
     for a, b, d in plan.binomials:
@@ -121,7 +115,7 @@ def quintuple_product(M: int, j: int, precision: int) -> Series:
 def _atom_series(name: str, precision: int) -> Series:
     """The theta atom of that name, undilated, as a series."""
     _check_precision(precision)
-    return Series.from_terms(zip(*THETA_ATOMS[name][1](1, precision)), precision)
+    return Series.from_terms(zip(*FORMS[name](1, precision)), precision)
 
 
 def theta_alt_squares(precision: int) -> Series:

@@ -10,6 +10,9 @@ multiplication (`mul_sparse`) by the operand with fewer nonzero terms,
 `power` is one pass of Miller's power recurrence (`pow_sparse`) over the
 base and `invert` one sparse division of 1 (`div_sparse`), so each costs
 O(T) per nonzero term, whatever the exponent.
+
+A precision above ``MAX_PRECISION``, here or in any constructor built
+on this module, raises `InvalidParameter` before anything is allocated.
 """
 
 from __future__ import annotations
@@ -35,9 +38,15 @@ class InvalidParameter(QSignsError):
     """Parameter outside its documented range."""
 
 
+# 20x the largest job in the paper, the 7*7142-term census
+MAX_PRECISION = 1_000_000
+
+
 def _check_precision(precision: int, name: str = "precision") -> None:
     if precision < 0:
         raise InvalidParameter(f"{name} must be nonnegative, got {precision}")
+    if precision > MAX_PRECISION:
+        raise InvalidParameter(f"{name} = {precision} exceeds the limit MAX_PRECISION = {MAX_PRECISION}")
 
 
 class Series:
@@ -210,6 +219,7 @@ class Series:
         if cap is not None:
             _check_precision(cap, "cap")
             prec = min(prec, cap)
+        _check_precision(prec, "dilated precision")
         out = [0] * (prec + 1)
         for i, c in enumerate(self._coeffs):
             if i * m > prec:

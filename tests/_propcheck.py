@@ -181,7 +181,7 @@ def _random_factors(rng: random.Random) -> list[PochhammerFactor]:
             PochhammerFactor(M - 2 * j, 2 * M, wide), PochhammerFactor(M + 2 * j, 2 * M, wide),
         ]
     if kind == 6:  # a theta atom in q^s to a positive or negative power, or part of one
-        signature, _ = THETA_ATOMS[rng.choice(list(THETA_ATOMS))]
+        signature = THETA_ATOMS[rng.choice(list(THETA_ATOMS))]
         s = rng.randint(1, 6)
         exps = {s * c: d * x for c, x in signature.items()}
         if rng.random() < 0.5:
@@ -190,18 +190,25 @@ def _random_factors(rng: random.Random) -> list[PochhammerFactor]:
     return [PochhammerFactor(a, b, d)]
 
 
-def _atom_features(spec: EtaQuotientSpec) -> set[str]:
+def _atom_features(plan: ExpansionPlan) -> set[str]:
     """The theta atoms the plan takes: to which power, in which q^s, and whether in part."""
-    plan = ExpansionPlan.of(spec)
-    eulers = dict(plan.eulers)
+    powers = [*([plan.seed] if plan.seed else []), *plan.powers]
+    eulers = {params[0]: k for form, params, k in powers if form == "euler"}
     features = set()
-    for name, s, k in plan.atoms:
+    for name, (s,), k in (p for p in powers if p[0] in THETA_ATOMS):
         features.add(f"{name} atom, {'positive' if k > 0 else 'negative'}")
         if s > 1:
             features.add(f"{name} atom, dilated")
-        if any(eulers.get(s * c) for c in THETA_ATOMS[name][0]):
+        if any(eulers.get(s * c) for c in THETA_ATOMS[name]):
             features.add(f"{name} atom, partial")
     return features
+
+
+def _seed_feature(plan: ExpansionPlan) -> str:
+    """How eta_quotient starts: a scatter of a power 1, Miller's recurrence, or 1."""
+    if plan.seed is None:
+        return "no seed"
+    return "seed by scatter" if plan.seed[2] == 1 else "seed by Miller"
 
 
 def _spec_features(spec: EtaQuotientSpec) -> set[str]:
@@ -253,7 +260,7 @@ def check_plan_matches_binomial_oracle(seed: int, rounds: int = 1000,
         ("a > b", "b = 2a, odd", "b = 2a, even", "opposite partners",
          "cancelling repeats", "T = 0", "full quintuple product", "partial quintuple overlap",
          "positive quintuple atom", "negative quintuple atom",
-         "quintuple thetas of opposite signs",
+         "quintuple thetas of opposite signs", "seed by scatter", "seed by Miller", "no seed",
          *(f"{name} atom, {how}" for name in THETA_ATOMS
            for how in ("positive", "negative", "dilated", "partial"))), 0)
     for k in range(rounds):
@@ -263,7 +270,9 @@ def check_plan_matches_binomial_oracle(seed: int, rounds: int = 1000,
         rng.shuffle(factors)
         spec = EtaQuotientSpec(tuple(factors))
         T = 0 if rng.random() < 0.05 else rng.randint(1, max_precision)
-        for feature in _spec_features(spec) | _atom_features(spec) | ({"T = 0"} if T == 0 else set()):
+        plan = ExpansionPlan.of(spec)
+        features = _spec_features(spec) | _atom_features(plan) | {_seed_feature(plan)}
+        for feature in features | ({"T = 0"} if T == 0 else set()):
             seen[feature] += 1
         if eta_quotient(spec, T) != binomial_expansion(spec, T):
             failures.append(f"round {k}: {spec} at T={T}")

@@ -5,12 +5,14 @@ import math
 import pytest
 from _propcheck import binomial_expansion, check_plan_matches_binomial_oracle
 
-from qsigns import EtaQuotientSpec, Series, corpus, eta_quotient, quintuple_components
+from qsigns import EtaQuotientSpec, Series, corpus, eta_quotient, pattern_catalog
+from qsigns import quintuple_components
 from qsigns import quintuple_product
 from qsigns import products, ramanujan5, three_dissection_qq
 from qsigns._backend import div_sparse, mul_sparse, pow_sparse
 from qsigns.dissect import component_series
 from qsigns.plan import (
+    FORMS,
     THETA_ATOMS,
     ExpansionPlan,
     jacobi_triple_terms,
@@ -111,84 +113,152 @@ def test_quintuple_product_equals_binomial_expansion():
 
 # -- plan shapes --------------------------------------------------------------------
 
-# (thetas, eulers, theta atoms) of each corpus entry; the spec has no binomial left
+# (seed, powers) of each corpus entry; the spec has no binomial left
 CORPUS_PLANS = {
-    "period8-quartic": ((), ((1, 1), (2, 1)), (("psi", 2, -1), ("J", 1, 1))),
-    "period9-ninth": ((), ((3, -2),), (("J", 3, -1), ("J", 1, 3))),
-    "rr-quotient": (((2, 5, 1), (1, 5, -1)), (), ()),
-    "octic-quotient": (((3, 8, 1), (1, 8, -1)), (), ()),
-    "hirschhorn-a": (((2, 10, 1), (1, 5, -1), (1, 10, 3)), ((10, -2),), (("psi", 5, -1),)),
-    "hirschhorn-b": (((4, 10, 1), (2, 5, -1), (3, 10, 3)), ((10, -2),), (("psi", 5, -1),)),
+    "period8-quartic": (("J", (1,), 1), (("psi", (2,), -1), ("euler", (1,), 1), ("euler", (2,), 1))),
+    "period9-ninth": (("J", (1,), 3), (("J", (3,), -1), ("euler", (3,), -2))),
+    "rr-quotient": (("jtp", (2, 5), 1), (("jtp", (1, 5), -1),)),
+    "octic-quotient": (("jtp", (3, 8), 1), (("jtp", (1, 8), -1),)),
+    "hirschhorn-a": (
+        ("euler", (10,), -2),
+        (("psi", (5,), -1), ("jtp", (2, 10), 1), ("jtp", (1, 5), -1), ("jtp", (1, 10), 3)),
+    ),
+    "hirschhorn-b": (
+        ("euler", (10,), -2),
+        (("psi", (5,), -1), ("jtp", (4, 10), 1), ("jtp", (2, 5), -1), ("jtp", (3, 10), 3)),
+    ),
 }
 
 
 def test_corpus_plans_are_pinned():
     for entry in corpus():
-        thetas, eulers, atoms = CORPUS_PLANS[entry.name]
-        assert ExpansionPlan.of(entry.spec) == ExpansionPlan(
-            thetas, eulers, binomials=(), atoms=atoms
-        ), entry.name
+        seed, powers = CORPUS_PLANS[entry.name]
+        assert ExpansionPlan.of(entry.spec) == ExpansionPlan(seed, powers, ()), entry.name
+
+
+# (seed, powers) of the paper's quotients: the census specs, the verify
+# table's (q^i;q^i)/(q^p;q^p), and every catalog case; none has a binomial
+PAPER_PLANS = {
+    "2^5 7^-1": (("euler", (2,), 5), (("euler", (7,), -1),)),
+    "3^5 7^-1": (("euler", (3,), 5), (("euler", (7,), -1),)),
+    "2^5 11^-1": (("euler", (2,), 5), (("euler", (11,), -1),)),
+    "3^5 11^-1": (("euler", (3,), 5), (("euler", (11,), -1),)),
+    # (q^i;q^i) to the power 1 seeds as a scatter
+    **{
+        f"{i}^1 {p}^-1": (("euler", (i,), 1), (("euler", (p,), -1),))
+        for p in (5, 7, 11, 13) for i in (2, 3, 4)
+    },
+    "2^2 1^-1 3^-1": (("psi", (1,), 1), (("euler", (3,), -1),)),
+    "2^2 1^-1 5^-1": (("psi", (1,), 1), (("euler", (5,), -1),)),
+    "2^2 1^-1 7^-1": (("psi", (1,), 1), (("euler", (7,), -1),)),
+    "1^2 2^-1 4^-1": (("phi(-q)", (1,), 1), (("euler", (4,), -1),)),
+    "1^2 2^-1 12^-1": (("phi(-q)", (1,), 1), (("euler", (12,), -1),)),
+    "1^2 2^-1 20^-1": (("phi(-q)", (1,), 1), (("euler", (20,), -1),)),
+    "1^2 2^-1 28^-1": (("phi(-q)", (1,), 1), (("euler", (28,), -1),)),
+    "1^3 3^-2": (("J", (1,), 1), (("euler", (3,), -2),)),
+    "1^2 2^-1 3^-2": (("phi(-q)", (1,), 1), (("euler", (3,), -2),)),
+    "1^4 2^-2 4^-1": (("phi(-q)", (1,), 2), (("euler", (4,), -1),)),
+    "2^10 1^-4 4^-5": (("phi(q)", (1,), 2), (("euler", (4,), -1),)),
+    "1^2 5^-3": (("J", (5,), -1), (("euler", (1,), 2),)),
+    "1^9 3^-9": (("J", (1,), 3), (("J", (3,), -3),)),
+    "1^9 3^-11": (("euler", (3,), -11), (("J", (1,), 3),)),
+    "1^9 3^-12": (("J", (3,), -4), (("J", (1,), 3),)),
+    "1^9 3^-13": (("euler", (3,), -13), (("J", (1,), 3),)),
+}
+
+
+def test_paper_plans_are_pinned():
+    catalog = {str(case.spec) for case in pattern_catalog()}
+    assert catalog <= set(PAPER_PLANS) and len(PAPER_PLANS) == 4 + 12 + 16
+    for spec, (seed, powers) in PAPER_PLANS.items():
+        assert ExpansionPlan.of(spec) == ExpansionPlan(seed, powers, ()), spec
+
+
+def _stable_ids(cases, *columns):
+    """Ids "spec-column0-..." for each case, the names these cases had when the
+    plan was pinned by per-kind columns, so the test names stay stable."""
+    return ["-".join([case[0], *(f"{column}{i}" for column in columns)]) for i, case in enumerate(cases)]
+
+
+PLAN_SHAPES = [
+    ("1 1^-1", None, (), ()),
+    ("2.5^1 2.5^-1 3.5", None, (), ((3, 5, 1),)),
+    ("2.5 3.5^-1", None, (), ((2, 5, 1), (3, 5, -1))),
+    ("3.5^2 2.5 5^-1", ("jtp", (2, 5), 1), (("euler", (5,), -2),), ((3, 5, 1),)),
+    ("1.4^-3 3.4^-2", ("euler", (4,), 2), (("jtp", (1, 4), -2),), ((1, 4, -1),)),
+    ("1.2^3", ("jtp", (1, 2), 1), (("euler", (2,), -1),), ((1, 2, 1),)),
+    ("1.2^-4", ("jtp", (1, 2), -2), (("euler", (2,), 2),), ()),
+    ("3.6^-1", None, (), ((3, 6, -1),)),
+    ("7.5 2.5", None, (), ((7, 5, 1), (2, 5, 1))),
+]
 
 
 @pytest.mark.parametrize(
-    "spec,thetas,eulers,binomials",
-    [
-        ("1 1^-1", (), (), ()),
-        ("2.5^1 2.5^-1 3.5", (), (), ((3, 5, 1),)),
-        ("2.5 3.5^-1", (), (), ((2, 5, 1), (3, 5, -1))),
-        ("3.5^2 2.5 5^-1", ((2, 5, 1),), ((5, -2),), ((3, 5, 1),)),
-        ("1.4^-3 3.4^-2", ((1, 4, -2),), ((4, 2),), ((1, 4, -1),)),
-        ("1.2^3", ((1, 2, 1),), ((2, -1),), ((1, 2, 1),)),
-        ("1.2^-4", ((1, 2, -2),), ((2, 2),), ()),
-        ("3.6^-1", (), (), ((3, 6, -1),)),
-        ("7.5 2.5", (), (), ((7, 5, 1), (2, 5, 1))),
-    ],
+    "spec,seed,powers,binomials", PLAN_SHAPES,
+    ids=_stable_ids(PLAN_SHAPES, "thetas", "eulers", "binomials"),
 )
-def test_plan_shapes(spec, thetas, eulers, binomials):
-    assert ExpansionPlan.of(spec) == ExpansionPlan(thetas, eulers, binomials)
+def test_plan_shapes(spec, seed, powers, binomials):
+    assert ExpansionPlan.of(spec) == ExpansionPlan(seed, powers, binomials)
+
+
+QUINTUPLE_PLANS = [
+    ("1.4 3.4 4 2.8 6.8", ("Q", (4, 1), 1), ()),
+    ("1.4^-3 3.4^-3 4^-3 2.8^-3 6.8^-3", ("Q", (4, 1), -3), ()),
+    # partial overlap: one JTP(1,4) is left over
+    ("1.4^2 3.4^2 2.8 6.8", ("Q", (4, 1), 1), (("jtp", (1, 4), 1), ("euler", (4,), -2))),
+    (
+        "1.4^-1 3.4^-1 2.8^-2 6.8^-2",
+        ("euler", (4,), 1),
+        (("Q", (4, 1), -1), ("jtp", (2, 8), -1), ("euler", (8,), 1)),
+    ),
+    # opposite signs form no atom
+    (
+        "1.4 3.4 2.8^-1 6.8^-1",
+        ("jtp", (1, 4), 1),
+        (("jtp", (2, 8), -1), ("euler", (4,), -1), ("euler", (8,), 1)),
+    ),
+    # a theta can be the wide factor of one atom and the narrow one of the next
+    (
+        "1.3 2.3 1.6^2 5.6^2 4.12 8.12",
+        ("Q", (3, 1), 1),
+        (("Q", (6, 1), 1), ("euler", (3,), -1), ("euler", (6,), -1)),
+    ),
+]
 
 
 @pytest.mark.parametrize(
-    "spec,thetas,eulers,quintuples",
-    [
-        ("1.4 3.4 4 2.8 6.8", (), (), ((4, 1, 1),)),
-        ("1.4^-3 3.4^-3 4^-3 2.8^-3 6.8^-3", (), (), ((4, 1, -3),)),
-        # partial overlap: one JTP(1,4) is left over
-        ("1.4^2 3.4^2 2.8 6.8", ((1, 4, 1),), ((4, -2),), ((4, 1, 1),)),
-        ("1.4^-1 3.4^-1 2.8^-2 6.8^-2", ((2, 8, -1),), ((4, 1), (8, 1)), ((4, 1, -1),)),
-        # opposite signs form no atom
-        ("1.4 3.4 2.8^-1 6.8^-1", ((1, 4, 1), (2, 8, -1)), ((4, -1), (8, 1)), ()),
-        # a theta can be the wide factor of one atom and the narrow one of the next
-        ("1.3 2.3 1.6^2 5.6^2 4.12 8.12", (), ((3, -1), (6, -1)), ((3, 1, 1), (6, 1, 1))),
-    ],
+    "spec,seed,powers", QUINTUPLE_PLANS,
+    ids=_stable_ids(QUINTUPLE_PLANS, "thetas", "eulers", "quintuples"),
 )
-def test_plan_quintuple_atoms(spec, thetas, eulers, quintuples):
-    assert ExpansionPlan.of(spec) == ExpansionPlan(thetas, eulers, (), quintuples)
+def test_plan_quintuple_atoms(spec, seed, powers):
+    assert ExpansionPlan.of(spec) == ExpansionPlan(seed, powers, ())
+
+
+THETA_ATOM_PLANS = [
+    ("1^9 3^-13", ("euler", (3,), -13), (("J", (1,), 3),)),
+    ("2^10 1^-4 4^-5", ("phi(q)", (1,), 2), (("euler", (4,), -1),)),
+    ("2^2 1^-1 5^-1", ("psi", (1,), 1), (("euler", (5,), -1),)),
+    ("1^2 2^-1 28^-1", ("phi(-q)", (1,), 1), (("euler", (28,), -1),)),
+    # dilated, and to a negative power
+    ("9^3 3^-1", ("J", (9,), 1), (("euler", (3,), -1),)),
+    ("4^-2 2", ("psi", (2,), -1), ()),
+    # partial: what the atom leaves stays with the eulers
+    ("1^7 2^-2 3^-1", ("J", (1,), 2), (("psi", (1,), -1), ("euler", (3,), -1))),
+]
 
 
 @pytest.mark.parametrize(
-    "spec,eulers,atoms",
-    [
-        ("1^9 3^-13", ((3, -13),), (("J", 1, 3),)),
-        ("2^10 1^-4 4^-5", ((4, -1),), (("phi(q)", 1, 2),)),
-        ("2^2 1^-1 5^-1", ((5, -1),), (("psi", 1, 1),)),
-        ("1^2 2^-1 28^-1", ((28, -1),), (("phi(-q)", 1, 1),)),
-        # dilated, and to a negative power
-        ("9^3 3^-1", ((3, -1),), (("J", 9, 1),)),
-        ("4^-2 2", (), (("psi", 2, -1),)),
-        # partial: what the atom leaves stays with the eulers
-        ("1^7 2^-2 3^-1", ((3, -1),), (("psi", 1, -1), ("J", 1, 2))),
-    ],
+    "spec,seed,powers", THETA_ATOM_PLANS, ids=_stable_ids(THETA_ATOM_PLANS, "eulers", "atoms"),
 )
-def test_plan_theta_atoms(spec, eulers, atoms):
-    assert ExpansionPlan.of(spec) == ExpansionPlan((), eulers, (), atoms=atoms)
+def test_plan_theta_atoms(spec, seed, powers):
+    assert ExpansionPlan.of(spec) == ExpansionPlan(seed, powers, ())
 
 
 @pytest.mark.parametrize("spec", ["2^5 7^-1", "3^5 7^-1", "2^5 11^-1", "3^5 11^-1"])
 def test_census_specs_take_no_theta_atom(spec):
     # J(q^a) (q^a;q^a)^2 would cost a pass more than the one Miller power (q^a;q^a)^5
     a, m = (int(token.split("^")[0]) for token in spec.split())
-    assert ExpansionPlan.of(spec) == ExpansionPlan((), ((a, 5), (m, -1)), ())
+    assert ExpansionPlan.of(spec) == ExpansionPlan(("euler", (a,), 5), (("euler", (m,), -1),), ())
 
 
 @pytest.mark.parametrize(
@@ -219,7 +289,7 @@ def test_seed_is_the_cheapest(monkeypatch, spec, seed):
 
 @pytest.mark.parametrize("name", THETA_ATOMS)
 def test_theta_atom_terms_equal_binomial_expansion(name):
-    signature, terms = THETA_ATOMS[name]
+    signature, terms = THETA_ATOMS[name], FORMS[name]
     for s in range(1, 7):
         spec = EtaQuotientSpec.parse(" ".join(f"{s * b}^{x}" for b, x in signature.items()))
         exps, cofs = terms(s, 400)
@@ -237,10 +307,9 @@ def test_dissection_components_are_one_quintuple_atom():
                         f"{c.t2}.{c.period2} {c.period2 - c.t2}.{c.period2}"
                     )
                     assert ExpansionPlan.of(spec) == ExpansionPlan(
-                        thetas=(),
-                        eulers=(),
+                        seed=("Q", (c.period1, min(c.t1, c.period1 - c.t1)), 1),
+                        powers=(),
                         binomials=(),
-                        quintuples=((c.period1, min(c.t1, c.period1 - c.t1), 1),),
                     )
 
 

@@ -1,5 +1,7 @@
 """Product and theta-series constructors against their independent oracles."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from qsigns import (
@@ -20,6 +22,9 @@ from qsigns import (
     theta_triangular,
     theta_weighted,
 )
+from qsigns import products
+from qsigns.plan import FORMS
+from qsigns.series import MAX_PRECISION
 
 
 def brute_pochhammer(a, b, T):
@@ -73,6 +78,24 @@ def test_constructors_reject_negative_precision():
     ):
         with pytest.raises(InvalidParameter, match="precision must be nonnegative"):
             build()
+
+
+def test_constructors_reject_precision_above_the_limit(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("expanded past MAX_PRECISION")
+
+    for name in ("mul_sparse", "div_sparse", "pow_sparse"):
+        monkeypatch.setattr(products, name, refuse)
+    for form in FORMS:
+        monkeypatch.setitem(FORMS, form, refuse)
+    monkeypatch.setattr(products, "math", SimpleNamespace(isqrt=refuse))
+    for build in (
+        lambda T: eta_quotient("1^1", T),
+        borwein_a, borwein_b, borwein_c3, lambert_cubic, theta_threevar,
+        theta_alt_squares, theta_triangular, theta_squares, theta_weighted,
+    ):
+        with pytest.raises(InvalidParameter, match=f"exceeds the limit MAX_PRECISION = {MAX_PRECISION}"):
+            build(MAX_PRECISION + 1)
 
 
 # -- eta quotients and the spec grammar ------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from _propcheck import check_mul_matches_dense_oracle, check_power_and_inverse_match_oracle
 
 from qsigns import BeyondPrecision, InvalidParameter, NonUnitConstantTerm, Series
+from qsigns.series import MAX_PRECISION
 
 
 def naive_mul(xs, ys, n):
@@ -247,6 +248,19 @@ def test_truncate_cannot_extend():
 ], ids=["truncate", "dilate", "zero", "one", "from_terms"])
 def test_negative_precision_is_named(call, name):
     with pytest.raises(InvalidParameter, match=f"^{name} must be nonnegative, got -"):
+        call()
+
+
+@pytest.mark.parametrize("call,name", [
+    (lambda: Series([1, 2]).truncate(MAX_PRECISION + 1), "precision"),
+    (lambda: Series([1, 2]).dilate(2, cap=MAX_PRECISION + 1), "cap"),
+    (lambda: Series([1, 2, 3]).dilate(MAX_PRECISION), "dilated precision"),
+    (lambda: Series.zero(MAX_PRECISION + 1), "precision"),
+    (lambda: Series.one(MAX_PRECISION + 2), "precision"),
+    (lambda: Series.from_terms([(0, 1)], 10**18), "precision"),
+], ids=["truncate", "dilate cap", "dilate", "zero", "one", "from_terms"])
+def test_precision_above_the_limit_is_named(call, name):
+    with pytest.raises(InvalidParameter, match=f"^{name} = [0-9]+ exceeds the limit MAX_PRECISION = "):
         call()
 
 
