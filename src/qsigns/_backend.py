@@ -10,7 +10,10 @@ The sparse kernels take the nonzero terms of one operand as sorted
 exponent and coefficient lists, so their cost is O(n) per term rather
 than O(n) per coefficient: `mul_sparse` multiplies by a sparse series,
 `pow_sparse` raises one to any power and `div_sparse` divides by one, in
-a single pass each; the package uses no other kernel.  `mul_dense` and
+a single pass each; the package uses no other kernel.  `mul_sparse` also
+takes its dense operand as a series in q^stride, and each term is one
+strided slice of the output updated by a C-level ``map``, so the loop
+the interpreter runs is over the terms only.  `mul_dense` and
 `invert_dense` are the schoolbook forms, kept as the slow references
 that the tests check `Series.__mul__`, `Series.power` and `Series.invert`
 against.
@@ -19,6 +22,8 @@ against.
 from __future__ import annotations
 
 import math
+from itertools import repeat
+from operator import add, mul, sub
 
 
 def mul_dense(xs: list, ys: list, n: int) -> list:
@@ -62,25 +67,25 @@ def invert_dense(xs: list, n: int) -> list:
     return out
 
 
-def mul_sparse(xs: list, exps: list, cofs: list, n: int) -> list:
-    """Multiply dense xs by the sparse polynomial sum(c*q^e), truncated."""
+def mul_sparse(xs: list, exps: list, cofs: list, n: int, stride: int = 1) -> list:
+    """Multiply xs, a series in q^stride, by the sparse polynomial sum(c*q^e), truncated.
+
+    The output is a dense list in q: out[e + stride*i] gets c*xs[i].  Each
+    term is one strided slice of the output, updated by a C-level map.
+    """
     out = [0] * n
     lx = len(xs)
-    for t in range(len(exps)):
-        e = exps[t]
-        if e >= n:
+    for e, c in zip(exps, cofs):
+        hi = min(lx, (n - e + stride - 1) // stride)
+        if hi <= 0:
             continue
-        c = cofs[t]
-        hi = min(lx, n - e)
+        window = slice(e, e + stride * hi, stride)
         if c == 1:
-            for i in range(hi):
-                out[e + i] += xs[i]
+            out[window] = map(add, out[window], xs)
         elif c == -1:
-            for i in range(hi):
-                out[e + i] -= xs[i]
+            out[window] = map(sub, out[window], xs)
         else:
-            for i in range(hi):
-                out[e + i] += c * xs[i]
+            out[window] = map(add, out[window], map(mul, repeat(c, hi), xs))
     return out
 
 

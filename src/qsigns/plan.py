@@ -33,18 +33,28 @@ raised to a power, and names the one to raise outright:
   q -> q^s, each is an atom whose power is the common part of its
   `THETA_ATOMS` signature in the net exponents of the (q^b;q^b) factors.
   An atom is taken only when it lowers the cost estimate below, the one
-  that lowers it most first.  So (q^2;q^2)^5 stays one Miller power: as
-  the atom J(q^2) times (q^2;q^2)^2 it would cost one pass more.
-* **Sparse powers and the seed.** What is left of the (q^b;q^b) factors
-  is the pentagonal series.  Each sparse series is a (form, params, k)
-  entry; `FORMS` maps the form to its term generator.  The plan names
-  one entry, the seed, to raise in one pass of Miller's power recurrence
-  (`pow_sparse`); every other one is multiplied or divided in once per
-  unit of k.  The seed minimises the same estimate that takes the atoms:
-  sum |k| * work * T over the other passes plus work * T/d for the seed,
-  a series in q^d, or 0 for a free scatter when k = 1.  The work of a
-  term is 1 in a pass when its coefficient is +-1, and 2 otherwise and
-  in Miller's recurrence, which multiply.
+  that lowers it most first.  So (q^2;q^2)^5 becomes the atom J(q^2),
+  a free scatter, times two passes of (q^2;q^2): less work than one
+  Miller power (q^2;q^2)^5.
+* **Sparse powers, the seed and the order.**  What is left of the
+  (q^b;q^b) factors is the pentagonal series.  Each sparse series is a
+  (form, params, k) entry; `FORMS` maps the form to its term generator.
+  The plan names one entry, the seed, to raise in one pass of Miller's
+  power recurrence (`pow_sparse`), and it orders the others, each
+  multiplied or divided in once per unit of k.  The expansion runs in
+  the coarsest variable q^d it can: d is the gcd of the steps of the
+  series applied so far, so (q^i;q^i)/(q^p;q^p) divides by (q^p;q^p) at
+  T/p coefficients and then adds each term of (q^i;q^i) as one strided
+  slice.  Every order gives the same coefficients, since truncated
+  series over Z form a commutative ring, but not the same work: the
+  estimate charges each pass |k| * work * n/d, at the step d the
+  accumulator has when the pass runs, and Miller's pass over a series in
+  q^s work * n/s, or 0 for a free scatter when k = 1.  It picks the seed
+  and the order together.  The work of a term is measured
+  (`_MUL`, `_DIV`, `_MILLER`): a division costs twice a multiplication,
+  a term whose coefficient is not +-1 more again, and Miller's
+  recurrence, which multiplies at every term, three times, or 3.5 times
+  to a negative power.
 * **Binomial fallback.** Unpaired factors and factors with a > b stay
   binomials, multiplied or divided in one binomial 1-q^{a+kb} at a
   time (`products._apply_factor`), which also serves the tests as the
@@ -76,7 +86,7 @@ __all__ = [
 _TOKEN_RE = re.compile(r"^(\d+)(?:\.(\d+))?(?:\^(-?\d+))?$")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PochhammerFactor:
     """One factor (q^a; q^b)^delta of a product."""
 
@@ -93,7 +103,7 @@ class PochhammerFactor:
         return f"{base}^{self.delta}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EtaQuotientSpec:
     """A finite product of Pochhammer factors, prod (q^a;q^b)^delta."""
 
@@ -231,7 +241,7 @@ THETA_ATOMS = {
 Power = tuple[str, tuple[int, ...], int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExpansionPlan:
     """A spec rewritten as the recipe `eta_quotient` follows: seed times powers times binomials.
 
@@ -239,10 +249,11 @@ class ExpansionPlan:
     ``FORMS[form](*params, limit)`` to the power k: "jtp" (a, b) is
     JTP(a,b) with a <= b - a, "Q" (M, j) the quintuple atom Q(M,j),
     "euler" (b,) the pentagonal (q^b;q^b), and a `THETA_ATOMS` name (s,)
-    that theta atom in q^s.  The seed is raised outright; powers are
-    multiplied or divided in once per unit of k, in order: theta atoms as
-    taken, quintuple atoms, JTPs, eulers.  Each (a, b, d) in binomials is
-    (q^a;q^b)^d, applied one binomial at a time.
+    that theta atom in q^s.  The seed is raised outright, first; powers
+    are multiplied or divided in once per unit of k, in the order the cost
+    estimate picks together with the seed, each in the coarsest q^d it
+    can run in.  Each (a, b, d) in binomials is (q^a;q^b)^d, applied one
+    binomial at a time.
     """
 
     seed: "Power | None"
@@ -253,33 +264,39 @@ class ExpansionPlan:
     def of(cls, spec: "EtaQuotientSpec | str") -> "ExpansionPlan":
         """Net the exponents of the spec's factors, pair partners into JTPs,
         pair JTPs into quintuple products, take the theta atoms that lower
-        the estimated cost, then seed with the power the estimate picks."""
-        net: dict[tuple[int, int], int] = {}
-        for f in _as_spec(spec).factors:
-            net[f.a, f.b] = net.get((f.a, f.b), 0) + f.delta
-        # (q^a;q^b)(q^{b-a};q^b) = JTP(a,b) / (q^b;q^b)
-        jtps: dict[tuple[int, int], int] = {}
-        for a, b in list(net):
-            if a < b and (k := _pair(net, (a, b), (b - a, b))):
-                jtps[min(a, b - a), b] = k
-                net[b, b] = net.get((b, b), 0) - k
-        # JTP(j,M) JTP(M-2j,2M) = Q(M,j) (q^{2M};q^{2M})
-        quintuples = []
-        for j, M in list(jtps):
-            if 2 * j < M and (k := _pair(jtps, (j, M), (M - 2 * j, 2 * M))):
-                quintuples.append(("Q", (M, j), k))
-                net[2 * M, 2 * M] = net.get((2 * M, 2 * M), 0) + k
-        powers = _with_theta_atoms([
-            *quintuples,
-            *(("jtp", ab, k) for ab, k in jtps.items() if k),
-            *(("euler", (b,), d) for (a, b), d in net.items() if a == b and d),
-        ])
-        seed = _cost(powers)[1]
-        return cls(
-            seed=None if seed is None else powers.pop(seed),
-            powers=tuple(powers),
-            binomials=tuple((a, b, d) for (a, b), d in net.items() if a != b and d),
-        )
+        the estimated cost, then seed and order the powers as the estimate
+        picks.  Plans are cached per parsed spec, so a spec and its text
+        share one plan."""
+        return _plan(_as_spec(spec))
+
+
+@functools.lru_cache(maxsize=1024)
+def _plan(spec: EtaQuotientSpec) -> ExpansionPlan:
+    net: dict[tuple[int, int], int] = {}
+    for f in spec.factors:
+        net[f.a, f.b] = net.get((f.a, f.b), 0) + f.delta
+    # (q^a;q^b)(q^{b-a};q^b) = JTP(a,b) / (q^b;q^b)
+    jtps: dict[tuple[int, int], int] = {}
+    for a, b in list(net):
+        if a < b and (k := _pair(net, (a, b), (b - a, b))):
+            jtps[min(a, b - a), b] = k
+            net[b, b] = net.get((b, b), 0) - k
+    # JTP(j,M) JTP(M-2j,2M) = Q(M,j) (q^{2M};q^{2M})
+    quintuples = []
+    for j, M in list(jtps):
+        if 2 * j < M and (k := _pair(jtps, (j, M), (M - 2 * j, 2 * M))):
+            quintuples.append(("Q", (M, j), k))
+            net[2 * M, 2 * M] = net.get((2 * M, 2 * M), 0) + k
+    powers, (_, seed, order) = _with_theta_atoms([
+        *quintuples,
+        *(("jtp", ab, k) for ab, k in jtps.items() if k),
+        *(("euler", (b,), d) for (a, b), d in net.items() if a == b and d),
+    ])
+    return ExpansionPlan(
+        seed=None if seed is None else powers[seed],
+        powers=tuple(powers[i] for i in order),
+        binomials=tuple((a, b, d) for (a, b), d in net.items() if a != b and d),
+    )
 
 
 def _pair(exps: dict, x, y) -> int:
@@ -305,14 +322,18 @@ def _toward_zero(d: int, e: int) -> int:
     return d // e if d * e >= 0 else -(-d // e)
 
 
-def _with_theta_atoms(powers: list[Power]) -> list[Power]:
-    """Take theta atoms out of the eulers greedily, first the one that lowers the cost estimate most."""
+def _with_theta_atoms(powers: list[Power]) -> tuple[list[Power], tuple]:
+    """Take theta atoms out of the eulers greedily, first the one that lowers the cost estimate most.
+
+    Returns the powers and their `_cost`.
+    """
+    estimate = _cost(powers)
     while trials := _atom_trials(powers):
-        best = min(trials, key=lambda trial: _cost(trial)[0])
-        if _cost(best)[0] >= _cost(powers)[0]:
+        trial, best = min(((trial, _cost(trial)) for trial in trials), key=lambda t: t[1][0])
+        if best[0] >= estimate[0]:
             break
-        powers = best
-    return powers
+        powers, estimate = trial, best
+    return powers, estimate
 
 
 def _atom_trials(powers: list[Power]) -> list[list[Power]]:
@@ -346,38 +367,86 @@ def _atom_trials(powers: list[Power]) -> list[list[Power]]:
 # the horizon at which plans count the terms of their sparse series
 _REFERENCE_T = 10_000
 
+# the work of one coefficient update by one term, in half the time of a
+# multiplication by a term +-1: a multiplication and a division by a term
+# +-1 and by any other term, and Miller's recurrence to a power k > 0 and
+# k < 0, which multiplies at every term.  The kernels alone measure, in
+# these units, 2 / 4.4, 4.8 / 6.4, 4 and 6.4 (Python 3.11, T = 1000 to
+# 10000, partition-sized coefficients).  Miller is set higher and a
+# division lower, so that the estimate picks the order that runs fastest
+# for the census and catalog quotients: after a division every later
+# pass works on large coefficients, which the kernel ratios leave out.
+_MUL, _DIV = (2, 4), (4, 6)
+_MILLER, _MILLER_NEGATIVE = 6, 7
 
-def _cost(powers: list[Power]) -> tuple[int, "int | None"]:
-    """The estimated cost of expanding the sparse powers, and the index of its seed.
 
-    Each power but the seed costs |k| passes of pass work * n.  The seed
-    is raised outright: Miller's recurrence runs in q^step at Miller
-    work * n/step, and f^1 is a scatter, free; the seed is None when every
-    power is best applied in passes.  Terms are counted up to a fixed
-    reference horizon, and every count grows as its square root, so
-    neither comparing two costs nor the seed depends on T.  Binomials cost
-    the same whatever the plan takes, so they are left out.
+def _cost(powers: list[Power]) -> tuple[int, "int | None", tuple[int, ...]]:
+    """The estimated cost of expanding the sparse powers, the index of their seed, and the order of the others.
+
+    The expansion keeps its accumulator in q^d, n/d coefficients long,
+    where d is the gcd of the steps of the series applied so far: a
+    series in q^s with d | s keeps d, and any other makes it gcd(d, s).
+    The seed is raised outright, by Miller's recurrence in its own step,
+    or by a free scatter when k = 1; with no seed the accumulator starts
+    as 1 in the step of the first power.  A multiplication into a finer
+    step g runs at n/d for its first unit and n/g for the rest, a
+    division at n/g throughout.  The seed and the order are chosen
+    together to minimise the sum; a power the current step divides is
+    best applied at once, as d only gets finer, so only the others branch.
+    Terms are counted up to a fixed reference horizon, and every count
+    grows as its square root, so neither comparing two costs nor the plan
+    depends on T.  Binomials cost the same whatever the plan takes, so
+    they are left out.
     """
     n = _REFERENCE_T + 1
-    shapes = [(*_reference_shape(form, params), k) for form, params, k in powers]
-    passes = [abs(k) * work * n for work, _, _, k in shapes]
-    total = sum(passes)
-    best, seed = total, None
-    for i, (_, miller, step, k) in enumerate(shapes):
-        cost = total - passes[i] + (0 if k == 1 else miller * (n // step))
-        if cost < best:
-            best, seed = cost, i
-    return best, seed
+    shapes = [_reference_shape(form, params) for form, params, _ in powers]
+    memo: dict = {}
+
+    def length(d: int) -> int:
+        return n // d if d else 1
+
+    def passes(i: int, d: int, g: int) -> int:
+        units, others, _ = shapes[i]
+        k = powers[i][2]
+        if k < 0:
+            return -k * (_DIV[0] * units + _DIV[1] * others) * length(g)
+        return (_MUL[0] * units + _MUL[1] * others) * (length(d or g) + (k - 1) * length(g))
+
+    def rest(todo: tuple[int, ...], d: int) -> tuple[int, tuple[int, ...]]:
+        """The least cost, and its order, of the powers in todo on an accumulator in q^d (d = 0: on 1)."""
+        if not todo:
+            return 0, ()
+        if (todo, d) not in memo:
+            ready = [i for i in todo if d and shapes[i][2] % d == 0]
+            best = None
+            for i in ready[:1] or todo:
+                g = math.gcd(d, shapes[i][2])
+                cost, order = rest(tuple(j for j in todo if j != i), g)
+                cost += passes(i, d, g)
+                if best is None or cost < best[0]:
+                    best = cost, (i, *order)
+            memo[todo, d] = best
+        return memo[todo, d]
+
+    everything = tuple(range(len(powers)))
+    cost, order = rest(everything, 0)
+    best = cost, None, order
+    for i, (_, _, k) in enumerate(powers):
+        units, others, step = shapes[i]
+        miller = 0 if k == 1 else (_MILLER if k > 0 else _MILLER_NEGATIVE) * (units + others) * length(step)
+        cost, order = rest(tuple(j for j in everything if j != i), step)
+        if miller + cost < best[0]:
+            best = miller + cost, i, order
+    return best
 
 
 @functools.lru_cache(maxsize=None)
 def _reference_shape(form: str, params: tuple) -> tuple[int, int, int]:
-    """The work per coefficient of a pass and of a Miller power, and the step d of a series in q^d.
+    """The terms of a series with coefficient +-1 and the other terms, and the step d of the series in q^d.
 
-    Terms are counted up to the reference horizon.  A pass costs 1 per
-    term with coefficient +-1 and 2 per other term, which takes a
-    multiplication; Miller's recurrence multiplies at every term, so it
-    costs 2 per term.
+    Terms are counted up to the reference horizon; a series that is 1 up
+    to it has step 0, the step of a constant.
     """
     exps, cofs = FORMS[form](*params, _REFERENCE_T)
-    return 2 * len(cofs) - cofs.count(1) - cofs.count(-1), 2 * len(cofs), math.gcd(*exps) or 1
+    units = cofs.count(1) + cofs.count(-1)
+    return units, len(cofs) - units, math.gcd(*exps)

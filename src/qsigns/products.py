@@ -1,13 +1,19 @@
 """Constructors for infinite products and theta series.
 
 Everything here returns an exact truncated :class:`~qsigns.series.Series`.
-`eta_quotient` follows the recipe `ExpansionPlan.of` writes for a spec
-in three loops: it raises the plan's seed to its power in one pass of
-Miller's recurrence (`pow_sparse`), multiplies or divides in each of its
-powers once per unit, and then applies the binomials one at a time
-(`_apply_factor`).  Every sparse series comes from its term generator in
-`plan.FORMS`.  `qsigns.plan` also holds the spec grammar and the sparse
-closed forms.
+`eta_quotient` follows the recipe `ExpansionPlan.of` writes for a spec.
+Its accumulator is a series in q^d, kept as its T/d + 1 coefficients,
+where d is the gcd of the steps of the series applied so far.  It raises
+the plan's seed to its power in one pass of Miller's recurrence
+(`pow_sparse`) in the seed's own step, or else starts from 1 in the step
+of the first power.  It then multiplies or divides in each power once
+per unit, in the plan's order: a power in a coarser q^{d'} runs at
+T/d + 1 coefficients, a multiplication into a finer lattice is one
+strided scatter (`mul_sparse` with a stride), and a division into one
+first spreads the accumulator onto it.  At the end it spreads the result
+onto q and applies the binomials one at a time (`_apply_factor`).
+Every sparse series comes from its term generator in `plan.FORMS`.
+`qsigns.plan` also holds the spec grammar and the sparse closed forms.
 """
 
 from __future__ import annotations
@@ -15,7 +21,14 @@ from __future__ import annotations
 import math
 
 from ._backend import div_sparse, mul_sparse, pow_sparse
-from .plan import FORMS, EtaQuotientSpec, ExpansionPlan, PochhammerFactor, pentagonal_terms
+from .plan import (
+    FORMS,
+    EtaQuotientSpec,
+    ExpansionPlan,
+    PochhammerFactor,
+    pentagonal_terms,
+    quintuple_terms,
+)
 from .series import InvalidParameter, Series, _check_precision
 
 __all__ = [
@@ -64,19 +77,38 @@ def eta_quotient(spec: "EtaQuotientSpec | str", precision: int) -> Series:
     """Exact truncated expansion of a product of (q^a;q^b)^delta factors."""
     _check_precision(precision)
     plan = ExpansionPlan.of(spec)
-    n = precision + 1
-    if plan.seed is None:
-        cur = [1] + [0] * precision
-    else:
+    T = precision
+    powers = [(*FORMS[form](*params, T), k) for form, params, k in plan.powers]
+    # the accumulator cur holds the T // d + 1 coefficients of a series in q^d
+    if plan.seed:
         form, params, k = plan.seed
-        cur = pow_sparse(*FORMS[form](*params, precision), k, n)
-    for form, params, k in plan.powers:
-        exps, cofs = FORMS[form](*params, precision)
+        exps, cofs = FORMS[form](*params, T)
+        d = math.gcd(*exps) or 1
+        cur = pow_sparse([e // d for e in exps], cofs, k, T // d + 1)
+    else:
+        d = (math.gcd(*powers[0][0]) or 1) if powers else 1
+        cur = [1] + [0] * (T // d)
+    for exps, cofs, k in powers:
+        g = math.gcd(d, *exps)
+        exps, m = [e // g for e in exps], T // g + 1
+        if k < 0:
+            cur, d = _spread(cur, d // g, m), g
         for _ in range(abs(k)):
-            cur = div_sparse(cur, exps, cofs, n) if k < 0 else mul_sparse(cur, exps, cofs, n)
-    for a, b, d in plan.binomials:
-        cur = _apply_factor(cur, a, b, d, n)
+            cur = div_sparse(cur, exps, cofs, m) if k < 0 else mul_sparse(cur, exps, cofs, m, d // g)
+            d = g
+    cur = _spread(cur, d, T + 1)
+    for a, b, delta in plan.binomials:
+        cur = _apply_factor(cur, a, b, delta, T + 1)
     return Series(cur)
+
+
+def _spread(cur: list, r: int, m: int) -> list:
+    """The series in q^r with coefficients cur, as the m coefficients of a series in q."""
+    if r == 1:
+        return cur
+    out = [0] * m
+    out[::r] = cur
+    return out
 
 
 def pochhammer(a: int, b: int, precision: int) -> Series:
@@ -94,18 +126,13 @@ def _check_quintuple(M: int, j: int) -> None:
 
 
 def quintuple_product(M: int, j: int, precision: int) -> Series:
-    """(q^j, q^{M-j}, q^M; q^M) (q^{M-2j}, q^{M+2j}; q^{2M}), truncated."""
+    """(q^j, q^{M-j}, q^M; q^M) (q^{M-2j}, q^{M+2j}; q^{2M}), truncated.
+
+    It is the sparse series Q(M,j) (`plan.quintuple_terms`), so it needs no plan.
+    """
     _check_quintuple(M, j)
-    spec = EtaQuotientSpec(
-        (
-            PochhammerFactor(j, M),
-            PochhammerFactor(M - j, M),
-            PochhammerFactor(M, M),
-            PochhammerFactor(M - 2 * j, 2 * M),
-            PochhammerFactor(M + 2 * j, 2 * M),
-        )
-    )
-    return eta_quotient(spec, precision)
+    _check_precision(precision)
+    return Series.from_terms(zip(*quintuple_terms(M, j, precision)), precision)
 
 
 # ----------------------------------------------------------------------

@@ -7,6 +7,7 @@ round.
 
 from __future__ import annotations
 
+import contextlib
 import random
 
 from qsigns import (
@@ -17,6 +18,7 @@ from qsigns import (
     eta_quotient,
     predict_quotient_pattern,
 )
+from qsigns import products
 from qsigns._backend import invert_dense, mul_dense
 from qsigns.plan import THETA_ATOMS, ExpansionPlan
 from qsigns.products import _apply_factor
@@ -211,6 +213,38 @@ def _seed_feature(plan: ExpansionPlan) -> str:
     return "seed by scatter" if plan.seed[2] == 1 else "seed by Miller"
 
 
+# the order in which plans applied their powers before the cost estimate picked it
+_FIXED_ORDER = {**dict.fromkeys(THETA_ATOMS, 0), "Q": 1, "jtp": 2, "euler": 3}
+
+
+def _order_features(plan: ExpansionPlan) -> set[str]:
+    ranks = [_FIXED_ORDER[form] for form, _, _ in plan.powers]
+    return {"reordered plan"} if ranks != sorted(ranks) else set()
+
+
+@contextlib.contextmanager
+def _lattice_log(seen: set, T: int):
+    """Note, while it lasts, each strided scatter and each division eta_quotient runs
+    in q^d with d > 1, that is at fewer than T + 1 coefficients."""
+    mul, div = products.mul_sparse, products.div_sparse
+
+    def strided(xs, exps, cofs, n, stride=1):
+        if stride > 1:
+            seen.add("strided scatter")
+        return mul(xs, exps, cofs, n, stride)
+
+    def coarse(xs, exps, cofs, n):
+        if n <= T:
+            seen.add("division in a coarse lattice")
+        return div(xs, exps, cofs, n)
+
+    products.mul_sparse, products.div_sparse = strided, coarse
+    try:
+        yield
+    finally:
+        products.mul_sparse, products.div_sparse = mul, div
+
+
 def _spec_features(spec: EtaQuotientSpec) -> set[str]:
     net: dict[tuple[int, int], int] = {}
     for f in spec.factors:
@@ -261,6 +295,7 @@ def check_plan_matches_binomial_oracle(seed: int, rounds: int = 1000,
          "cancelling repeats", "T = 0", "full quintuple product", "partial quintuple overlap",
          "positive quintuple atom", "negative quintuple atom",
          "quintuple thetas of opposite signs", "seed by scatter", "seed by Miller", "no seed",
+         "strided scatter", "division in a coarse lattice", "reordered plan",
          *(f"{name} atom, {how}" for name in THETA_ATOMS
            for how in ("positive", "negative", "dilated", "partial"))), 0)
     for k in range(rounds):
@@ -271,10 +306,13 @@ def check_plan_matches_binomial_oracle(seed: int, rounds: int = 1000,
         spec = EtaQuotientSpec(tuple(factors))
         T = 0 if rng.random() < 0.05 else rng.randint(1, max_precision)
         plan = ExpansionPlan.of(spec)
-        features = _spec_features(spec) | _atom_features(plan) | {_seed_feature(plan)}
-        for feature in features | ({"T = 0"} if T == 0 else set()):
+        features = _spec_features(spec) | _atom_features(plan) | _order_features(plan)
+        features |= {_seed_feature(plan)} | ({"T = 0"} if T == 0 else set())
+        with _lattice_log(features, T):
+            expanded = eta_quotient(spec, T)
+        for feature in features:
             seen[feature] += 1
-        if eta_quotient(spec, T) != binomial_expansion(spec, T):
+        if expanded != binomial_expansion(spec, T):
             failures.append(f"round {k}: {spec} at T={T}")
     failures += [f"no spec with {feature}" for feature, count in seen.items() if count == 0]
     return failures

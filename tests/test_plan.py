@@ -1,6 +1,6 @@
 """The expansion plan of eta_quotient and the Miller power kernel, against the binomial path."""
 
-import math
+import random
 
 import pytest
 from _propcheck import binomial_expansion, check_plan_matches_binomial_oracle
@@ -9,7 +9,7 @@ from qsigns import EtaQuotientSpec, Series, corpus, eta_quotient, pattern_catalo
 from qsigns import quintuple_components
 from qsigns import quintuple_product
 from qsigns import products, ramanujan5, three_dissection_qq
-from qsigns._backend import div_sparse, mul_sparse, pow_sparse
+from qsigns._backend import div_sparse, mul_dense, mul_sparse, pow_sparse
 from qsigns.dissect import component_series
 from qsigns.plan import (
     FORMS,
@@ -81,6 +81,23 @@ def test_pow_sparse_short_and_degenerate():
         pow_sparse([0, 1], [3, 1], -1, 4)
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_strided_mul_sparse_matches_mul_dense(seed):
+    """mul_sparse of a series in q^stride against mul_dense of that series spread onto q."""
+    rng = random.Random(seed)
+    for _ in range(300):
+        stride, n = rng.randint(1, 13), rng.randint(1, 150)
+        bound = rng.choice((1, 9, 10**40))
+        xs = [rng.randint(-bound, bound) for _ in range(rng.randint(1, (n - 1) // stride + 1))]
+        exps = sorted(rng.sample(range(n + 20), rng.randint(1, 10)))
+        cofs = [rng.choice((1, -1, rng.choice((-1, 1)) * rng.randint(2, bound + 2))) for _ in exps]
+        dilated, ys = [0] * n, [0] * (exps[-1] + 1)
+        dilated[: stride * len(xs): stride] = xs
+        for e, c in zip(exps, cofs):
+            ys[e] = c
+        assert mul_sparse(xs, exps, cofs, n, stride) == mul_dense(dilated, ys, n), (stride, n)
+
+
 def test_div_sparse_rejects_a_divisor_without_a_unit_constant_term():
     with pytest.raises(ValueError, match="cannot divide by constant term 2"):
         div_sparse([1, 0, 0, 0, 0], [0, 1], [2, 1], 5)
@@ -115,17 +132,20 @@ def test_quintuple_product_equals_binomial_expansion():
 
 # (seed, powers) of each corpus entry; the spec has no binomial left
 CORPUS_PLANS = {
-    "period8-quartic": (("J", (1,), 1), (("psi", (2,), -1), ("euler", (1,), 1), ("euler", (2,), 1))),
-    "period9-ninth": (("J", (1,), 3), (("J", (3,), -1), ("euler", (3,), -2))),
+    "period8-quartic": (
+        None,
+        (("euler", (4,), -1), ("phi(-q)", (2,), 1), ("J", (1,), 1), ("euler", (1,), 1)),
+    ),
+    "period9-ninth": (("euler", (3,), -5), (("J", (1,), 3),)),
     "rr-quotient": (("jtp", (2, 5), 1), (("jtp", (1, 5), -1),)),
     "octic-quotient": (("jtp", (3, 8), 1), (("jtp", (1, 8), -1),)),
     "hirschhorn-a": (
-        ("euler", (10,), -2),
-        (("psi", (5,), -1), ("jtp", (2, 10), 1), ("jtp", (1, 5), -1), ("jtp", (1, 10), 3)),
+        ("euler", (10,), -4),
+        (("euler", (5,), 1), ("jtp", (2, 10), 1), ("jtp", (1, 5), -1), ("jtp", (1, 10), 3)),
     ),
     "hirschhorn-b": (
-        ("euler", (10,), -2),
-        (("psi", (5,), -1), ("jtp", (4, 10), 1), ("jtp", (2, 5), -1), ("jtp", (3, 10), 3)),
+        ("euler", (10,), -4),
+        (("euler", (5,), 1), ("jtp", (4, 10), 1), ("jtp", (2, 5), -1), ("jtp", (3, 10), 3)),
     ),
 }
 
@@ -139,28 +159,31 @@ def test_corpus_plans_are_pinned():
 # (seed, powers) of the paper's quotients: the census specs, the verify
 # table's (q^i;q^i)/(q^p;q^p), and every catalog case; none has a binomial
 PAPER_PLANS = {
-    "2^5 7^-1": (("euler", (2,), 5), (("euler", (7,), -1),)),
-    "3^5 7^-1": (("euler", (3,), 5), (("euler", (7,), -1),)),
-    "2^5 11^-1": (("euler", (2,), 5), (("euler", (11,), -1),)),
-    "3^5 11^-1": (("euler", (3,), 5), (("euler", (11,), -1),)),
-    # (q^i;q^i) to the power 1 seeds as a scatter
+    # the census multiplies in q^a first and divides last; J(q^a) by a scatter
+    # and two passes in q^a cost less than Miller's (q^a;q^a)^5
+    "2^5 7^-1": (("J", (2,), 1), (("euler", (2,), 2), ("euler", (7,), -1))),
+    "3^5 7^-1": (("J", (3,), 1), (("euler", (3,), 2), ("euler", (7,), -1))),
+    "2^5 11^-1": (("J", (2,), 1), (("euler", (2,), 2), ("euler", (11,), -1))),
+    "3^5 11^-1": (("J", (3,), 1), (("euler", (3,), 2), ("euler", (11,), -1))),
+    # the verify quotients start in q^p: 1/(q^p;q^p) at T/p + 1 coefficients,
+    # then (q^i;q^i) as one strided scatter
     **{
-        f"{i}^1 {p}^-1": (("euler", (i,), 1), (("euler", (p,), -1),))
+        f"{i}^1 {p}^-1": (None, (("euler", (p,), -1), ("euler", (i,), 1)))
         for p in (5, 7, 11, 13) for i in (2, 3, 4)
     },
-    "2^2 1^-1 3^-1": (("psi", (1,), 1), (("euler", (3,), -1),)),
-    "2^2 1^-1 5^-1": (("psi", (1,), 1), (("euler", (5,), -1),)),
-    "2^2 1^-1 7^-1": (("psi", (1,), 1), (("euler", (7,), -1),)),
-    "1^2 2^-1 4^-1": (("phi(-q)", (1,), 1), (("euler", (4,), -1),)),
-    "1^2 2^-1 12^-1": (("phi(-q)", (1,), 1), (("euler", (12,), -1),)),
-    "1^2 2^-1 20^-1": (("phi(-q)", (1,), 1), (("euler", (20,), -1),)),
-    "1^2 2^-1 28^-1": (("phi(-q)", (1,), 1), (("euler", (28,), -1),)),
-    "1^3 3^-2": (("J", (1,), 1), (("euler", (3,), -2),)),
-    "1^2 2^-1 3^-2": (("phi(-q)", (1,), 1), (("euler", (3,), -2),)),
-    "1^4 2^-2 4^-1": (("phi(-q)", (1,), 2), (("euler", (4,), -1),)),
-    "2^10 1^-4 4^-5": (("phi(q)", (1,), 2), (("euler", (4,), -1),)),
-    "1^2 5^-3": (("J", (5,), -1), (("euler", (1,), 2),)),
-    "1^9 3^-9": (("J", (1,), 3), (("J", (3,), -3),)),
+    "2^2 1^-1 3^-1": (None, (("euler", (3,), -1), ("psi", (1,), 1))),
+    "2^2 1^-1 5^-1": (None, (("euler", (5,), -1), ("psi", (1,), 1))),
+    "2^2 1^-1 7^-1": (None, (("euler", (7,), -1), ("psi", (1,), 1))),
+    "1^2 2^-1 4^-1": (None, (("euler", (4,), -1), ("phi(-q)", (1,), 1))),
+    "1^2 2^-1 12^-1": (None, (("euler", (12,), -1), ("phi(-q)", (1,), 1))),
+    "1^2 2^-1 20^-1": (None, (("euler", (20,), -1), ("phi(-q)", (1,), 1))),
+    "1^2 2^-1 28^-1": (None, (("euler", (28,), -1), ("phi(-q)", (1,), 1))),
+    "1^3 3^-2": (("euler", (3,), -2), (("J", (1,), 1),)),
+    "1^2 2^-1 3^-2": (("euler", (3,), -2), (("phi(-q)", (1,), 1),)),
+    "1^4 2^-2 4^-1": (None, (("euler", (4,), -1), ("phi(-q)", (1,), 2))),
+    "2^10 1^-4 4^-5": (None, (("euler", (4,), -1), ("phi(q)", (1,), 2))),
+    "1^2 5^-3": (None, (("J", (5,), -1), ("euler", (1,), 2))),
+    "1^9 3^-9": (("J", (3,), -3), (("J", (1,), 3),)),
     "1^9 3^-11": (("euler", (3,), -11), (("J", (1,), 3),)),
     "1^9 3^-12": (("J", (3,), -4), (("J", (1,), 3),)),
     "1^9 3^-13": (("euler", (3,), -13), (("J", (1,), 3),)),
@@ -184,9 +207,9 @@ PLAN_SHAPES = [
     ("1 1^-1", None, (), ()),
     ("2.5^1 2.5^-1 3.5", None, (), ((3, 5, 1),)),
     ("2.5 3.5^-1", None, (), ((2, 5, 1), (3, 5, -1))),
-    ("3.5^2 2.5 5^-1", ("jtp", (2, 5), 1), (("euler", (5,), -2),), ((3, 5, 1),)),
-    ("1.4^-3 3.4^-2", ("euler", (4,), 2), (("jtp", (1, 4), -2),), ((1, 4, -1),)),
-    ("1.2^3", ("jtp", (1, 2), 1), (("euler", (2,), -1),), ((1, 2, 1),)),
+    ("3.5^2 2.5 5^-1", ("euler", (5,), -2), (("jtp", (2, 5), 1),), ((3, 5, 1),)),
+    ("1.4^-3 3.4^-2", None, (("euler", (4,), 2), ("jtp", (1, 4), -2)), ((1, 4, -1),)),
+    ("1.2^3", None, (("euler", (2,), -1), ("jtp", (1, 2), 1)), ((1, 2, 1),)),
     ("1.2^-4", ("jtp", (1, 2), -2), (("euler", (2,), 2),), ()),
     ("3.6^-1", None, (), ((3, 6, -1),)),
     ("7.5 2.5", None, (), ((7, 5, 1), (2, 5, 1))),
@@ -205,23 +228,23 @@ QUINTUPLE_PLANS = [
     ("1.4 3.4 4 2.8 6.8", ("Q", (4, 1), 1), ()),
     ("1.4^-3 3.4^-3 4^-3 2.8^-3 6.8^-3", ("Q", (4, 1), -3), ()),
     # partial overlap: one JTP(1,4) is left over
-    ("1.4^2 3.4^2 2.8 6.8", ("Q", (4, 1), 1), (("jtp", (1, 4), 1), ("euler", (4,), -2))),
+    ("1.4^2 3.4^2 2.8 6.8", ("euler", (4,), -2), (("Q", (4, 1), 1), ("jtp", (1, 4), 1))),
     (
         "1.4^-1 3.4^-1 2.8^-2 6.8^-2",
-        ("euler", (4,), 1),
-        (("Q", (4, 1), -1), ("jtp", (2, 8), -1), ("euler", (8,), 1)),
+        ("euler", (8,), 1),
+        (("euler", (4,), 1), ("jtp", (2, 8), -1), ("Q", (4, 1), -1)),
     ),
     # opposite signs form no atom
     (
         "1.4 3.4 2.8^-1 6.8^-1",
-        ("jtp", (1, 4), 1),
-        (("jtp", (2, 8), -1), ("euler", (4,), -1), ("euler", (8,), 1)),
+        ("euler", (8,), 1),
+        (("euler", (4,), -1), ("jtp", (2, 8), -1), ("jtp", (1, 4), 1)),
     ),
     # a theta can be the wide factor of one atom and the narrow one of the next
     (
         "1.3 2.3 1.6^2 5.6^2 4.12 8.12",
-        ("Q", (3, 1), 1),
-        (("Q", (6, 1), 1), ("euler", (3,), -1), ("euler", (6,), -1)),
+        None,
+        (("euler", (6,), -1), ("euler", (3,), -1), ("Q", (3, 1), 1), ("Q", (6, 1), 1)),
     ),
 ]
 
@@ -236,14 +259,18 @@ def test_plan_quintuple_atoms(spec, seed, powers):
 
 THETA_ATOM_PLANS = [
     ("1^9 3^-13", ("euler", (3,), -13), (("J", (1,), 3),)),
-    ("2^10 1^-4 4^-5", ("phi(q)", (1,), 2), (("euler", (4,), -1),)),
-    ("2^2 1^-1 5^-1", ("psi", (1,), 1), (("euler", (5,), -1),)),
-    ("1^2 2^-1 28^-1", ("phi(-q)", (1,), 1), (("euler", (28,), -1),)),
+    ("2^10 1^-4 4^-5", None, (("euler", (4,), -1), ("phi(q)", (1,), 2))),
+    ("2^2 1^-1 5^-1", None, (("euler", (5,), -1), ("psi", (1,), 1))),
+    ("1^2 2^-1 28^-1", None, (("euler", (28,), -1), ("phi(-q)", (1,), 1))),
     # dilated, and to a negative power
     ("9^3 3^-1", ("J", (9,), 1), (("euler", (3,), -1),)),
-    ("4^-2 2", ("psi", (2,), -1), ()),
+    # psi(q^2)^-1 costs as much as Miller's (q^4;q^4)^-2 and a pass of (q^2;q^2)
+    ("4^-2 2", ("euler", (4,), -2), (("euler", (2,), 1),)),
+    # two atoms take all of (q;q)^7 (q^2;q^2)^-2
+    ("1^7 2^-2 3^-1", None, (("euler", (3,), -1), ("J", (1,), 1), ("phi(-q)", (1,), 2))),
+    ("6^-2 3", None, (("psi", (3,), -1),)),
     # partial: what the atom leaves stays with the eulers
-    ("1^7 2^-2 3^-1", ("J", (1,), 2), (("psi", (1,), -1), ("euler", (3,), -1))),
+    ("1^5 3^-1", None, (("euler", (3,), -1), ("J", (1,), 1), ("euler", (1,), 2))),
 ]
 
 
@@ -255,31 +282,44 @@ def test_plan_theta_atoms(spec, seed, powers):
 
 
 @pytest.mark.parametrize("spec", ["2^5 7^-1", "3^5 7^-1", "2^5 11^-1", "3^5 11^-1"])
-def test_census_specs_take_no_theta_atom(spec):
-    # J(q^a) (q^a;q^a)^2 would cost a pass more than the one Miller power (q^a;q^a)^5
+def test_census_specs_seed_the_J_atom(spec):
+    # J(q^a) by a scatter and two passes of (q^a;q^a), in q^a, cost less than
+    # Miller's (q^a;q^a)^5 there; the division, into q itself, comes last
     a, m = (int(token.split("^")[0]) for token in spec.split())
-    assert ExpansionPlan.of(spec) == ExpansionPlan(("euler", (a,), 5), (("euler", (m,), -1),), ())
+    assert ExpansionPlan.of(spec) == ExpansionPlan(
+        ("J", (a,), 1), (("euler", (a,), 2), ("euler", (m,), -1)), ()
+    )
 
 
-@pytest.mark.parametrize(
-    "spec,seed",
-    [
-        ("2^5 7^-1", (2, 5)),
-        ("1^9 3^-13", (3, -13)),
-        ("2^10 1^-4 4^-5", (1, 2)),
-        ("2 5^-1", (2, 1)),
-        # Miller at n/3 coefficients beats a division at n
-        ("1^-1 3^-1", (3, -1)),
-        # in q itself Miller costs more than the division
-        ("1^-1", None),
-    ],
-)
+def test_plans_are_cached_per_parsed_spec():
+    spec = EtaQuotientSpec.parse("1^5 3^-1")
+    assert ExpansionPlan.of("1^5 3^-1") is ExpansionPlan.of(spec) is ExpansionPlan.of("1^5 3^-1")
+
+
+# ids: the names these cases had when the seed was pinned first
+@pytest.mark.parametrize("spec,seed", [
+    pytest.param("2^5 7^-1", (2, 1), id="2^5 7^-1-seed0"),
+    # Miller at n/3 coefficients beats 13 divisions at n/3
+    pytest.param("1^9 3^-13", (3, -13), id="1^9 3^-13-seed1"),
+    # 1/(q^4;q^4) at n/4 first, then phi(q)^2 strided; so too a division by (q^5;q^5)
+    pytest.param("2^10 1^-4 4^-5", None, id="2^10 1^-4 4^-5-seed2"),
+    pytest.param("2 5^-1", None, id="2 5^-1-seed3"),
+    # a division at n/3 costs less than Miller's power -1 at n/3
+    pytest.param("1^-1 3^-1", None, id="1^-1 3^-1-seed4"),
+    # in q itself Miller costs more than the division
+    pytest.param("1^-1", None, id="1^-1-None"),
+    # Miller's power -2 at n/3 beats two divisions at n/3
+    pytest.param("1^3 3^-2", (3, -2), id="1^3 3^-2-seed6"),
+])
 def test_seed_is_the_cheapest(monkeypatch, spec, seed):
-    """The seed that eta_quotient raises outright, as (step of its series, power)."""
+    """The seed that eta_quotient raises outright, as (step of its series, power).
+
+    The seed is raised in q^step, at 300 // step + 1 coefficients.
+    """
     seeds = []
 
     def recording(exps, cofs, k, n):
-        seeds.append((math.gcd(*exps), k))
+        seeds.append((300 // (n - 1), k))
         return pow_sparse(exps, cofs, k, n)
 
     monkeypatch.setattr(products, "pow_sparse", recording)
