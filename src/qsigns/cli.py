@@ -7,6 +7,10 @@ report to a file.  The exit status is 0 exactly when every verdict in
 the report passed, 1 on a failed verdict, 2 on usage or domain errors
 and on an unwritable ``--output``.
 
+The argument parser is built once per process, on the first `main`
+call, and every later call reuses it.  The handlers read this module's
+globals when they run.
+
 ``QSIGNS_PRECISION`` overrides the default expansion precision (2000)
 used by ``verify`` and ``detect`` when ``--T`` is not given.  No request
 may expand beyond ``MAX_PRECISION`` coefficients.
@@ -15,6 +19,7 @@ may expand beyond ``MAX_PRECISION`` coefficients.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -136,7 +141,7 @@ def _cmd_expand(args) -> Report:
 def _cmd_dissect(args) -> Report:
     T = _precision(args.T)
     check_quintuple(args.M, args.j, args.m)
-    # the reassembly check expands m components and the target, T + 1 terms each
+    # the size counts the m components the reassembly builds and the target's T + 1 coefficients
     _precision((args.m + 1) * (T + 1) - 1, "dissection size (m+1)*(T+1) - 1")
     expr = quintuple_components(args.M, args.j, args.m)
     target = quintuple_product(args.M, args.j, T)
@@ -333,8 +338,11 @@ def _error(exc: Exception) -> int:
     return 2
 
 
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         report = args.handler(args)
     except QSignsError as exc:

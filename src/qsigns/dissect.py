@@ -27,14 +27,10 @@ fractions and no floats anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
-from .products import (
-    _check_quintuple,
-    eta_quotient,
-    lambert_cubic,
-    pochhammer,
-    quintuple_product,
-)
+from .plan import quintuple_terms
+from .products import _check_quintuple, eta_quotient, lambert_cubic, pochhammer
 from .series import InvalidParameter, QSignsError, Series
 
 __all__ = [
@@ -241,18 +237,36 @@ def quintuple_components(M: int, j: int, m: int) -> DissectionExpression:
     return DissectionExpression(tuple(comps))
 
 
+def _component_terms(comp: DissectionComponent, precision: int):
+    """The (exponent, coefficient) terms of one component up to q^precision.
+
+    They are the terms of the quintuple product (period1, j) up to
+    precision - offset, shifted by the offset and signed; a component whose
+    offset is above precision has none.  Lazy, so `Series.from_terms`
+    checks the precision before any term is made.
+    """
+    limit = precision - comp.offset
+    if limit < 0:
+        return
+    exps, cofs = quintuple_terms(comp.period1, comp.j, limit)
+    for e, c in zip(exps, cofs):
+        yield e + comp.offset, comp.sign * c
+
+
 def component_series(comp: DissectionComponent, precision: int) -> Series:
     """Expand one dissection component: the quintuple product (period1, j), shifted and signed."""
-    shifted = quintuple_product(comp.period1, comp.j, precision).shift(comp.offset)
-    return -shifted if comp.sign < 0 else shifted
+    return Series.from_terms(_component_terms(comp, precision), precision)
 
 
 def assemble(expr: DissectionExpression, precision: int) -> Series:
-    """Sum all components; equals the target product when the dissection is exact."""
-    total = Series.zero(precision)
-    for comp in expr.components:
-        total = total + component_series(comp, precision)
-    return total
+    """Sum all components; equals the target product when the dissection is exact.
+
+    The sum is one sparse scatter of the components' terms, about
+    sqrt(precision) per component, into the precision + 1 coefficients.
+    """
+    return Series.from_terms(
+        chain.from_iterable(_component_terms(c, precision) for c in expr.components), precision
+    )
 
 
 # ----------------------------------------------------------------------

@@ -339,3 +339,36 @@ def test_golden_output_file_matches_stdout(capsys, monkeypatch, tmp_path):
     assert (code, out) == (1, b"")
     assert path.read_bytes() == golden_report(capsys, monkeypatch, "verify-fail", "json")[1]
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN["verify-fail", "json"][0]
+
+
+def test_one_parser_serves_a_sequence_of_calls(capsys, monkeypatch, tmp_path):
+    # every call parses with the process's one parser, and no flag of one
+    # call (format, output file, subcommand) carries over to the next
+    parser = cli._parser()
+    parses = []
+
+    def counted(argv=None, namespace=None):
+        parses.append(argv)
+        return type(parser).parse_args(parser, argv, namespace)
+
+    monkeypatch.setattr(parser, "parse_args", counted)
+    path = tmp_path / "dissect.csv"
+    code, out, _ = run(capsys, *GOLDEN_CASES["dissect"], "--format", "csv", "--output", str(path))
+    assert (hashlib.sha256(path.read_bytes()).hexdigest(), code) == GOLDEN["dissect", "csv"]
+    assert out == ""
+    code, out, _ = run(capsys, *GOLDEN_CASES["dissect"])
+    assert (hashlib.sha256(out.encode()).hexdigest(), code) == GOLDEN["dissect", "text"]
+    code, out, _ = run(capsys, *GOLDEN_CASES["verify-pass"], "--format", "json")
+    assert (hashlib.sha256(out.encode()).hexdigest(), code) == GOLDEN["verify-pass", "json"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["dissect", "--M", "7"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == "qsigns 0.1.0 (python kernels)\n"
+    code, out, _ = run(capsys, *GOLDEN_CASES["predict"])
+    assert (hashlib.sha256(out.encode()).hexdigest(), code) == GOLDEN["predict", "text"]
+    assert len(parses) == 6
+    assert cli._parser() is parser

@@ -1,5 +1,6 @@
 """Dissection components, reassembly oracles and the special 3- and 5-dissections."""
 
+import random
 from dataclasses import replace
 
 import pytest
@@ -22,7 +23,7 @@ from qsigns import (
 )
 from qsigns import dissect, products
 from qsigns.dissect import _candidate
-from qsigns.series import QSignsError
+from qsigns.series import MAX_PRECISION, QSignsError, Series
 
 MODULI = (2, 4, 5, 7, 8, 10, 11, 13)
 
@@ -84,6 +85,44 @@ def test_general_reassembly_with_equal_t_parameters():
     expr = quintuple_components(3, 1, 5)
     assert any(c.t1 == c.t2 for c in expr.components)
     assert assemble(expr, 150) == quintuple_product(3, 1, 150)
+
+
+def dense_sum(expr, precision):
+    """The reference reassembly: each component a dense series, shifted, signed and added."""
+    total = Series.zero(precision)
+    for comp in expr.components:
+        part = quintuple_product(comp.period1, comp.j, precision).shift(comp.offset)
+        total = total + (-part if comp.sign < 0 else part)
+    return total
+
+
+def test_sparse_assemble_matches_the_dense_sum():
+    rng = random.Random(20261018)
+    cases = [(qq_components(m), T) for m in MODULI for T in (0, 1, 37, 300)]
+    for _ in range(80):
+        M = rng.randrange(3, 16)
+        j = rng.randrange(1, (M + 1) // 2)
+        m = rng.choice([k for k in range(2, 30) if k % 3])
+        T = rng.choice((0, rng.randrange(1, 60), rng.randrange(60, 900)))
+        cases.append((quintuple_components(M, j, m), T))
+    assert any(c.offset > T for expr, T in cases for c in expr.components)
+    for expr, T in cases:
+        assert assemble(expr, T) == dense_sum(expr, T), (expr, T)
+        for comp in expr.components:
+            assert component_series(comp, T) == dense_sum(DissectionExpression((comp,)), T)
+
+
+def test_reassembly_checks_the_precision_before_making_terms(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("made terms past MAX_PRECISION")
+
+    monkeypatch.setattr(dissect, "quintuple_terms", refuse)
+    expr = qq_components(5)
+    for build in (lambda T: assemble(expr, T), lambda T: component_series(expr.components[0], T)):
+        with pytest.raises(InvalidParameter, match="exceeds the limit MAX_PRECISION"):
+            build(MAX_PRECISION + 1)
+        with pytest.raises(InvalidParameter, match="precision must be nonnegative"):
+            build(-1)
 
 
 def probe_sign_choice(M, j, m, precision=60):
