@@ -10,18 +10,29 @@ The sparse kernels take the nonzero terms of one operand as sorted
 exponent and coefficient lists, so their cost is O(n) per term rather
 than O(n) per coefficient: `mul_sparse` multiplies by a sparse series,
 `pow_sparse` raises one to any power and `div_sparse` divides by one, in
-a single pass each; the package uses no other kernel.  `mul_sparse` also
-takes its dense operand as a series in q^stride, and each term is one
-strided slice of the output updated by a C-level ``map``, so the loop
-the interpreter runs is over the terms only.  `mul_dense` and
-`invert_dense` are the schoolbook forms, kept as the slow references
-that the tests check `Series.__mul__`, `Series.power` and `Series.invert`
-against.
+a single pass each; the package uses no other kernel.
+
+* `mul_sparse` takes its dense operand as a series in q^stride and packs
+  it once into one integer of fixed-width slots (Kronecker
+  substitution), so each term is one big-integer shift-and-add done in
+  C; the sum is unpacked with ``array`` or ``int.from_bytes``.
+* `div_sparse` runs the quotient recurrence one block of coefficients at
+  a time.  Only the terms below the block length run per coefficient;
+  each farther term carries a final block into the right side of later
+  coefficients with one C-level ``map``.
+* `pow_sparse` runs Miller's recurrence, one interpreted loop per
+  coefficient over the terms.
+
+`mul_dense` and `invert_dense` are the schoolbook forms, kept as the slow
+references that the tests check `Series.__mul__`, `Series.power`,
+`Series.invert` and the sparse kernels against.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from itertools import repeat
 from operator import add, mul, sub
 
@@ -70,56 +81,147 @@ def invert_dense(xs: list, n: int) -> list:
 def mul_sparse(xs: list, exps: list, cofs: list, n: int, stride: int = 1) -> list:
     """Multiply xs, a series in q^stride, by the sparse polynomial sum(c*q^e), truncated.
 
-    The output is a dense list in q: out[e + stride*i] gets c*xs[i].  Each
-    term is one strided slice of the output, updated by a C-level map.
+    The output is a dense list in q: out[e + stride*i] gets c*xs[i].  xs
+    is packed once into one integer X = sum(xs[i] * 2^(W*i)) of W-bit
+    slots, and each residue r of the exponents mod stride is the integer
+    sum of c * X * 2^(W*s) over its terms e = r + stride*s, unpacked into
+    out[r::stride]: each term is one big-integer shift-and-add.
     """
     out = [0] * n
-    lx = len(xs)
-    for e, c in zip(exps, cofs):
-        hi = min(lx, (n - e + stride - 1) // stride)
-        if hi <= 0:
+    width = -(-n // stride)
+    xs = xs[:width]
+    live = [(e, c) for e, c in zip(exps, cofs) if e < n]
+    bound = max(map(abs, xs), default=0) * sum(abs(c) for _, c in live)
+    if not bound:
+        return out
+    # Why every slot is exact.  Each output coefficient is a sum of c*xs[i]
+    # over distinct live terms, so |out[j]| <= bound.  W is the least of 8,
+    # 16, 32 and 64 bits, or else the least multiple of 8, with
+    # bound < 2^(W-1), so out[j] + 2^(W-1) lies in [0, 2^W): one slot.
+    # Reading the packed biased xs as one integer and subtracting the bias
+    # gives sum_i xs[i] * 2^(W*i) exactly, and X is that mod 2^(W*width).
+    # Let n_r be the length of out[r::stride].  For a term c*q^e with
+    # e = r + stride*s, the copy X mod 2^(W*(n_r - s)) shifted up by s
+    # slots is congruent mod 2^(W*n_r) to sum_{i < n_r - s} xs[i] *
+    # 2^(W*(i + s)), which c times is the term's share of out[r::stride]
+    # packed the same way.  So the residue's sum Y is congruent mod
+    # 2^(W*n_r) to sum_j out[r + stride*j] * 2^(W*j), and (Y + bias) mod
+    # 2^(W*n_r), with 2^(W-1) in each slot of the bias, is the number whose
+    # slots are the biased coefficients, with no carry between them.
+    # Python ints keep every intermediate sum exact.
+    w = (bound.bit_length() + 8) // 8
+    w = next((size for size in _TYPECODES if size >= w), w)
+    bits = 8 * w
+    X = (int.from_bytes(_pack(xs, w), "little") - _bias(w, len(xs))) & ((1 << bits * width) - 1)
+    by_residue: list = [[] for _ in range(stride)]
+    for e, c in live:
+        by_residue[e % stride].append((e // stride, c))
+    for r, terms in enumerate(by_residue):
+        if not terms:
             continue
-        window = slice(e, e + stride * hi, stride)
-        if c == 1:
-            out[window] = map(add, out[window], xs)
-        elif c == -1:
-            out[window] = map(sub, out[window], xs)
-        else:
-            out[window] = map(add, out[window], map(mul, repeat(c, hi), xs))
+        n_r = len(range(r, n, stride))
+        full = (1 << bits * n_r) - 1
+        Y = 0
+        for s, c in terms:
+            t = (X & (full >> bits * s)) << bits * s
+            if c == 1:
+                Y += t
+            elif c == -1:
+                Y -= t
+            else:
+                Y += c * t
+        out[r::stride] = _unpack(((Y + _bias(w, n_r)) & full).to_bytes(w * n_r, "little"), w)
     return out
+
+
+# the slot widths in bytes that array packs, narrowest first, and a typecode of each
+_TYPECODES = {array(code).itemsize: code for code in "BHILQ"}
+_SWAP = sys.byteorder == "big"
+
+
+def _pack(xs: list, w: int) -> bytes:
+    """The slots x + 2^(8w-1) of xs as w-byte little-endian unsigned ints, x[0] first."""
+    half = 1 << (8 * w - 1)
+    code = _TYPECODES.get(w)
+    if code is None:
+        return b"".join([(x + half).to_bytes(w, "little") for x in xs])
+    slots = array(code, map(add, xs, repeat(half, len(xs))))
+    if _SWAP:
+        slots.byteswap()
+    return slots.tobytes()
+
+
+def _unpack(data: bytes, w: int) -> list:
+    """The inverse of `_pack`: each w-byte slot of data, less 2^(8w-1)."""
+    half = 1 << (8 * w - 1)
+    code = _TYPECODES.get(w)
+    if code is None:
+        return [int.from_bytes(data[i:i + w], "little") - half for i in range(0, len(data), w)]
+    slots = array(code)
+    slots.frombytes(data)
+    if _SWAP:
+        slots.byteswap()
+    return list(map(sub, slots, repeat(half, len(slots))))
+
+
+def _bias(w: int, k: int) -> int:
+    """2^(8w-1) in each of k slots of w bytes."""
+    return int.from_bytes((1 << (8 * w - 1)).to_bytes(w, "little") * k, "little")
+
+
+# the block length of div_sparse; 128 ran fastest of 32, 64, 128 and 256
+_BLOCK = 128
 
 
 def div_sparse(xs: list, exps: list, cofs: list, n: int) -> list:
     """Divide dense xs by a sparse polynomial, truncated to n terms.
 
     The divisor terms must be sorted by exponent with exps[0] == 0 and
-    cofs[0] in (1, -1), so the quotient recurrence stays integral.
+    cofs[0] in (1, -1), so the quotient recurrence stays integral.  The
+    quotient is found one block of _BLOCK coefficients at a time: terms
+    with exponent below _BLOCK run in the per-coefficient recurrence, and
+    once a block is final every farther term subtracts c times the block
+    from the right side of later blocks, one C-level map per term.
     """
     c0 = cofs[0] if exps and exps[0] == 0 else 0
     if c0 == 0:
         raise ValueError("div_sparse needs a nonzero constant term")
     if c0 not in (1, -1):
         raise ValueError(f"div_sparse cannot divide by constant term {c0}")
-    out = [0] * n
-    lx = len(xs)
-    nt = len(exps)
+    # out[k] holds the right side of coefficient k until the recurrence makes it final
+    out = xs[:n]
+    out += [0] * (n - len(out))
+    near = [(e, c) for e, c in zip(exps[1:], cofs[1:]) if e < _BLOCK]
+    far = [(e, c) for e, c in zip(exps[1:], cofs[1:]) if _BLOCK <= e < n]
     pos = c0 == 1
-    for k in range(n):
-        acc = xs[k] if k < lx else 0
-        for t in range(1, nt):
-            e = exps[t]
-            if e > k:
+    for b0 in range(0, n, _BLOCK):
+        b1 = min(b0 + _BLOCK, n)
+        for k in range(b0, b1):
+            acc = out[k]
+            for e, c in near:
+                if e > k:
+                    break
+                ye = out[k - e]
+                if ye:
+                    if c == 1:
+                        acc -= ye
+                    elif c == -1:
+                        acc += ye
+                    else:
+                        acc -= c * ye
+            out[k] = acc if pos else -acc
+        block = out[b0:b1]
+        for e, c in far:
+            lo = b0 + e
+            if lo >= n:
                 break
-            ye = out[k - e]
-            if ye:
-                c = cofs[t]
-                if c == 1:
-                    acc -= ye
-                elif c == -1:
-                    acc += ye
-                else:
-                    acc -= c * ye
-        out[k] = acc if pos else -acc
+            hi = min(b1 + e, n)
+            if c == 1:
+                out[lo:hi] = map(sub, out[lo:hi], block)
+            elif c == -1:
+                out[lo:hi] = map(add, out[lo:hi], block)
+            else:
+                out[lo:hi] = map(sub, out[lo:hi], map(mul, repeat(c, b1 - b0), block))
     return out
 
 

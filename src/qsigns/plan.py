@@ -44,20 +44,22 @@ raised to a power, and names the one to raise outright:
   multiplied or divided in once per unit of k.  The expansion runs in
   the coarsest variable q^d it can: d is the gcd of the steps of the
   series applied so far, so (q^i;q^i)/(q^p;q^p) divides by (q^p;q^p) at
-  T/p coefficients and then adds each term of (q^i;q^i) as one strided
-  slice.  Every order gives the same coefficients, since truncated
+  T/p coefficients and then multiplies by (q^i;q^i) straight into
+  every p-th coefficient (`mul_sparse` with a stride).  Every order gives the same coefficients, since truncated
   series over Z form a commutative ring, but not the same work: the
   estimate charges each pass |k| * work * n/d, at the step d the
   accumulator has when the pass runs, and Miller's pass over a series in
   q^s work * n/s, or 0 for a free scatter when k = 1.  It picks the seed
-  and the order together.  The work of a term is measured
-  (`_MUL`, `_DIV`, `_MILLER`): a division costs twice a multiplication,
+  and the order together.  The work of a term is weighted
+  (`_MUL`, `_DIV`, `_MILLER`, set from measurements of per-update
+  kernels): a division costs twice a multiplication,
   a term whose coefficient is not +-1 more again, and Miller's
   recurrence, which multiplies at every term, three times, or 3.5 times
   to a negative power.
 * **Binomial fallback.** Unpaired factors and factors with a > b stay
   binomials, multiplied or divided in one binomial 1-q^{a+kb} at a
-  time (`products._apply_factor`), which also serves the tests as the
+  time by slice arithmetic, with no kernel pass
+  (`products._apply_factor`), which also serves the tests as the
   reference expansion of any spec.
 """
 
@@ -370,12 +372,20 @@ _REFERENCE_T = 10_000
 # the work of one coefficient update by one term, in half the time of a
 # multiplication by a term +-1: a multiplication and a division by a term
 # +-1 and by any other term, and Miller's recurrence to a power k > 0 and
-# k < 0, which multiplies at every term.  The kernels alone measure, in
+# k < 0, which multiplies at every term.  They were set against kernels
+# that did one interpreted or map step per update, which measured, in
 # these units, 2 / 4.4, 4.8 / 6.4, 4 and 6.4 (Python 3.11, T = 1000 to
-# 10000, partition-sized coefficients).  Miller is set higher and a
-# division lower, so that the estimate picks the order that runs fastest
+# 10000, partition-sized coefficients); Miller is set higher and a
+# division lower, so that the estimate picks the order that ran fastest
 # for the census and catalog quotients: after a division every later
 # pass works on large coefficients, which the kernel ratios leave out.
+# A multiplication is now one big-integer shift-and-add per term, whose
+# cost grows with the size of the coefficients.  The same measurement
+# now reads 2 / 2.9-3.9, 2.5-5 / 4.7-8.7, 4.1-7.8 and 6.3-10.7 on
+# partition-sized coefficients (105 to 354 bits), and 2 / 2.9-3.2,
+# 13.5-19.7 / 17-28, 27-43 and 37-63 on coefficients under 10 bits: the
+# weights, kept so that every plan stays as it was, overprice a
+# multiplication against a division and Miller's recurrence.
 _MUL, _DIV = (2, 4), (4, 6)
 _MILLER, _MILLER_NEGATIVE = 6, 7
 

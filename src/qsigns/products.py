@@ -8,10 +8,12 @@ the plan's seed to its power in one pass of Miller's recurrence
 (`pow_sparse`) in the seed's own step, or else starts from 1 in the step
 of the first power.  It then multiplies or divides in each power once
 per unit, in the plan's order: a power in a coarser q^{d'} runs at
-T/d + 1 coefficients, a multiplication into a finer lattice is one
-strided scatter (`mul_sparse` with a stride), and a division into one
+T/d + 1 coefficients, a multiplication into a finer lattice writes
+straight into it (`mul_sparse` with a stride), and a division into one
 first spreads the accumulator onto it.  At the end it spreads the result
-onto q and applies the binomials one at a time (`_apply_factor`).
+onto q and applies the binomials one at a time (`_apply_factor`), with
+no kernel: 1 - q^e is one slice subtraction, and its inverse, the
+product of 1 + q^(e*2^j), about log2(T/e) slice additions.
 Every sparse series comes from its term generator in `plan.FORMS`.
 `qsigns.plan` also holds the spec grammar and the sparse closed forms.
 """
@@ -19,6 +21,7 @@ Every sparse series comes from its term generator in `plan.FORMS`.
 from __future__ import annotations
 
 import math
+from operator import add, sub
 
 from ._backend import div_sparse, mul_sparse, pow_sparse
 from .plan import (
@@ -55,7 +58,13 @@ __all__ = [
 # ----------------------------------------------------------------------
 
 def _apply_factor(cur: list, a: int, b: int, delta: int, n: int) -> list:
-    """Multiply cur by (q^a;q^b)^delta, truncated to n coefficients."""
+    """Multiply cur, a list of n coefficients, by (q^a;q^b)^delta, truncated to n.
+
+    With a == b the factor is a pentagonal series, one sparse pass per
+    unit of delta.  Otherwise each binomial 1 - q^e is one slice
+    subtraction, and its inverse 1/(1 - q^e) = prod_{j>=0} (1 + q^(e*2^j))
+    one slice addition per factor below q^n.
+    """
     if delta == 0:
         return cur
     reps, divide = abs(delta), delta < 0
@@ -63,13 +72,17 @@ def _apply_factor(cur: list, a: int, b: int, delta: int, n: int) -> list:
         exps, cofs = pentagonal_terms(b, n - 1)
         for _ in range(reps):
             cur = div_sparse(cur, exps, cofs, n) if divide else mul_sparse(cur, exps, cofs, n)
-    else:
-        for _ in range(reps):
-            for e in range(a, n, b):
-                if divide:
-                    cur = div_sparse(cur, [0, e], [1, -1], n)
-                else:
-                    cur = mul_sparse(cur, [0, e], [1, -1], n)
+        return cur
+    cur = list(cur)
+    for _ in range(reps):
+        for e in range(a, n, b):
+            if divide:
+                s = e
+                while s < n:
+                    cur[s:] = map(add, cur[s:], cur[:n - s])
+                    s *= 2
+            else:
+                cur[e:] = map(sub, cur[e:], cur[:n - e])
     return cur
 
 

@@ -206,24 +206,39 @@ def predict_quotient_pattern(p: int, i: int) -> SignCertificate:
     )
 
 
+# whether a whole residue window of coefficients has the class's sign
+_holds = {
+    SignClass.POS: lambda window: min(window) > 0,
+    SignClass.NEG: lambda window: max(window) < 0,
+    SignClass.ZERO: lambda window: not any(window),
+    SignClass.MIXED: lambda window: True,
+}
+
+
 def verify_pattern(series: Series, pattern: SignPattern, horizon: int) -> PatternReport:
-    """Check every coefficient sign in (onset, horizon] against the pattern."""
+    """Check every coefficient sign in (onset, horizon] against the pattern.
+
+    Each residue class is checked whole, and walked term by term only
+    when it fails, to list its violations.
+    """
     if horizon > series.precision:
         raise BeyondPrecision(
             f"horizon {horizon} beyond series precision {series.precision}"
         )
     cs = series.coefficients
-    classes = pattern.classes
     m = pattern.modulus
+    start = max(0, pattern.onset + 1)
     violations = []
-    for n in range(max(0, pattern.onset + 1), horizon + 1):
-        cls = classes[n % m]
-        if cls is SignClass.MIXED:
+    for r, cls in enumerate(pattern.classes):
+        first = start + (r - start) % m
+        window = cs[first:horizon + 1:m]
+        if not window or _holds[cls](window):
             continue
-        c = cs[n]
-        sign = (c > 0) - (c < 0)
-        if not cls.matches(sign):
-            violations.append((n, cls, sign))
+        for n, c in zip(range(first, horizon + 1, m), window):
+            sign = (c > 0) - (c < 0)
+            if not cls.matches(sign):
+                violations.append((n, cls, sign))
+    violations.sort(key=lambda v: v[0])
     return PatternReport(pattern=pattern, horizon=horizon, violations=tuple(violations))
 
 

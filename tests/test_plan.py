@@ -9,7 +9,7 @@ from qsigns import EtaQuotientSpec, Series, corpus, eta_quotient, pattern_catalo
 from qsigns import quintuple_components
 from qsigns import quintuple_product
 from qsigns import products, ramanujan5, three_dissection_qq
-from qsigns._backend import div_sparse, mul_dense, mul_sparse, pow_sparse
+from qsigns._backend import _BLOCK, div_sparse, invert_dense, mul_dense, mul_sparse, pow_sparse
 from qsigns.dissect import component_series
 from qsigns.plan import (
     FORMS,
@@ -81,6 +81,45 @@ def test_pow_sparse_short_and_degenerate():
         pow_sparse([0, 1], [3, 1], -1, 4)
 
 
+def _slot_edge_calls(rng):
+    """mul_sparse calls whose bound max|xs| * sum|c| over the live terms is
+    2^(W-1) - 1 or 2^(W-1), for the slot widths W = 8, 16, 32, 64 and 72,
+    and whose output reaches +-bound.
+
+    The live terms share one residue mod the stride, and xs is a run of
+    +X then a run of -X, longer than the terms' span, so every live term
+    meets the same value at some output coefficient of each run.
+    """
+    for width in (8, 16, 32, 64, 72):
+        for bound in (2 ** (width - 1) - 1, 2 ** (width - 1)):
+            if bound % 2:
+                X = rng.choice((1, bound))
+            else:
+                X = 2 ** rng.randint(0, width - 1)
+            total = bound // X
+            cuts = sorted({rng.randint(1, total - 1) for _ in range(3)}) if total > 1 else []
+            weights = [b - a for a, b in zip([0, *cuts], [*cuts, total])]
+            stride, r, sign = rng.randint(1, 5), rng.randint(0, 4), rng.choice((1, -1))
+            r %= stride
+            length = rng.randint(12, 40)
+            exps = sorted(r + stride * s for s in rng.sample(range(length // 3), len(weights)))
+            n = r + stride * (length - 1) + 1
+            # a term beyond the output, which does not count toward the bound
+            exps.append(n + rng.randint(0, 9))
+            cofs = [sign * w for w in weights] + [rng.randint(-(10**30), 10**30)]
+            xs = [X] * (length // 2) + [-X] * (length - length // 2)
+            yield xs, exps, cofs, n, stride, bound
+
+
+def _dense_product(xs, exps, cofs, n, stride):
+    """mul_dense of xs spread onto q^stride by the dense form of the sparse terms."""
+    dilated, ys = [0] * n, [0] * (exps[-1] + 1)
+    dilated[: stride * len(xs): stride] = xs[: (n - 1) // stride + 1]
+    for e, c in zip(exps, cofs):
+        ys[e] = c
+    return mul_dense(dilated, ys, n)
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_strided_mul_sparse_matches_mul_dense(seed):
     """mul_sparse of a series in q^stride against mul_dense of that series spread onto q."""
@@ -91,11 +130,53 @@ def test_strided_mul_sparse_matches_mul_dense(seed):
         xs = [rng.randint(-bound, bound) for _ in range(rng.randint(1, (n - 1) // stride + 1))]
         exps = sorted(rng.sample(range(n + 20), rng.randint(1, 10)))
         cofs = [rng.choice((1, -1, rng.choice((-1, 1)) * rng.randint(2, bound + 2))) for _ in exps]
-        dilated, ys = [0] * n, [0] * (exps[-1] + 1)
-        dilated[: stride * len(xs): stride] = xs
-        for e, c in zip(exps, cofs):
-            ys[e] = c
-        assert mul_sparse(xs, exps, cofs, n, stride) == mul_dense(dilated, ys, n), (stride, n)
+        if rng.random() < 0.1:
+            xs = [0] * len(xs)
+        assert mul_sparse(xs, exps, cofs, n, stride) == _dense_product(xs, exps, cofs, n, stride), (stride, n)
+    for xs, exps, cofs, n, stride, bound in _slot_edge_calls(rng):
+        out = mul_sparse(xs, exps, cofs, n, stride)
+        assert out == _dense_product(xs, exps, cofs, n, stride), (stride, n, bound)
+        assert (max(out), min(out)) == (bound, -bound), (stride, n, bound)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_div_sparse_matches_mul_dense_by_invert_dense(seed):
+    """div_sparse against the schoolbook product of xs and the inverse of the divisor,
+    at output lengths around the block length and with terms on both sides of it."""
+    rng = random.Random(seed)
+    B = _BLOCK
+    for n in (B - 1, B, B + 1, 2 * B + 1):
+        for _ in range(6):
+            exps = sorted({0, B - 1, B, n, n + rng.randint(1, 9), *rng.sample(range(1, 2 * B + 9), 12)})
+            big = rng.choice((9, 10**40))
+            cofs = [rng.choice((1, -1))]
+            cofs += [rng.choice((1, -1, rng.choice((-1, 1)) * rng.randint(2, big))) for _ in exps[1:]]
+            divisor = [0] * (exps[-1] + 1)
+            for e, c in zip(exps, cofs):
+                divisor[e] = c
+            xs = [rng.randint(-big, big) for _ in range(rng.randint(1, n + 5))]
+            expected = mul_dense(xs, invert_dense(divisor, n), n)
+            assert div_sparse(xs, exps, cofs, n) == expected, n
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_binomial_factors_match_dense_oracle(seed):
+    """_apply_factor with a != b against mul_dense by each dense 1 - q^e, or by invert_dense of it."""
+    rng = random.Random(seed)
+    for _ in range(60):
+        n, a, b = rng.randint(1, 80), rng.randint(1, 12), rng.randint(1, 12)
+        if a == b:
+            b += 1
+        delta = rng.choice((-3, -2, -1, 1, 2, 3))
+        cur = [rng.randint(-(10**12), 10**12) for _ in range(n)]
+        expected = cur
+        for _ in range(abs(delta)):
+            for e in range(a, n, b):
+                binomial = [1] + [0] * (e - 1) + [-1]
+                expected = mul_dense(expected, invert_dense(binomial, n) if delta < 0 else binomial, n)
+        before = list(cur)
+        assert products._apply_factor(cur, a, b, delta, n) == expected, (a, b, delta, n)
+        assert cur == before
 
 
 def test_div_sparse_rejects_a_divisor_without_a_unit_constant_term():

@@ -1,5 +1,7 @@
 """Sign-pattern prediction, verification, detection, census, catalog, corpus."""
 
+import random
+
 import pytest
 
 from qsigns import (
@@ -79,6 +81,23 @@ def test_wrong_pattern_fails_at_zero():
     report = verify_pattern(series, wrong, 50)
     assert not report.passed
     assert report.first_violation[0] == 0
+
+
+def test_verify_matches_a_term_by_term_walk():
+    """Residue-at-a-time verification lists the violations the one-coefficient walk finds, in order."""
+    rng = random.Random(0)
+    for _ in range(300):
+        horizon = rng.randint(0, 60)
+        series = Series([rng.choice((-2, -1, 0, 0, 1, 3)) * rng.randint(0, 1) for _ in range(horizon + 1)])
+        classes = "".join(rng.choice("+-0?") for _ in range(rng.randint(1, 9)))
+        pattern = SignPattern.from_string(classes, onset=rng.randint(-1, horizon + 2))
+        expected = []
+        for n in range(pattern.onset + 1, horizon + 1):
+            cls, c = pattern.classes[n % pattern.modulus], series.coefficients[n]
+            sign = (c > 0) - (c < 0)
+            if not cls.matches(sign):
+                expected.append((n, cls, sign))
+        assert verify_pattern(series, pattern, horizon).violations == tuple(expected)
 
 
 def test_verify_beyond_precision():
