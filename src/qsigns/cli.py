@@ -23,6 +23,7 @@ import functools
 import json
 import os
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from . import __version__
@@ -74,7 +75,8 @@ class Report:
 
     csv prints ``columns`` and every row; json prints the request echo,
     ``fields`` and, under ``key``, at most ``cap`` rows as objects; text
-    prints ``lines``.  ``passed`` decides the exit status.
+    prints the lines that ``lines()`` builds, which no other format calls.
+    ``passed`` decides the exit status.
     """
 
     spec: str | None
@@ -82,7 +84,7 @@ class Report:
     horizon: int | None
     columns: tuple[str, ...]
     rows: list[tuple]
-    lines: list[str]
+    lines: Callable[[], list[str]]
     passed: bool = True
     fields: dict = field(default_factory=dict)
     key: str | None = None
@@ -120,7 +122,7 @@ def _render(report: Report, command: str, fmt: str) -> str:
             for row in report.rows
         ]
     else:
-        lines = report.lines
+        lines = report.lines()
     return "\n".join(lines) + "\n"
 
 
@@ -134,7 +136,7 @@ def _cmd_expand(args) -> Report:
     coefficients = eta_quotient(spec, T).coefficients
     rows = list(enumerate(coefficients))
     return Report(str(spec), {"T": T}, T, ("n", "coefficient"), rows,
-                  [f"{n}\t{c}" for n, c in rows],
+                  lambda: [f"{n}\t{c}" for n, c in rows],
                   fields={"coefficients": list(coefficients)})
 
 
@@ -149,8 +151,11 @@ def _cmd_dissect(args) -> Report:
     columns = ("r", "sign_exp", "offset", "t1", "t2", "period1", "period2")
     rows = [(c.r, c.sign_exp, c.offset, c.t1, c.t2, c.period1, c.period2)
             for c in expr.components]
-    lines = [f"dissection of quintuple product (M={args.M}, j={args.j}) mod {args.m}",
-             *_table(columns, rows), f"reassembly at T={T}: {_verdict(ok)}"]
+
+    def lines():
+        return [f"dissection of quintuple product (M={args.M}, j={args.j}) mod {args.m}",
+                *_table(columns, rows), f"reassembly at T={T}: {_verdict(ok)}"]
+
     return Report(None, {"M": args.M, "j": args.j, "m": args.m, "T": T}, T, columns, rows,
                   lines, ok, {"reassembly": ok}, key="components")
 
@@ -161,11 +166,14 @@ def _residue_classes(pattern) -> list[tuple]:
 
 def _cmd_predict(args) -> Report:
     cert = predict_quotient_pattern(args.p, args.i)
-    lines = [
-        f"quotient: (q^{args.i};q^{args.i}) / (q^{args.p};q^{args.p})",
-        f"pattern:  {cert.pattern.class_string}",
-        f"onset:    {cert.onset} (holds for n >= {cert.onset + 1})",
-    ]
+
+    def lines():
+        return [
+            f"quotient: (q^{args.i};q^{args.i}) / (q^{args.p};q^{args.p})",
+            f"pattern:  {cert.pattern.class_string}",
+            f"onset:    {cert.onset} (holds for n >= {cert.onset + 1})",
+        ]
+
     fields = {
         "pattern": cert.pattern.class_string,
         "onset": cert.onset,
@@ -183,13 +191,16 @@ def _cmd_verify(args) -> Report:
     spec_text = args.spec if args.spec else f"{args.i}^1 {args.p}^-1"
     report = verify_pattern(eta_quotient(spec_text, horizon), cert.pattern, horizon)
     rows = [(n, cls.value, s) for n, cls, s in report.violations]
-    lines = [
-        f"spec:    {spec_text}",
-        f"pattern: {cert.pattern.class_string}",
-        f"onset:   {cert.onset}",
-        f"verify to T={horizon}: {_verdict(report.passed)}",
-    ]
-    lines += [f"  violation at n={n}: expected {e}, sign {s}" for n, e, s in rows[:5]]
+
+    def lines():
+        return [
+            f"spec:    {spec_text}",
+            f"pattern: {cert.pattern.class_string}",
+            f"onset:   {cert.onset}",
+            f"verify to T={horizon}: {_verdict(report.passed)}",
+            *[f"  violation at n={n}: expected {e}, sign {s}" for n, e, s in rows[:5]],
+        ]
+
     fields = {"pattern": cert.pattern.class_string, "onset": cert.onset,
               "passed": report.passed}
     return Report(spec_text, {"p": args.p, "i": args.i, "T": horizon}, horizon,
@@ -202,11 +213,14 @@ def _cmd_detect(args) -> Report:
     _check_positive(("--m", args.m))
     horizon = _precision(args.T)
     pattern = detect_pattern(eta_quotient(spec, horizon), args.m, horizon)
-    lines = [
-        f"spec:    {args.spec}",
-        f"pattern: {pattern.class_string} (empirical, horizon {horizon})",
-        f"onset:   {pattern.onset}",
-    ]
+
+    def lines():
+        return [
+            f"spec:    {args.spec}",
+            f"pattern: {pattern.class_string} (empirical, horizon {horizon})",
+            f"onset:   {pattern.onset}",
+        ]
+
     fields = {"pattern": pattern.class_string, "onset": pattern.onset, "empirical": True}
     return Report(str(spec), {"m": args.m, "T": horizon}, horizon, ("residue", "class"),
                   _residue_classes(pattern), lines, fields=fields)
@@ -219,8 +233,11 @@ def _cmd_census(args) -> Report:
     counts = sign_census(eta_quotient(spec, precision), args.m, args.K)
     columns = ("residue", "negative", "zero", "positive")
     rows = [(r, *triple) for r, triple in enumerate(counts)]
-    lines = [f"sign census of {args.spec} mod {args.m}, {args.K} terms per class",
-             *_table(columns, rows, pad=True)]
+
+    def lines():
+        return [f"sign census of {args.spec} mod {args.m}, {args.K} terms per class",
+                *_table(columns, rows, pad=True)]
+
     return Report(str(spec), {"m": args.m, "K": args.K}, precision, columns, rows, lines,
                   key="rows")
 
@@ -228,8 +245,11 @@ def _cmd_census(args) -> Report:
 def _checklist(columns, rows, row_text, summary, parameters, horizon, key) -> Report:
     """A PASS/FAIL line per row, whose last value is its verdict, and a summary verdict."""
     passed = all(row[-1] for row in rows)
-    lines = [f"{_verdict(row[-1])}  {row_text.format(*row)}" for row in rows]
-    lines.append(f"{summary}: {_verdict(passed)}")
+
+    def lines():
+        return [*(f"{_verdict(row[-1])}  {row_text.format(*row)}" for row in rows),
+                f"{summary}: {_verdict(passed)}"]
+
     return Report(None, parameters, horizon, columns, rows, lines, passed,
                   {"passed": passed}, key=key)
 

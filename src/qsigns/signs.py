@@ -288,7 +288,8 @@ def sign_census(
     """Count (negative, zero, positive) coefficients per residue class.
 
     Residue r scans the ``terms_per_class`` exponents r, r+m, ...,
-    r+(K-1)m, so the series must reach m*K - 1.
+    r+(K-1)m, so the series must reach m*K - 1.  Each class is counted
+    from its slice, zeros and positives by C-level counts.
     """
     if modulus < 1 or terms_per_class < 1:
         raise InvalidParameter("modulus and terms_per_class must be positive")
@@ -300,16 +301,9 @@ def sign_census(
     cs = series.coefficients
     rows = []
     for r in range(modulus):
-        neg = zero = pos = 0
-        for k in range(terms_per_class):
-            c = cs[r + k * modulus]
-            if c < 0:
-                neg += 1
-            elif c == 0:
-                zero += 1
-            else:
-                pos += 1
-        rows.append((neg, zero, pos))
+        row = cs[r:need + 1:modulus]
+        zero, pos = row.count(0), sum(map((0).__lt__, row))
+        rows.append((terms_per_class - zero - pos, zero, pos))
     return rows
 
 

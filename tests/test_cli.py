@@ -326,6 +326,25 @@ def test_golden_report(capsys, monkeypatch, case, fmt):
     assert (hashlib.sha256(out).hexdigest(), code) == GOLDEN[case, fmt]
 
 
+@pytest.mark.parametrize("case", sorted({case for case, _ in GOLDEN} - {"domain-error"}))
+def test_only_text_reports_build_their_lines(capsys, monkeypatch, case):
+    """csv and json never call a report's lines(); text calls it once; every digest holds."""
+    built = []
+    make_report = cli.Report
+
+    def counting_report(*args, **kwargs):
+        report = make_report(*args, **kwargs)
+        lines = report.lines
+        report.lines = lambda: built.append(case) or lines()
+        return report
+
+    monkeypatch.setattr(cli, "Report", counting_report)
+    for fmt in ("csv", "json", "text"):
+        code, out = golden_report(capsys, monkeypatch, case, fmt)
+        assert (hashlib.sha256(out).hexdigest(), code) == GOLDEN[case, fmt]
+        assert len(built) == (fmt == "text"), fmt
+
+
 def test_golden_precision_from_environment(capsys, monkeypatch):
     monkeypatch.setenv("QSIGNS_PRECISION", "300")
     code, out, _ = run(capsys, "verify", "--p", "7", "--i", "2", "--format", "json")

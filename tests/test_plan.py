@@ -9,7 +9,8 @@ from qsigns import EtaQuotientSpec, Series, corpus, eta_quotient, pattern_catalo
 from qsigns import quintuple_components
 from qsigns import quintuple_product
 from qsigns import products, ramanujan5, three_dissection_qq
-from qsigns._backend import _BLOCK, div_sparse, invert_dense, mul_dense, mul_sparse, pow_sparse
+from qsigns import _backend
+from qsigns._backend import _BLOCK, _PACK_MIN, div_sparse, invert_dense, mul_dense, mul_sparse, pow_sparse
 from qsigns.dissect import component_series
 from qsigns.plan import (
     FORMS,
@@ -151,12 +152,100 @@ def test_div_sparse_matches_mul_dense_by_invert_dense(seed):
             big = rng.choice((9, 10**40))
             cofs = [rng.choice((1, -1))]
             cofs += [rng.choice((1, -1, rng.choice((-1, 1)) * rng.randint(2, big))) for _ in exps[1:]]
-            divisor = [0] * (exps[-1] + 1)
-            for e, c in zip(exps, cofs):
-                divisor[e] = c
             xs = [rng.randint(-big, big) for _ in range(rng.randint(1, n + 5))]
-            expected = mul_dense(xs, invert_dense(divisor, n), n)
-            assert div_sparse(xs, exps, cofs, n) == expected, n
+            assert div_sparse(xs, exps, cofs, n) == _dense_quotient(xs, exps, cofs, n), n
+
+
+def _dense_quotient(xs, exps, cofs, n):
+    """mul_dense of xs by invert_dense of the dense form of the sparse divisor."""
+    divisor = [0] * (exps[-1] + 1)
+    for e, c in zip(exps, cofs):
+        divisor[e] = c
+    return mul_dense(xs, invert_dense(divisor, n), n)
+
+
+def _lattice_divisions(rng, d):
+    """div_sparse calls whose divisor lives in q^d: n below d, a multiple of d or
+    not; xs shorter or longer than n, all zero, in one residue class mod d, in
+    some or in all; c0 = +-1, non-unit terms, terms at and past n; xs up to 10^40.
+    The first call at d = _PACK_MIN packs every class at more than 2 * _BLOCK
+    coefficients in y, so that the packed recurrence has far terms and the
+    quotient is decoded in more than one block."""
+    for i in range(12):
+        first = d == _PACK_MIN and i == 0
+        m = 2 * _BLOCK + 1 if first else rng.choice((1, 2, rng.randint(3, 24), 12))
+        n = d * m - rng.choice((0, rng.randint(0, d - 1)))
+        if rng.random() < 0.15 and not first:
+            n = rng.randint(1, d)
+        exps = sorted({0, d, *(d * rng.randint(1, m + 2) for _ in range(rng.randint(0, 5 + 4 * first)))})
+        exps = sorted({*exps, n, n + rng.randint(1, 9)} if rng.random() < 0.5 else exps)
+        big = rng.choice((9, 10**40))
+        cofs = [rng.choice((1, -1))]
+        cofs += [rng.choice((1, -1, rng.choice((-1, 1)) * rng.randint(2, 9))) for _ in exps[1:]]
+        xs = [rng.randint(-big, big) for _ in range(rng.randint(1, n + 2 * d))]
+        kept = "all" if first else rng.choice(("all", "some", "one", "none"))
+        if kept != "all":
+            classes = {rng.randrange(d)} if kept == "one" else set(rng.sample(range(d), rng.randint(1, d)))
+            xs = [x if kept != "none" and i % d in classes else 0 for i, x in enumerate(xs)]
+        yield xs, exps, cofs, n
+
+
+def _slot_edge_divisions(rng):
+    """div_sparse calls by c0 * (1 - c*q^d), every residue class mod d nonzero, whose slot
+    bound max_r ||x_r||_1 * max_i |g_i| is 2^(W-1) - 1 or 2^(W-1) for W = 8, 16, 32, 64
+    and 72, where g = 1/(c0 - c0*c*y), and whose quotient reaches +-bound.
+
+    With c = 2, |g_i| = 2^i and class 0 is X * q^0, so its quotient reaches
+    X * 2^(m-1) = bound at its last coefficient; with c = 1, g_i = c0 and class 0
+    is positive, so its quotient's last coefficient is c0 times its sum, the bound.
+    Every other class is a single +-1.
+    """
+    for width in (8, 16, 32, 64, 72):
+        for bound in (2 ** (width - 1) - 1, 2 ** (width - 1)):
+            d, m = rng.randint(_PACK_MIN, 13), rng.randint(3, min(40, width))
+            n = d * (m - 1) + rng.randint(1, d)
+            c0 = rng.choice((1, -1))
+            if bound % 2:
+                c = 1
+                cuts = sorted({rng.randint(1, bound - 1) for _ in range(min(m - 1, 3))})
+                head = [b - a for a, b in zip([0, *cuts], [*cuts, bound])]
+                head += [0] * (m - len(head))
+                rng.shuffle(head)
+            else:
+                c = 2
+                head = [bound >> (m - 1)] + [0] * (m - 1)
+            xs = [0] * n
+            xs[::d] = head
+            for r in range(1, d):
+                xs[r + d * rng.randrange(len(range(r, n, d)))] = rng.choice((1, -1))
+            # a divisor term past the output, which does not count toward the bound
+            exps, cofs = [0, d, n + rng.randint(0, 9)], [c0, -c0 * c, rng.randint(-(10**30), 10**30)]
+            yield xs, exps, cofs, n, bound
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_div_sparse_in_q_d_matches_mul_dense_by_invert_dense(seed, monkeypatch):
+    """div_sparse by divisors in q^d, d = 2..13, each residue class on its own or all
+    packed in one pass, against the schoolbook product of xs and the divisor's inverse."""
+    packed = []
+
+    def count(out, rows, classes, terms, c0):
+        packed.append((len(classes), len(rows[0])))
+        return divide_packed(out, rows, classes, terms, c0)
+
+    divide_packed = _backend._divide_packed
+    monkeypatch.setattr(_backend, "_divide_packed", count)
+    rng = random.Random(seed)
+    for d in range(2, 14):
+        for xs, exps, cofs, n in _lattice_divisions(rng, d):
+            assert div_sparse(xs, exps, cofs, n) == _dense_quotient(xs, exps, cofs, n), (d, n)
+    assert len(packed) >= 20 and min(packed)[0] == _PACK_MIN and max(m for _, m in packed) > 2 * _BLOCK
+    packed.clear()
+    for xs, exps, cofs, n, bound in _slot_edge_divisions(rng):
+        out = div_sparse(xs, exps, cofs, n)
+        assert out == _dense_quotient(xs, exps, cofs, n), (n, bound)
+        assert max(map(abs, out)) == bound, (n, bound)
+    assert len(packed) == 10
 
 
 @pytest.mark.parametrize("seed", [0, 1])

@@ -167,6 +167,29 @@ def test_census_small_quotient():
     ]
 
 
+def test_census_matches_a_term_by_term_walk():
+    """Counting each residue class from its slice agrees with the one-coefficient walk."""
+    rng = random.Random(0)
+    for _ in range(300):
+        modulus, K = rng.randint(1, 13), rng.randint(1, 30)
+        big = rng.choice((3, 10**40))
+        coefficients = [rng.choice((-1, 0, 0, 1)) * rng.randint(1, big)
+                        for _ in range(modulus * K + rng.randint(0, 20))]
+        expected = []
+        for r in range(modulus):
+            neg = zero = pos = 0
+            for k in range(K):
+                c = coefficients[r + k * modulus]
+                if c < 0:
+                    neg += 1
+                elif c == 0:
+                    zero += 1
+                else:
+                    pos += 1
+            expected.append((neg, zero, pos))
+        assert sign_census(Series(coefficients), modulus, K) == expected, (modulus, K)
+
+
 def test_census_needs_enough_precision():
     with pytest.raises(BeyondPrecision):
         sign_census(Series.one(10), 3, 10)
