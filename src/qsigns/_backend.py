@@ -17,15 +17,17 @@ a single pass each; the package uses no other kernel.
   substitution), so each term is one big-integer shift-and-add done in
   C; the sum is unpacked with ``array`` or ``int.from_bytes``.
 * `div_sparse` divides in the divisor's own variable y = q^d.  Each
-  residue class of the dividend mod d is a series in y; classes that are
-  all zero are skipped, and from `_PACK_MIN` nonzero classes on they are
-  packed as the slots of one integer per power of y, so one pass of the
-  recurrence at n/d coefficients divides them all.  The slot width comes
-  from an exact bound that needs 1/divisor at n/d coefficients.  The
-  recurrence runs one block of coefficients at a time.  Only the terms
-  below the block length run per coefficient; each farther term carries
-  a final block into the right side of later coefficients with one
-  C-level ``map``.
+  residue class of the dividend mod d is a series in y.  When few
+  classes are nonzero, each of those is divided on its own.  When most
+  are, and d is at most `_PACK_MAX`, all d classes are packed as the
+  slots of one integer per power of y, read from contiguous slices, so
+  one pass of the recurrence at n/d coefficients divides them all; the
+  slot width comes from an exact bound that needs 1/divisor at n/d
+  coefficients.  Past `_PACK_MAX` a dividend with `_PACK_MIN` or more
+  nonzero classes is divided in q.  The recurrence runs one block of
+  coefficients at a time.  Only the terms below the block length run
+  per coefficient; each farther term carries a final block into the
+  right side of later coefficients with one C-level ``map``.
 * `pow_sparse` runs Miller's recurrence, one interpreted loop per
   coefficient over the terms.
 
@@ -39,8 +41,8 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from itertools import repeat
-from operator import add, lshift, mul, sub
+from itertools import islice, repeat
+from operator import add, mul, sub
 
 
 def mul_dense(xs: list, ys: list, n: int) -> list:
@@ -177,27 +179,38 @@ def _bias(w: int, k: int) -> int:
 # the block length of the division recurrence; 128 ran fastest of 32, 64, 128 and 256
 _BLOCK = 128
 
-# the fewest nonzero residue classes that div_sparse packs into one pass.
-# Dividing (q;q)^k at 14,000 coefficients by (q^d;q^d), all d classes
-# nonzero, the packed pass took 1.45 times as long as d divisions one
-# class at a time at d = 2, 0.81-1.14 at d = 3, 0.66-0.90 at d = 4 and
-# 0.41-0.85 at d = 5-13 (medians of 9 alternating runs; k = 5, 1, -2).
+# when div_sparse packs the residue classes mod d into one pass: from
+# _PACK_MIN nonzero classes, when more than half of the d classes are
+# nonzero and d is at most _PACK_MAX.  Measured by dividing (q;q)^k at
+# 14,000 coefficients by (q^d;q^d), k = 5, 1 and -2, medians of 7 to 9
+# alternating runs.  With every class nonzero, the packed pass took 1.28-
+# 1.74 times as long as d divisions one class at a time at d = 2, 0.78-
+# 1.20 at d = 3, 0.80-0.96 at d = 4 and 0.47-1.04 at d = 5-13.  Against
+# the plain division in q it took 0.40-0.95 times as long at d = 13-32,
+# 0.31-1.18 at d = 50-64 and 0.36-2.73 at d = 100-500, the highest for
+# k = -2, whose wide coefficients widen every slot.  With only 4 of 8,
+# 4 of 13 or 4 of 50 classes nonzero, packing all d took 0.91-1.32,
+# 1.34-1.50 and 4.1-5.3 times as long as the nonzero classes one at a
+# time; with 7 of 13, 0.73-1.15.
 _PACK_MIN = 4
+_PACK_MAX = 32
 
 
 def div_sparse(xs: list, exps: list, cofs: list, n: int) -> list:
     """Divide dense xs by a sparse polynomial, truncated to n terms.
 
     The divisor terms must be sorted by exponent with exps[0] == 0 and
-    cofs[0] in (1, -1), so the quotient recurrence stays integral.  The
-    division runs in the divisor's own variable y = q^d, d the gcd of its
-    exponents below n (1 if there are none but 0): residue class r of xs
-    mod d, the series sum_k xs[r + d*k] y^k, is divided on its own and
-    its quotient is out[r::d].  Classes that are all zero are skipped.
-    Fewer than _PACK_MIN nonzero classes are divided one after the other;
-    _PACK_MIN or more are packed as the slots of one integer per power of
-    y and divided in one pass (`_divide_packed`).  Each division is
-    `_divide`, the block recurrence.
+    cofs[0] in (1, -1), so the quotient recurrence stays integral.  Let d
+    be the gcd of its exponents below n (1 if there are none but 0), so
+    that the divisor is a series in y = q^d.  Residue class r of xs mod
+    d, the series sum_k xs[r + d*k] y^k, then has quotient out[r::d].
+    Fewer than _PACK_MIN nonzero classes are divided in y one after the
+    other, and the all-zero ones skipped.  With more, xs is divided in q
+    if d > _PACK_MAX; else, if more than half of the d classes are
+    nonzero, all d are packed as the slots of one integer per power of y
+    and divided in one pass (`_divide_packed`), and if not, the nonzero
+    ones are divided one after the other.  For d = 1 xs is divided in q.
+    Each division is `_divide`, the block recurrence.
     """
     c0 = cofs[0] if exps and exps[0] == 0 else 0
     if c0 == 0:
@@ -206,22 +219,26 @@ def div_sparse(xs: list, exps: list, cofs: list, n: int) -> list:
         raise ValueError(f"div_sparse cannot divide by constant term {c0}")
     live = [(e, c) for e, c in zip(exps, cofs) if e < n]
     d = math.gcd(*(e for e, _ in live)) or 1
-    terms = [(e // d, c) for e, c in live[1:]]
-    m = -(-n // d)
     out = xs[:n]
-    out += [0] * (m * d - len(out))
-    if d == 1:
-        _divide(out, terms, c0)
+    out += [0] * (n - len(out))
+    if d > 1:
+        # the nonzero classes; past _PACK_MAX only whether there are _PACK_MIN
+        nonzero = (r for r in range(d) if any(out[r::d]))
+        classes = list(nonzero if d <= _PACK_MAX else islice(nonzero, _PACK_MIN))
+        many = len(classes) >= _PACK_MIN
+    if d == 1 or many and d > _PACK_MAX:
+        _divide(out, live[1:], c0)
         return out
-    rows = [out[r::d] for r in range(d)]
-    classes = [r for r in range(d) if any(rows[r])]
-    if len(classes) >= _PACK_MIN:
-        _divide_packed(out, rows, classes, terms, c0)
+    terms = [(e // d, c) for e, c in live[1:]]
+    if many and 2 * len(classes) > d:
+        out += [0] * (-n % d)
+        _divide_packed(out, d, terms, c0)
+        del out[n:]
     else:
         for r in classes:
-            _divide(rows[r], terms, c0)
-            out[r::d] = rows[r]
-    del out[n:]
+            row = out[r::d]
+            _divide(row, terms, c0)
+            out[r::d] = row
     return out
 
 
@@ -272,50 +289,51 @@ def _divide(out: list, terms: list, c0: int) -> None:
                 out[lo:hi] = map(sub, out[lo:hi], map(mul, repeat(c, b1 - b0), block))
 
 
-def _divide_packed(out: list, rows: list, classes: list, terms: list, c0: int) -> None:
-    """Write into out[r::d] the quotient of each row rows[r], r in classes, in one packed pass.
+def _divide_packed(out: list, d: int, terms: list, c0: int) -> None:
+    """Divide each residue class out[r::d], a series in y = q^d, in place and in one packed pass.
 
-    Each row is a series in y of the same length m, d = len(rows), and
-    terms a divisor in y.  Slot i of the packed value P[k] is
-    rows[classes[i]][k].  rows is emptied once packed, and the packed
-    quotient is decoded and freed one block at a time.
+    len(out) is a multiple m of d, and terms a divisor in y.  All d
+    classes are packed, the zero ones too, so the packed value P[k], with
+    out[d*k + r] in slot r, is read from the contiguous slice
+    out[d*k:d*(k+1)], and its quotient is written back there.  The work
+    is linear in len(out) for any d.  The quotient is decoded one block
+    of _BLOCK packed values at a time from the end, each block freed once
+    decoded.
     """
-    d, m, s = len(rows), len(rows[0]), len(classes)
+    m = len(out) // d
     inverse = [1] + [0] * (m - 1)
     _divide(inverse, terms, c0)
-    bound = max(sum(map(abs, rows[r])) for r in classes) * max(map(abs, inverse))
+    bound = max(sum(map(abs, out[r::d])) for r in range(d)) * max(map(abs, inverse))
     del inverse
     # Why every slot is exact.  Let D = c0 + sum c*y^e be the divisor,
     # g = 1/D = sum g_i y^i, so that the g_i for i < m are what `_divide`
-    # left in inverse, and let x_r = rows[r] and q_r = x_r * g, whose first
-    # m coefficients are the quotient of x_r.  Then |q_r[k]| =
+    # left in inverse, and let x_r = out[r::d] and q_r = x_r * g, whose
+    # first m coefficients are the quotient of x_r.  Then |q_r[k]| =
     # |sum_{j<=k} x_r[j] * g[k-j]| <= ||x_r||_1 * max_{i<m} |g_i| <= bound
-    # for every k < m.  W is the least of 8, 16, 32 and 64 bits, or else
-    # the least multiple of 8, with bound < 2^(W-1), so q_r[k] + 2^(W-1)
-    # lies in [0, 2^W): one slot.  P[k] = sum_i x_{classes[i]}[k] *
-    # 2^(W*i) is built by shifts and adds, exactly.  `_divide` computes
-    # Q[k] = c0 * (P[k] - sum c * Q[k-e]) over the terms with e <= k, and
-    # each q_r obeys the same recurrence with x_r for P; it is linear over
-    # the integers, so by induction on k, Q[k] = sum_i q_{classes[i]}[k] *
-    # 2^(W*i) exactly.  Adding the bias, 2^(W-1) in each of the s slots,
-    # gives the number whose base-2^W digits are the biased quotient
-    # coefficients q_{classes[i]}[k] + 2^(W-1), with no carry between them.
+    # for every k < m, and |x_r[k]| <= bound too, since |g_0| = 1.  W is
+    # the least of 8, 16, 32 and 64 bits, or else the least multiple of 8,
+    # with bound < 2^(W-1), so x_r[k] + 2^(W-1) and q_r[k] + 2^(W-1) lie
+    # in [0, 2^W): one slot each.  Reading the biased slots that `_pack`
+    # makes of out[d*k:d*(k+1)] as one integer and subtracting the bias,
+    # 2^(W-1) in each of the d slots, gives P[k] = sum_r x_r[k] * 2^(W*r)
+    # exactly.  `_divide` computes Q[k] = c0 * (P[k] - sum c * Q[k-e])
+    # over the terms with e <= k, and each q_r obeys the same recurrence
+    # with x_r for P; it is linear over the integers, so by induction on
+    # k, Q[k] = sum_r q_r[k] * 2^(W*r) exactly.  Adding the bias gives the
+    # number whose base-2^W digits are the biased quotient coefficients
+    # q_r[k] + 2^(W-1), with no carry between them.
     w = _slot_bytes(bound)
-    bits = 8 * w
-    packed = iter(rows[classes[-1]])
-    for r in reversed(classes[:-1]):
-        packed = map(add, map(lshift, packed, repeat(bits)), rows[r])
-    packed = list(packed)
-    rows.clear()
-    _divide(packed, terms, c0)
-    bias = _bias(w, s)
+    step = w * d
+    bias = _bias(w, d)
+    packed = []
     for k0 in range(0, m, _BLOCK):
-        block = packed[:_BLOCK]
-        del packed[:_BLOCK]
-        k1 = k0 + len(block)
-        slots = _unpack(b"".join([(v + bias).to_bytes(w * s, "little") for v in block]), w)
-        for i, r in enumerate(classes):
-            out[r + d * k0:r + d * k1:d] = slots[i::s]
+        data = _pack(out[d * k0:d * (k0 + _BLOCK)], w)
+        packed += [int.from_bytes(data[i:i + step], "little") - bias for i in range(0, len(data), step)]
+    _divide(packed, terms, c0)
+    for k0 in reversed(range(0, m, _BLOCK)):
+        data = b"".join([(v + bias).to_bytes(step, "little") for v in packed[k0:]])
+        out[d * k0:d * len(packed)] = _unpack(data, w)
+        del packed[k0:]
 
 
 def _slot_bytes(bound: int) -> int:

@@ -12,11 +12,11 @@ T/d + 1 coefficients, a multiplication into a finer lattice writes
 straight into it (`mul_sparse` with a stride), and a division into one
 spreads the accumulator onto it; `div_sparse` then divides in the
 divisor's own q^{d'}, all residue classes mod d' of the accumulator in
-one packed pass at about T/d' + 1 coefficients.  At the end it spreads
-the result onto q and applies the binomials one at a time
-(`_apply_factor`), with no kernel: 1 - q^e is one slice subtraction,
-and its inverse, the product of 1 + q^(e*2^j), about log2(T/e) slice
-additions.
+one packed pass at about T/d' + 1 coefficients when most of them are
+nonzero.  At the end it spreads the result onto q and applies the
+binomials one at a time (`_apply_factor`), with no kernel: 1 - q^e is
+one slice subtraction, and its inverse, the product of 1 + q^(e*2^j),
+about log2(T/e) slice additions.
 Every sparse series comes from its term generator in `plan.FORMS`.
 `qsigns.plan` also holds the spec grammar and the sparse closed forms.
 """

@@ -10,7 +10,7 @@ from qsigns import quintuple_components
 from qsigns import quintuple_product
 from qsigns import products, ramanujan5, three_dissection_qq
 from qsigns import _backend
-from qsigns._backend import _BLOCK, _PACK_MIN, div_sparse, invert_dense, mul_dense, mul_sparse, pow_sparse
+from qsigns._backend import _BLOCK, _PACK_MAX, _PACK_MIN, div_sparse, invert_dense, mul_dense, mul_sparse, pow_sparse
 from qsigns.dissect import component_series
 from qsigns.plan import (
     FORMS,
@@ -227,14 +227,7 @@ def _slot_edge_divisions(rng):
 def test_div_sparse_in_q_d_matches_mul_dense_by_invert_dense(seed, monkeypatch):
     """div_sparse by divisors in q^d, d = 2..13, each residue class on its own or all
     packed in one pass, against the schoolbook product of xs and the divisor's inverse."""
-    packed = []
-
-    def count(out, rows, classes, terms, c0):
-        packed.append((len(classes), len(rows[0])))
-        return divide_packed(out, rows, classes, terms, c0)
-
-    divide_packed = _backend._divide_packed
-    monkeypatch.setattr(_backend, "_divide_packed", count)
+    packed = _count_packed(monkeypatch)
     rng = random.Random(seed)
     for d in range(2, 14):
         for xs, exps, cofs, n in _lattice_divisions(rng, d):
@@ -246,6 +239,49 @@ def test_div_sparse_in_q_d_matches_mul_dense_by_invert_dense(seed, monkeypatch):
         assert out == _dense_quotient(xs, exps, cofs, n), (n, bound)
         assert max(map(abs, out)) == bound, (n, bound)
     assert len(packed) == 10
+
+
+def _count_packed(monkeypatch):
+    """Record (d, m) for each call of _backend._divide_packed, m the length in y."""
+    packed = []
+    divide_packed = _backend._divide_packed
+
+    def count(out, d, terms, c0):
+        packed.append((d, len(out) // d))
+        return divide_packed(out, d, terms, c0)
+
+    monkeypatch.setattr(_backend, "_divide_packed", count)
+    return packed
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_div_sparse_with_thousands_of_classes(seed, monkeypatch):
+    """div_sparse by divisors in q^d, d in the thousands, at two to four coefficients in y.
+
+    Every residue class nonzero is divided in q, and packed in one pass over d slots
+    when _PACK_MAX is raised past d; three classes, or _PACK_MIN up to half of the d,
+    are divided one at a time.  Each quotient times the divisor, by mul_sparse, is xs.
+    """
+    packed = _count_packed(monkeypatch)
+    rng = random.Random(seed)
+    for pack_max in (_PACK_MAX, 10**9):
+        monkeypatch.setattr(_backend, "_PACK_MAX", pack_max)
+        dense = []
+        for kept in ("all", "three", "half", "all"):
+            d, m = rng.randint(1000, 5000), rng.randint(2, 4)
+            n = d * (m - 1) + rng.randint(1, d)
+            exps = [0, d, *sorted(rng.sample(range(2 * d, (m + 2) * d, d), rng.randint(0, m)))]
+            cofs = [rng.choice((1, -1))] + [rng.choice((1, -1, rng.randint(-9, 9) or 2)) for _ in exps[1:]]
+            xs = [rng.randint(-(10**40), 10**40) or 1 for _ in range(rng.randint(d, n + d))]
+            if kept == "all":
+                dense.append((d, m))
+            else:
+                classes = set(rng.sample(range(d), 3 if kept == "three" else rng.randint(_PACK_MIN, d // 2)))
+                xs = [x if i % d in classes else 0 for i, x in enumerate(xs)]
+            out = div_sparse(xs, exps, cofs, n)
+            assert mul_sparse(out, exps, cofs, n) == xs[:n] + [0] * (n - len(xs)), (d, n, kept)
+        assert packed == (dense if pack_max > _PACK_MAX else [])
+        packed.clear()
 
 
 @pytest.mark.parametrize("seed", [0, 1])
