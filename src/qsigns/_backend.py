@@ -15,19 +15,26 @@ a single pass each; the package uses no other kernel.
 * `mul_sparse` takes its dense operand as a series in q^stride and packs
   it once into one integer of fixed-width slots (Kronecker
   substitution), so each term is one big-integer shift-and-add done in
-  C; the sum is unpacked with ``array`` or ``int.from_bytes``.
-* `div_sparse` divides in the divisor's own variable y = q^d.  Each
-  residue class of the dividend mod d is a series in y.  When few
-  classes are nonzero, each of those is divided on its own.  When most
-  are, and d is at most `_PACK_MAX`, all d classes are packed as the
-  slots of one integer per power of y, read from contiguous slices, so
-  one pass of the recurrence at n/d coefficients divides them all; the
-  slot width comes from an exact bound that needs 1/divisor at n/d
-  coefficients.  Past `_PACK_MAX` a dividend with `_PACK_MIN` or more
-  nonzero classes is divided in q.  The recurrence runs one block of
-  coefficients at a time.  Only the terms below the block length run
-  per coefficient; each farther term carries a final block into the
-  right side of later coefficients with one C-level ``map``.
+  C; the sum is unpacked with ``array``, or with ``int.from_bytes``
+  mapped over ``struct.iter_unpack`` for slots wider than 8 bytes.
+* `div_sparse` divides in the divisor's own variable y = q^d.  The
+  module keeps one table across calls, the partition numbers p(i), the
+  coefficients of 1/(y;y), grown to the longest length asked for: every
+  quotient of the paper divides by some (q^p;q^p), which is (y;y) in
+  y = q^p.  Dividing 1 by (y;y) reads the table, with no recurrence.
+  Otherwise each residue class of the dividend mod d is a series in y.
+  When few classes are nonzero, each of those is divided on its own.
+  When most are, and d is at most `_PACK_MAX`, all d classes are packed
+  as the slots of one integer per power of y, read from contiguous
+  slices, so one pass of the recurrence at n/d coefficients divides
+  them all; the slot width comes from an exact bound that needs the
+  largest coefficient of 1/divisor below y^(n/d), for (y;y) the last
+  partition number in the table.  Past `_PACK_MAX` a dividend with
+  `_PACK_MIN` or more nonzero classes is divided in q.  The recurrence
+  runs one block of coefficients at a time.  Only the terms below the
+  block length run per coefficient; each farther term carries a final
+  block into the right side of later coefficients with one C-level
+  ``map``.
 * `pow_sparse` runs Miller's recurrence, one interpreted loop per
   coefficient over the terms.
 
@@ -39,10 +46,11 @@ references that the tests check `Series.__mul__`, `Series.power`,
 from __future__ import annotations
 
 import math
+import struct
 import sys
 from array import array
 from itertools import islice, repeat
-from operator import add, mul, sub
+from operator import add, itemgetter, mul, sub
 
 
 def mul_dense(xs: list, ys: list, n: int) -> list:
@@ -163,12 +171,17 @@ def _unpack(data: bytes, w: int) -> list:
     half = 1 << (8 * w - 1)
     code = _TYPECODES.get(w)
     if code is None:
-        return [int.from_bytes(data[i:i + w], "little") - half for i in range(0, len(data), w)]
+        return list(map(sub, _read(data, w), repeat(half)))
     slots = array(code)
     slots.frombytes(data)
     if _SWAP:
         slots.byteswap()
     return list(map(sub, slots, repeat(half, len(slots))))
+
+
+def _read(data: bytes, w: int):
+    """The w-byte little-endian unsigned ints of data, in order, decoded in C."""
+    return map(int.from_bytes, map(itemgetter(0), struct.iter_unpack(f"{w}s", data)), repeat("little"))
 
 
 def _bias(w: int, k: int) -> int:
@@ -202,15 +215,19 @@ def div_sparse(xs: list, exps: list, cofs: list, n: int) -> list:
     The divisor terms must be sorted by exponent with exps[0] == 0 and
     cofs[0] in (1, -1), so the quotient recurrence stays integral.  Let d
     be the gcd of its exponents below n (1 if there are none but 0), so
-    that the divisor is a series in y = q^d.  Residue class r of xs mod
-    d, the series sum_k xs[r + d*k] y^k, then has quotient out[r::d].
-    Fewer than _PACK_MIN nonzero classes are divided in y one after the
-    other, and the all-zero ones skipped.  With more, xs is divided in q
-    if d > _PACK_MAX; else, if more than half of the d classes are
-    nonzero, all d are packed as the slots of one integer per power of y
-    and divided in one pass (`_divide_packed`), and if not, the nonzero
-    ones are divided one after the other.  For d = 1 xs is divided in q.
-    Each division is `_divide`, the block recurrence.
+    that the divisor is a series in y = q^d, known to m = ceil(n/d)
+    coefficients.  When the divisor is Euler's function (y;y) there and
+    xs is 1, the quotient is the partition numbers p(0..m-1) spread onto
+    q^d, read from the table `_partition_numbers` keeps; no recurrence
+    runs.  Otherwise residue class r of xs mod d, the series
+    sum_k xs[r + d*k] y^k, has quotient out[r::d].  Fewer than _PACK_MIN
+    nonzero classes are divided in y one after the other, and the
+    all-zero ones skipped.  With more, xs is divided in q if
+    d > _PACK_MAX; else, if more than half of the d classes are nonzero,
+    all d are packed as the slots of one integer per power of y and
+    divided in one pass (`_divide_packed`), and if not, the nonzero ones
+    are divided one after the other.  For d = 1 xs is divided in q.  Each
+    division is `_divide`, the block recurrence.
     """
     c0 = cofs[0] if exps and exps[0] == 0 else 0
     if c0 == 0:
@@ -219,6 +236,12 @@ def div_sparse(xs: list, exps: list, cofs: list, n: int) -> list:
         raise ValueError(f"div_sparse cannot divide by constant term {c0}")
     live = [(e, c) for e, c in zip(exps, cofs) if e < n]
     d = math.gcd(*(e for e, _ in live)) or 1
+    terms = [(e // d, c) for e, c in live[1:]]
+    m = -(-n // d)
+    if xs[:1] == [1] and not any(islice(xs, 1, n)) and _is_euler(terms, c0, m):
+        out = [0] * n
+        out[::d] = _partition_numbers(m)[:m]
+        return out
     out = xs[:n]
     out += [0] * (n - len(out))
     if d > 1:
@@ -229,7 +252,6 @@ def div_sparse(xs: list, exps: list, cofs: list, n: int) -> list:
     if d == 1 or many and d > _PACK_MAX:
         _divide(out, live[1:], c0)
         return out
-    terms = [(e // d, c) for e, c in live[1:]]
     if many and 2 * len(classes) > d:
         out += [0] * (-n % d)
         _divide_packed(out, d, terms, c0)
@@ -240,6 +262,47 @@ def div_sparse(xs: list, exps: list, cofs: list, n: int) -> list:
             _divide(row, terms, c0)
             out[r::d] = row
     return out
+
+
+# p(0), p(1), ...: the coefficients of 1/(y;y), as many as the longest
+# division by (y;y) has asked for; `_partition_numbers` grows it
+_partitions = [1]
+
+
+def _partition_numbers(m: int) -> list:
+    """The table of partition numbers, at least m long.
+
+    A table shorter than m is recomputed to m coefficients, one division
+    of 1 by (y;y), and replaces the kept one; so no request does more
+    work than that division, and a request no longer than the longest so
+    far does none.  A kept table is never changed in place, so a list
+    returned earlier stays valid.  Only (y;y) is kept: every quotient of the paper
+    divides by some (q^p;q^p), and other inverses would only be reused
+    when the same job runs twice.
+    """
+    global _partitions
+    if len(_partitions) < m:
+        table = [1] + [0] * (m - 1)
+        _divide(table, _euler_terms(m), 1)
+        _partitions = table
+    return _partitions
+
+
+def _euler_terms(m: int) -> list:
+    """The terms (e, c) of (y;y) with 0 < e < m by increasing e: the generalized
+    pentagonal numbers k(3k-1)/2 and k(3k+1)/2, k >= 1, with sign (-1)^k."""
+    terms = []
+    k = 1
+    while (e := k * (3 * k - 1) // 2) < m:
+        c = -1 if k % 2 else 1
+        terms += [(e, c), (e + k, c)] if e + k < m else [(e, c)]
+        k += 1
+    return terms
+
+
+def _is_euler(terms: list, c0: int, m: int) -> bool:
+    """Whether c0 + sum(c * y^e) over terms (e, c), all with e < m, is (y;y) below y^m."""
+    return c0 == 1 and terms == _euler_terms(m)
 
 
 def _divide(out: list, terms: list, c0: int) -> None:
@@ -301,21 +364,29 @@ def _divide_packed(out: list, d: int, terms: list, c0: int) -> None:
     decoded.
     """
     m = len(out) // d
-    inverse = [1] + [0] * (m - 1)
-    _divide(inverse, terms, c0)
-    bound = max(sum(map(abs, out[r::d])) for r in range(d)) * max(map(abs, inverse))
-    del inverse
+    if _is_euler(terms, c0, m):
+        top = _partition_numbers(m)[m - 1]
+    else:
+        inverse = [1] + [0] * (m - 1)
+        _divide(inverse, terms, c0)
+        top = max(map(abs, inverse))
+        del inverse
+    bound = max(sum(map(abs, out[r::d])) for r in range(d)) * top
     # Why every slot is exact.  Let D = c0 + sum c*y^e be the divisor,
-    # g = 1/D = sum g_i y^i, so that the g_i for i < m are what `_divide`
-    # left in inverse, and let x_r = out[r::d] and q_r = x_r * g, whose
-    # first m coefficients are the quotient of x_r.  Then |q_r[k]| =
-    # |sum_{j<=k} x_r[j] * g[k-j]| <= ||x_r||_1 * max_{i<m} |g_i| <= bound
-    # for every k < m, and |x_r[k]| <= bound too, since |g_0| = 1.  W is
-    # the least of 8, 16, 32 and 64 bits, or else the least multiple of 8,
-    # with bound < 2^(W-1), so x_r[k] + 2^(W-1) and q_r[k] + 2^(W-1) lie
-    # in [0, 2^W): one slot each.  Reading the biased slots that `_pack`
-    # makes of out[d*k:d*(k+1)] as one integer and subtracting the bias,
-    # 2^(W-1) in each of the d slots, gives P[k] = sum_r x_r[k] * 2^(W*r)
+    # g = 1/D = sum g_i y^i, and let x_r = out[r::d] and q_r = x_r * g,
+    # whose first m coefficients are the quotient of x_r.  Then |q_r[k]|
+    # = |sum_{j<=k} x_r[j] * g[k-j]| <= ||x_r||_1 * max_{i<m} |g_i| <=
+    # bound for every k < m, and |x_r[k]| <= bound too, since |g_0| = 1.
+    # top is that maximum.  For D = (y;y) the g_i are the partition
+    # numbers p(i), and p(i+1) >= p(i), since adding a part 1 maps the
+    # partitions of i one-to-one into those of i+1, so the maximum is
+    # p(m-1), read from the table; for any other D it is read off the
+    # g_i that `_divide` computes.  W is the least of 8, 16, 32 and 64
+    # bits, or else the least multiple of 8, with bound < 2^(W-1), so
+    # x_r[k] + 2^(W-1) and q_r[k] + 2^(W-1) lie in [0, 2^W): one slot
+    # each.  Reading the biased slots that `_pack` makes of
+    # out[d*k:d*(k+1)] as one integer and subtracting the bias, 2^(W-1)
+    # in each of the d slots, gives P[k] = sum_r x_r[k] * 2^(W*r)
     # exactly.  `_divide` computes Q[k] = c0 * (P[k] - sum c * Q[k-e])
     # over the terms with e <= k, and each q_r obeys the same recurrence
     # with x_r for P; it is linear over the integers, so by induction on
@@ -327,8 +398,7 @@ def _divide_packed(out: list, d: int, terms: list, c0: int) -> None:
     bias = _bias(w, d)
     packed = []
     for k0 in range(0, m, _BLOCK):
-        data = _pack(out[d * k0:d * (k0 + _BLOCK)], w)
-        packed += [int.from_bytes(data[i:i + step], "little") - bias for i in range(0, len(data), step)]
+        packed += map(sub, _read(_pack(out[d * k0:d * (k0 + _BLOCK)], w), step), repeat(bias))
     _divide(packed, terms, c0)
     for k0 in reversed(range(0, m, _BLOCK)):
         data = b"".join([(v + bias).to_bytes(step, "little") for v in packed[k0:]])

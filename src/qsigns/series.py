@@ -9,7 +9,9 @@ Products, powers and inverses use only nonzero terms: `*` is one sparse
 multiplication (`mul_sparse`) by the operand with fewer nonzero terms,
 `power` is one pass of Miller's power recurrence (`pow_sparse`) over the
 base and `invert` one sparse division of 1 (`div_sparse`), so each costs
-O(T) per nonzero term, whatever the exponent.
+O(T) per nonzero term, whatever the exponent.  Inverting (q^p;q^p) costs
+less: its inverse is the partition numbers spread onto q^p, which
+`div_sparse` reads from the one table it keeps across calls.
 
 A precision above ``MAX_PRECISION``, here or in any constructor built
 on this module, raises `InvalidParameter` before anything is allocated.

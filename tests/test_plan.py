@@ -284,6 +284,129 @@ def test_div_sparse_with_thousands_of_classes(seed, monkeypatch):
         packed.clear()
 
 
+# -- the partition-number table -------------------------------------------------------
+
+def test_dividing_one_by_euler_reads_the_partition_table(monkeypatch):
+    """1/(q^d;q^d), d = 1..13, with 1 as [1] and padded with zeros, against invert_dense,
+    at lengths below, at and above the table's length, and again after a reset."""
+    for lengths in ((200, 200, 77, 201, 300), (150,)):
+        monkeypatch.setattr(_backend, "_partitions", [1])
+        longest = 1
+        for n in lengths:
+            for d in range(1, 14):
+                exps, cofs = pentagonal_terms(d, n - 1)
+                expected = _dense_quotient([1], exps, cofs, n)
+                assert div_sparse([1], exps, cofs, n) == expected, (d, n)
+                assert div_sparse([1] + [0] * (n + d), exps, cofs, n) == expected, (d, n)
+            longest = max(longest, n)
+            assert len(_backend._partitions) == longest
+    assert div_sparse([1], *pentagonal_terms(1, 100), 101)[100] == 190569292
+
+
+def _count_table(monkeypatch):
+    """Record m for each call of _backend._partition_numbers."""
+    calls = []
+    partition_numbers = _backend._partition_numbers
+
+    def count(m):
+        calls.append(m)
+        return partition_numbers(m)
+
+    monkeypatch.setattr(_backend, "_partition_numbers", count)
+    return calls
+
+
+def test_only_one_over_euler_reads_the_partition_table(monkeypatch):
+    """-(y;y), (y;y) with one term changed or one added below y^m, and dividends
+    other than 1 are divided by the recurrence, and match the dense oracle."""
+    calls = _count_table(monkeypatch)
+    n = 80
+    for d in (1, 3, 5):
+        exps, cofs = pentagonal_terms(d, n - 1)
+        m = -(-n // d)
+        assert div_sparse([1], exps, cofs, n) == _dense_quotient([1], exps, cofs, n) and calls == [m]
+        calls.clear()
+        divisors = [(exps, [-c for c in cofs]), (exps, [-1] + cofs[1:])]
+        for i in range(1, len(exps)):
+            divisors += [(exps, cofs[:i] + [c] + cofs[i + 1:]) for c in (-cofs[i], 2 * cofs[i])]
+        for e in range(d, n, d):
+            if e not in exps:
+                added = sorted({**dict(zip(exps, cofs)), e: 1}.items())
+                divisors.append(([e for e, _ in added], [c for _, c in added]))
+        cases = [([1], *divisor) for divisor in divisors]
+        cases += [(xs, exps, cofs) for xs in ([2], [-1], [1, 0, 0, 1], [0, 1], [1] + [0] * (d - 1) + [1])]
+        for xs, dexps, dcofs in cases:
+            assert div_sparse(xs, dexps, dcofs, n) == _dense_quotient(xs, dexps, dcofs, n), (d, xs, dcofs)
+        assert calls == []
+
+
+def _partitions_dense(m):
+    """p(0..m-1), by invert_dense of the dense (q;q)."""
+    euler = [0] * m
+    for e, c in zip(*pentagonal_terms(1, m - 1)):
+        euler[e] = c
+    return invert_dense(euler, m)
+
+
+def test_packed_division_by_euler_reaches_the_table_bound(monkeypatch):
+    """Census-shaped divisions by (q^7;q^7), every class nonzero, whose slot bound
+    ||x_0||_1 * p(m-1) is at most 2^(W-1) - 1 or just past 2^(W-1), W = 64 and 72:
+    class 0 is X * q^0, so its quotient X * p(k) reaches the bound at k = m - 1.
+    A bound at most 2^(W-1) - 1 puts the quotient in the top bit of a W-bit slot."""
+    packed = _count_packed(monkeypatch)
+    rng = random.Random(7)
+    d, m = 7, 300
+    n = d * (m - 1) + 3
+    exps, cofs = pentagonal_terms(d, n - 1)
+    partitions = _partitions_dense(m)
+    for w, past in ((8, 0), (8, 1), (9, 0), (9, 1)):
+        monkeypatch.setattr(_backend, "_partitions", [1])
+        X = (2 ** (8 * w - 1) - 1) // partitions[-1] + past
+        bound = X * partitions[-1]
+        xs = [0] * n
+        xs[0] = X
+        for r in range(1, d):
+            xs[r + d * rng.randrange(len(range(r, n, d)))] = rng.choice((1, -1))
+        out = div_sparse(xs, exps, cofs, n)
+        assert out[::d] == [X * p for p in partitions]
+        assert mul_sparse(out, exps, cofs, n) == xs
+        assert max(map(abs, out)) == bound and _backend._slot_bytes(bound) == w + past
+        assert bound.bit_length() == 8 * w - 1 + past
+        assert packed == [(d, m)] and len(_backend._partitions) == m
+        packed.clear()
+
+
+def test_dividing_one_by_euler_runs_no_recurrence_once_the_table_is_long(monkeypatch):
+    n = 5 * 400
+    exps, cofs = pentagonal_terms(5, n - 1)
+    expected = [0] * n
+    expected[::5] = _partitions_dense(400)
+    calls = []
+    divide = _backend._divide
+
+    def count(out, terms, c0):
+        calls.append(len(out))
+        return divide(out, terms, c0)
+
+    monkeypatch.setattr(_backend, "_divide", count)
+    monkeypatch.setattr(_backend, "_partitions", [1])
+    _backend._partition_numbers(500)
+    assert calls == [500]
+    calls.clear()
+    assert div_sparse([1], exps, cofs, n) == expected and calls == []
+
+
+def test_pack_round_trips_wide_slots():
+    """_unpack inverts _pack at every slot width past the ones array packs."""
+    rng = random.Random(0)
+    for w in range(9, 41):
+        half = 1 << (8 * w - 1)
+        xs = [half - 1, -(half - 1), -half, 0, 1, -1] + [rng.randint(-half, half - 1) for _ in range(20)]
+        data = _backend._pack(xs, w)
+        assert len(data) == w * len(xs) and _backend._unpack(data, w) == xs, w
+        assert _backend._unpack(_backend._pack([], w), w) == [], w
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_binomial_factors_match_dense_oracle(seed):
     """_apply_factor with a != b against mul_dense by each dense 1 - q^e, or by invert_dense of it."""
