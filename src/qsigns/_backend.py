@@ -13,15 +13,17 @@ than O(n) per coefficient: `mul_sparse` multiplies by a sparse series,
 a single pass each; the package uses no other kernel.
 
 * `mul_sparse` takes its dense operand as a series in q^stride and packs
-  it once into one integer of fixed-width slots (Kronecker
-  substitution), so each term is one big-integer shift-and-add done in
-  C; the sum is unpacked with ``array``, or with ``int.from_bytes``
-  mapped over ``struct.iter_unpack`` for slots wider than 8 bytes.
+  it once, high-first above one guard slot, into one integer of
+  fixed-width slots (Kronecker substitution), so each term is one
+  big-integer right shift and one add done in C; the sum is unpacked
+  with ``array``, or with ``int.from_bytes`` mapped over
+  ``struct.iter_unpack`` for slots wider than 8 bytes.
 * `div_sparse` divides in the divisor's own variable y = q^d.  The
   module keeps one table across calls, the partition numbers p(i), the
-  coefficients of 1/(y;y), grown to the longest length asked for: every
-  quotient of the paper divides by some (q^p;q^p), which is (y;y) in
-  y = q^p.  Dividing 1 by (y;y) reads the table, with no recurrence.
+  coefficients of 1/(y;y), grown to the longest length asked for up to
+  `_PARTITIONS_KEPT`: every quotient of the paper divides by some
+  (q^p;q^p), which is (y;y) in y = q^p.  Dividing 1 by (y;y) reads the
+  table, with no recurrence.
   Otherwise each residue class of the dividend mod d is a series in y.
   When few classes are nonzero, each of those is divided on its own.
   When most are, and d is at most `_PACK_MAX`, all d classes are packed
@@ -36,7 +38,10 @@ a single pass each; the package uses no other kernel.
   block into the right side of later coefficients with one C-level
   ``map``.
 * `pow_sparse` runs Miller's recurrence, one interpreted loop per
-  coefficient over the terms.
+  coefficient over the terms, or, for a power k >= 2 of a base dense
+  enough that a size estimate prices it lower, square-and-multiply on
+  one packed integer, each product one big-integer multiplication in C
+  truncated to n slots.
 
 `mul_dense` and `invert_dense` are the schoolbook forms, kept as the slow
 references that the tests check `Series.__mul__`, `Series.power`,
@@ -98,54 +103,64 @@ def mul_sparse(xs: list, exps: list, cofs: list, n: int, stride: int = 1) -> lis
     """Multiply xs, a series in q^stride, by the sparse polynomial sum(c*q^e), truncated.
 
     The output is a dense list in q: out[e + stride*i] gets c*xs[i].  xs
-    is packed once into one integer X = sum(xs[i] * 2^(W*i)) of W-bit
-    slots, and each residue r of the exponents mod stride is the integer
-    sum of c * X * 2^(W*s) over its terms e = r + stride*s, unpacked into
-    out[r::stride]: each term is one big-integer shift-and-add.
+    is packed once, high-first, into one integer R of W-bit slots: xs[i]
+    in slot width - i, where width is the length of the longest residue
+    class of out, and a zero guard slot at the bottom.  Each residue r of
+    the exponents mod stride is the integer sum of c * (R >> W*(s + off))
+    over its terms e = r + stride*s, off the slots its class is shorter
+    than width, unpacked into out[r::stride]: each term is one right
+    shift and one add, taken by decreasing s, so each add is only as long
+    as its term.
     """
     out = [0] * n
     width = -(-n // stride)
     xs = xs[:width]
     live = [(e, c) for e, c in zip(exps, cofs) if e < n]
-    bound = max(map(abs, xs), default=0) * sum(abs(c) for _, c in live)
-    if not bound:
+    top = max(map(abs, xs), default=0)
+    weight = sum(abs(c) for _, c in live)
+    if not top * weight:
         return out
-    # Why every slot is exact.  Each output coefficient is a sum of c*xs[i]
-    # over distinct live terms, so |out[j]| <= bound.  W is the least of 8,
-    # 16, 32 and 64 bits, or else the least multiple of 8, with
-    # bound < 2^(W-1), so out[j] + 2^(W-1) lies in [0, 2^W): one slot.
-    # Reading the packed biased xs as one integer and subtracting the bias
-    # gives sum_i xs[i] * 2^(W*i) exactly, and X is that mod 2^(W*width).
-    # Let n_r be the length of out[r::stride].  For a term c*q^e with
-    # e = r + stride*s, the copy X mod 2^(W*(n_r - s)) shifted up by s
-    # slots is congruent mod 2^(W*n_r) to sum_{i < n_r - s} xs[i] *
-    # 2^(W*(i + s)), which c times is the term's share of out[r::stride]
-    # packed the same way.  So the residue's sum Y is congruent mod
-    # 2^(W*n_r) to sum_j out[r + stride*j] * 2^(W*j), and (Y + bias) mod
-    # 2^(W*n_r), with 2^(W-1) in each slot of the bias, is the number whose
-    # slots are the biased coefficients, with no carry between them.
-    # Python ints keep every intermediate sum exact.
-    w = _slot_bytes(bound)
+    bound = top * weight + weight
+    # Why every slot is exact.  R = sum_i xs[i] * 2^(W*(width - i)) is read
+    # exactly from the packed biased slots less the bias.  Let n_r be the
+    # length of out[r::stride] and off = width - n_r.  For a term c*q^e
+    # with e = r + stride*s, shifting R right by sigma = s + off slots
+    # puts xs[i] in slot n_r - i - s, which is slot n_r - j for
+    # out[r + stride*j], j = i + s, and drops the slots below sigma.  Their
+    # sum L has |L| < 2^(W*sigma), since every |xs[i]| <= top <
+    # 2^(W-1), so the floor of the right shift adds L // 2^(W*sigma),
+    # 0 or -1, to slot 0, the guard: slot 0 of the shifted R holds the
+    # value of the slot it came from plus that, at most top + 1 in
+    # absolute value.  So the residue's sum Y is sum_k v_k * 2^(W*k) over
+    # k = 0..n_r, where v_{n_r - j} = out[r + stride*j] for j < n_r, a sum
+    # of c*xs[i] over distinct live terms, and v_0 the guard's sum of
+    # c*(xs[i] + floor); |v_k| <= top * weight + weight = bound for all
+    # k.  W is the least of 8, 16, 32 and 64 bits, or else the least
+    # multiple of 8, with bound < 2^(W-1), so v_k + 2^(W-1) lies in
+    # [0, 2^W): Y plus 2^(W-1) in each of its n_r + 1 slots is the number
+    # whose slots are the biased v_k, with no carry between them.  Python
+    # ints keep every intermediate sum exact.
+    w = _slot_bytes(bound.bit_length())
     bits = 8 * w
-    X = (int.from_bytes(_pack(xs, w), "little") - _bias(w, len(xs))) & ((1 << bits * width) - 1)
+    R = int.from_bytes(_pack([0] * (width + 1 - len(xs)) + xs[::-1], w), "little") - _bias(w, width + 1)
     by_residue: list = [[] for _ in range(stride)]
-    for e, c in live:
+    for e, c in reversed(live):
         by_residue[e % stride].append((e // stride, c))
     for r, terms in enumerate(by_residue):
         if not terms:
             continue
         n_r = len(range(r, n, stride))
-        full = (1 << bits * n_r) - 1
+        off = width - n_r
         Y = 0
         for s, c in terms:
-            t = (X & (full >> bits * s)) << bits * s
+            t = R >> bits * (s + off)
             if c == 1:
                 Y += t
             elif c == -1:
                 Y -= t
             else:
                 Y += c * t
-        out[r::stride] = _unpack(((Y + _bias(w, n_r)) & full).to_bytes(w * n_r, "little"), w)
+        out[r::stride] = _unpack((Y + _bias(w, n_r + 1)).to_bytes(w * (n_r + 1), "little"), w)[:0:-1]
     return out
 
 
@@ -265,27 +280,34 @@ def div_sparse(xs: list, exps: list, cofs: list, n: int) -> list:
 
 
 # p(0), p(1), ...: the coefficients of 1/(y;y), as many as the longest
-# division by (y;y) has asked for; `_partition_numbers` grows it
+# division by (y;y) has asked for, up to _PARTITIONS_KEPT; `_partition_numbers`
+# grows it
 _partitions = [1]
+# about 1 MB of partition numbers, which covers the paper's census at
+# m = 7142 and every benchmark job
+_PARTITIONS_KEPT = 1 << 14
 
 
 def _partition_numbers(m: int) -> list:
-    """The table of partition numbers, at least m long.
+    """A table of partition numbers, at least m long.
 
-    A table shorter than m is recomputed to m coefficients, one division
-    of 1 by (y;y), and replaces the kept one; so no request does more
-    work than that division, and a request no longer than the longest so
-    far does none.  A kept table is never changed in place, so a list
-    returned earlier stays valid.  Only (y;y) is kept: every quotient of the paper
-    divides by some (q^p;q^p), and other inverses would only be reused
-    when the same job runs twice.
+    A kept table shorter than m is recomputed to m coefficients, one
+    division of 1 by (y;y); so no request does more work than that
+    division, and a request no longer than the kept table does none.  The
+    first _PARTITIONS_KEPT of them replace the kept table when it is
+    shorter; a longer table serves that request only.  A kept table is
+    never changed in place, so a list returned earlier stays valid.  Only
+    (y;y) is kept: every quotient of the paper divides by some (q^p;q^p),
+    and other inverses would only be reused when the same job runs twice.
     """
     global _partitions
-    if len(_partitions) < m:
-        table = [1] + [0] * (m - 1)
-        _divide(table, _euler_terms(m), 1)
-        _partitions = table
-    return _partitions
+    if len(_partitions) >= m:
+        return _partitions
+    table = [1] + [0] * (m - 1)
+    _divide(table, _euler_terms(m), 1)
+    if len(_partitions) < _PARTITIONS_KEPT:
+        _partitions = table if m <= _PARTITIONS_KEPT else table[:_PARTITIONS_KEPT]
+    return table
 
 
 def _euler_terms(m: int) -> list:
@@ -393,7 +415,7 @@ def _divide_packed(out: list, d: int, terms: list, c0: int) -> None:
     # k, Q[k] = sum_r q_r[k] * 2^(W*r) exactly.  Adding the bias gives the
     # number whose base-2^W digits are the biased quotient coefficients
     # q_r[k] + 2^(W-1), with no carry between them.
-    w = _slot_bytes(bound)
+    w = _slot_bytes(bound.bit_length())
     step = w * d
     bias = _bias(w, d)
     packed = []
@@ -406,14 +428,94 @@ def _divide_packed(out: list, d: int, terms: list, c0: int) -> None:
         del packed[k0:]
 
 
-def _slot_bytes(bound: int) -> int:
-    """Bytes w of the narrowest slot that holds any x with |x| <= bound as x + 2^(8w-1).
+def _slot_bytes(bits: int) -> int:
+    """Bytes w of the narrowest slot that holds any x with |x| < 2^bits as x + 2^(8w-1).
 
-    That needs bound < 2^(8w-1); w is the least of the sizes array packs
-    (1, 2, 4 and 8) that does, or else the least w that does.
+    That needs bits <= 8w - 1; w is the least of the sizes array packs
+    (1, 2, 4 and 8) that does, or else the least w that does.  A bound
+    of bit length bits, and any x with |x| <= bound, fits.
     """
-    w = (bound.bit_length() + 8) // 8
+    w = (bits + 8) // 8
     return next((size for size in _TYPECODES if size >= w), w)
+
+
+# The cost of a power k >= 2 below q^n of a base with t live terms, in
+# the time of one 30-bit digit product of a big-integer multiplication.
+# Miller's recurrence takes _MILLER_STEP per term and coefficient; packed
+# squaring takes one Karatsuba product per squaring and per set bit of k
+# below the top one, on n slots, plus _SLOT per slot to pack, truncate and
+# unpack.  Measured by raising (q;q) at 250-4000 coefficients to k = 2-12,
+# the cubic theta series a(q) and b(q) at 334 and 1001 to k = 2-5, and
+# JTP(1,5) at 500 and 2000 to k = 2, 3, 5 and 9 (best of 5, Python 3.11):
+# a Miller step took 50-170 ns, more for wider coefficients, and a
+# Karatsuba digit product 1.1-2.2 ns past 1000 digits, so a step is about
+# 60 digit products; packing, truncating and unpacking took 0.15-0.3 us
+# per slot.  Against Miller, packing took 0.03-0.65 times as long for
+# slots of 8 to 32 bits, and 0.54-1.35 for wider ones: (q;q)^7 at 1000
+# coefficients, 64-bit slots, took 8.1 ms packed against 6.7 ms by
+# Miller.  The estimate picked the faster way in 55 of these 63 cases;
+# in the other 8 it kept Miller where packing took 0.36-0.99 times as
+# long, 6 of them at k = 9 or 12.  Its bit length (k-1) * bits(norm) +
+# bits(top) can exceed the bound's by k - 1, and so choose a wider slot.
+_MILLER_STEP = 60
+_SLOT = 120
+# the operand length in 30-bit digits above which CPython multiplies by Karatsuba
+_KARATSUBA_CUTOFF = 70
+
+
+def _packing_pays(n: int, terms: int, k: int, bits: int) -> bool:
+    """Whether `_power_packed` is estimated to raise a base with that many live
+    terms to the power k >= 2 below q^n faster than Miller's recurrence.
+
+    bits is at least the bit length of the slot bound; the estimate reads
+    only these sizes.
+    """
+    digits = -(-8 * _slot_bytes(bits) * n // 30)
+    product = 1
+    while digits > _KARATSUBA_CUTOFF:
+        digits = (digits + 1) // 2
+        product *= 3
+    product *= digits * digits
+    products = k.bit_length() + bin(k).count("1") - 2
+    return products * product + _SLOT * n < _MILLER_STEP * n * (terms - 1)
+
+
+def _power_packed(live: list, k: int, n: int, bound: int) -> list:
+    """f^k below q^n, k >= 2, for f the sum of c*q^e over live, all e < n, by
+    left-to-right square-and-multiply on one integer of n packed slots.
+
+    bound is norm^(k-1) * top, norm the sum and top the largest of the |c|.
+    """
+    # Why every slot is exact.  Let f^j be the untruncated power.  For
+    # 1 <= j <= k and every m, |[q^m] f^j| = |sum_i [q^i] f^(j-1) * c_(m-i)|
+    # <= ||f^(j-1)||_1 * top <= norm^(j-1) * top <= bound, as ||g*h||_1 <=
+    # ||g||_1 * ||h||_1 and norm >= 1.  W is the least of 8, 16, 32 and 64
+    # bits, or else the least multiple of 8, with bound < 2^(W-1).  The
+    # packed biased f less the bias is F = sum_e c * 2^(W*e) exactly.
+    # Suppose A and B are sum_(i<n) a_i * 2^(W*i) and sum_(i<n) b_i *
+    # 2^(W*i), with a_i and b_i the coefficients of f^a and f^b below q^n,
+    # a + b <= k.  Then A*B = sum_m p_m * 2^(W*m) with p_m = sum_i a_i *
+    # b_(m-i), which for m < n is [q^m] f^(a+b), so |p_m| <= bound.  Mod
+    # 2^(W*n), A*B plus the bias, 2^(W-1) in each of n slots, is
+    # sum_(m<n) (p_m + 2^(W-1)) * 2^(W*m), whose digits lie in [0, 2^W),
+    # so that sum is less than 2^(W*n) and is what the mask keeps; less
+    # the bias it is the packed f^(a+b) below q^n.  By induction each
+    # square and each product by F is exact, and so is the result, whose
+    # biased slots unpack with no carry between them.
+    w = _slot_bytes(bound.bit_length())
+    bits = 8 * w
+    bias = _bias(w, n)
+    mask = (1 << bits * n) - 1
+    dense = [0] * n
+    for e, c in live:
+        dense[e] = c
+    F = int.from_bytes(_pack(dense, w), "little") - bias
+    G = F
+    for bit in bin(k)[3:]:
+        G = ((G * G + bias) & mask) - bias
+        if bit == "1":
+            G = ((G * F + bias) & mask) - bias
+    return _unpack((G + bias).to_bytes(w * n, "little"), w)
 
 
 def pow_sparse(exps: list, cofs: list, k: int, n: int) -> list:
@@ -428,6 +530,9 @@ def pow_sparse(exps: list, cofs: list, k: int, n: int) -> list:
 
     whose right side is an exact multiple of m * c0 because g has integer
     coefficients.  A base in q^d alone is raised in q and spread out again.
+    For k >= 2, in that step, `_power_packed` raises the base by squaring
+    on one packed integer instead, when `_packing_pays` estimates that to
+    cost less.
     """
     c0 = cofs[0] if exps[0] == 0 else 0
     if c0 == 0:
@@ -441,6 +546,10 @@ def pow_sparse(exps: list, cofs: list, k: int, n: int) -> list:
         out = [0] * n
         out[::d] = short
         return out
+    if k > 1:
+        norm, top = sum(abs(c) for _, c in live), max(abs(c) for _, c in live)
+        if _packing_pays(n, len(live), k, (k - 1) * norm.bit_length() + top.bit_length()):
+            return _power_packed(live, k, n, norm ** (k - 1) * top)
     out = [0] * n
     if k == 1:
         for e, c in live:

@@ -4,13 +4,14 @@ Everything here returns an exact truncated :class:`~qsigns.series.Series`.
 `eta_quotient` follows the recipe `ExpansionPlan.of` writes for a spec.
 Its accumulator is a series in q^d, kept as its T/d + 1 coefficients,
 where d is the gcd of the steps of the series applied so far.  It raises
-the plan's seed to its power in one pass of Miller's recurrence
-(`pow_sparse`) in the seed's own step, or else starts from 1 in the step
-of the first power.  It then multiplies or divides in each power once
-per unit, in the plan's order: a power in a coarser q^{d'} runs at
-T/d + 1 coefficients, a multiplication into a finer lattice writes
-straight into it (`mul_sparse` with a stride), and a division into one
-spreads the accumulator onto it; `div_sparse` then divides in the
+the plan's seed to its power with `pow_sparse` (Miller's recurrence, or
+packed squaring where that is estimated cheaper) in the seed's own
+step, or else starts from 1 in the step of the first power.  It then
+multiplies or divides in each power once per unit, in the plan's
+order: a power in a coarser q^{d'} runs at T/d + 1 coefficients, a
+multiplication into a finer lattice writes straight into it
+(`mul_sparse` with a stride), and a division into one spreads the
+accumulator onto it; `div_sparse` then divides in the
 divisor's own q^{d'}, all residue classes mod d' of the accumulator in
 one packed pass at about T/d' + 1 coefficients when most of them are
 nonzero.  At the end it spreads the result onto q and applies the
@@ -32,7 +33,6 @@ from .plan import (
     EtaQuotientSpec,
     ExpansionPlan,
     PochhammerFactor,
-    pentagonal_terms,
     quintuple_terms,
 )
 from .series import InvalidParameter, Series, _check_precision
@@ -63,19 +63,13 @@ __all__ = [
 def _apply_factor(cur: list, a: int, b: int, delta: int, n: int) -> list:
     """Multiply cur, a list of n coefficients, by (q^a;q^b)^delta, truncated to n.
 
-    With a == b the factor is a pentagonal series, one sparse pass per
-    unit of delta.  Otherwise each binomial 1 - q^e is one slice
-    subtraction, and its inverse 1/(1 - q^e) = prod_{j>=0} (1 + q^(e*2^j))
-    one slice addition per factor below q^n.
+    Each binomial 1 - q^e is one slice subtraction, and its inverse
+    1/(1 - q^e) = prod_{j>=0} (1 + q^(e*2^j)) one slice addition per
+    factor below q^n.
     """
     if delta == 0:
         return cur
     reps, divide = abs(delta), delta < 0
-    if a == b:
-        exps, cofs = pentagonal_terms(b, n - 1)
-        for _ in range(reps):
-            cur = div_sparse(cur, exps, cofs, n) if divide else mul_sparse(cur, exps, cofs, n)
-        return cur
     cur = list(cur)
     for _ in range(reps):
         for e in range(a, n, b):

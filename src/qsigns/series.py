@@ -9,9 +9,12 @@ Products, powers and inverses use only nonzero terms: `*` is one sparse
 multiplication (`mul_sparse`) by the operand with fewer nonzero terms,
 `power` is one pass of Miller's power recurrence (`pow_sparse`) over the
 base and `invert` one sparse division of 1 (`div_sparse`), so each costs
-O(T) per nonzero term, whatever the exponent.  Inverting (q^p;q^p) costs
-less: its inverse is the partition numbers spread onto q^p, which
-`div_sparse` reads from the one table it keeps across calls.
+O(T) per nonzero term, whatever the exponent.  A positive power of a
+dense base goes instead by squaring one packed integer, a few
+big-integer multiplications, when `pow_sparse` estimates that to cost
+less.  Inverting (q^p;q^p) costs less: its inverse is the partition
+numbers spread onto q^p, which `div_sparse` reads from the one table it
+keeps across calls.
 
 A precision above ``MAX_PRECISION``, here or in any constructor built
 on this module, raises `InvalidParameter` before anything is allocated.
@@ -182,9 +185,11 @@ class Series:
         return Series(div_sparse([1], *self._nonzero_terms(), len(self._coeffs)))
 
     def power(self, e: int) -> "Series":
-        """Integer power in one pass of Miller's recurrence over the nonzero terms.
+        """Integer power by `pow_sparse` over the nonzero terms.
 
-        A negative e needs constant term +-1.  The lowest term q^v of the
+        That is one pass of Miller's recurrence, or, for e >= 2 and a base
+        dense enough, square-and-multiply on one packed integer.  A
+        negative e needs constant term +-1.  The lowest term q^v of the
         base is factored out, the rest is raised to precision T - v*e, and
         the result is shifted back up by v*e.
         """

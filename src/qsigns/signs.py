@@ -28,6 +28,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import gt, not_, sub
 
 from .dissect import qq_offset, qq_sign_exp
 from .products import EtaQuotientSpec
@@ -288,8 +290,9 @@ def sign_census(
     """Count (negative, zero, positive) coefficients per residue class.
 
     Residue r scans the ``terms_per_class`` exponents r, r+m, ...,
-    r+(K-1)m, so the series must reach m*K - 1.  Each class is counted
-    from its slice, zeros and positives by C-level counts.
+    r+(K-1)m, so the series must reach m*K - 1.  Zeros and positives are
+    counted by C-level passes, with a Python step per class when K is at
+    least m or 256 and per chunk of m coefficients otherwise.
     """
     if modulus < 1 or terms_per_class < 1:
         raise InvalidParameter("modulus and terms_per_class must be positive")
@@ -298,13 +301,23 @@ def sign_census(
         raise BeyondPrecision(
             f"census needs precision {need}, series has {series.precision}"
         )
-    cs = series.coefficients
-    rows = []
-    for r in range(modulus):
-        row = cs[r:need + 1:modulus]
-        zero, pos = row.count(0), sum(map((0).__lt__, row))
-        rows.append((terms_per_class - zero - pos, zero, pos))
-    return rows
+    cs = series.coefficients[:need + 1]
+    K = terms_per_class
+    if K < min(modulus, 256):
+        # Many short classes.  Chunk k of a byte string of flags, read as one
+        # integer, holds the flag of coefficient r + k*m in byte r, so the
+        # sum of the K chunks counts class r in byte r; K < 256 keeps every
+        # count within its byte.
+        zero, pos = (
+            sum(int.from_bytes(flags[k:k + modulus], "little") for k in range(0, need + 1, modulus))
+            .to_bytes(modulus, "little")
+            for flags in (bytes(map(not_, cs)), bytes(map(gt, cs, repeat(0, need + 1))))
+        )
+    else:
+        rows = [cs[r::modulus] for r in range(modulus)]
+        zero = [row.count(0) for row in rows]
+        pos = [bytes(map(gt, row, repeat(0, K))).count(1) for row in rows]
+    return list(zip(map(sub, map(sub, repeat(K, modulus), zero), pos), zero, pos))
 
 
 # ----------------------------------------------------------------------

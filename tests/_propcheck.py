@@ -148,7 +148,10 @@ def check_certificate_invariants(
 
 
 def binomial_expansion(spec: EtaQuotientSpec, precision: int) -> Series:
-    """The reference expansion: every factor through the binomial path, in spec order."""
+    """The reference expansion: every factor through the binomial path, in spec order.
+
+    (q^a;q^a) too is expanded one binomial 1 - q^(a*k) at a time, with no kernel.
+    """
     n = precision + 1
     cur = [1] + [0] * precision
     for f in spec.factors:

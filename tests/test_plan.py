@@ -1,9 +1,13 @@
 """The expansion plan of eta_quotient and the Miller power kernel, against the binomial path."""
 
+import importlib.util
+import math
 import random
+import sys
+from pathlib import Path
 
 import pytest
-from _propcheck import binomial_expansion, check_plan_matches_binomial_oracle
+from _propcheck import _power_oracle, binomial_expansion, check_plan_matches_binomial_oracle
 
 from qsigns import EtaQuotientSpec, Series, corpus, eta_quotient, pattern_catalog
 from qsigns import quintuple_components
@@ -82,6 +86,120 @@ def test_pow_sparse_short_and_degenerate():
         pow_sparse([0, 1], [3, 1], -1, 4)
 
 
+def _count_packed_powers(monkeypatch):
+    """Record (n, k) for each call of _backend._power_packed."""
+    calls = []
+    power_packed = _backend._power_packed
+
+    def count(live, k, n, bound):
+        calls.append((n, k))
+        return power_packed(live, k, n, bound)
+
+    monkeypatch.setattr(_backend, "_power_packed", count)
+    return calls
+
+
+def _repeated_mul_dense(exps, cofs, k, n):
+    """f^k below q^n by k schoolbook products, f the sum of c*q^e."""
+    base = [0] * n
+    for e, c in zip(exps, cofs):
+        if e < n:
+            base[e] = c
+    return _power_oracle(base, k)
+
+
+def _slot_edge_powers(rng):
+    """Bases c0 + c*X*y + 30 terms +-y^j, y = q^d, whose slot bound
+    (X + 31)^(k-1) * X is just below 2^(W-1), or reaches it, for W = 32, 64
+    and 72.  [y^k] f^k is (c*X)^k plus smaller terms, so the power reaches
+    into the top byte of a W-bit slot."""
+    for width in (32, 64, 72):
+        for past in (0, 1):
+            k, d, m = rng.randint(2, 5 if width == 32 else 9), rng.randint(1, 5), 40
+            fill = sorted(rng.sample(range(2, m), 30))
+
+            def bound(X):
+                return (X + 1 + len(fill)) ** (k - 1) * X
+
+            lo, hi = 1, 2**width
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (mid, hi) if bound(mid) < 2 ** (width - 1) else (lo, mid)
+            X = lo + past
+            exps = [0, d, *(d * j for j in fill)]
+            cofs = [rng.choice((1, -1)), rng.choice((1, -1)) * X, *(rng.choice((1, -1)) for _ in fill)]
+            yield exps, cofs, k, d * (m - 1) + rng.randint(1, d), bound(X), width, past
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_pow_sparse_matches_repeated_mul_dense(seed, monkeypatch):
+    """pow_sparse to k = 2..9 of bases in q^d, d = 1..5, with +-1 or wide
+    coefficients, against k products by mul_dense.  Dense bases go by packed
+    squaring and sparse or wide ones by Miller's recurrence.  At the slot edges
+    the bound norm^(k-1) * max|c| is just below 2^(W-1), W = 32, 64 and 72, and
+    the power reaches the slot's top byte, or the bound reaches 2^(W-1)."""
+    packed = _count_packed_powers(monkeypatch)
+    rng = random.Random(seed)
+    routes = set()
+    for _ in range(80):
+        d, k, m = rng.randint(1, 5), rng.randint(2, 9), rng.randint(1, 50)
+        big, density = rng.choice((1, 10**40)), rng.choice((0.1, 0.5, 1))
+        ys = [rng.choice((1, -1)) * rng.randint(1, big) if rng.random() < density else 0 for _ in range(m)]
+        ys[0] = rng.choice((1, -1, rng.randint(2, big + 2)))
+        exps, cofs = [d * j for j, c in enumerate(ys) if c], [c for c in ys if c]
+        n = d * (m - 1) + rng.randint(1, d) if rng.random() < 0.8 else rng.randint(1, d * m + 9)
+        calls = len(packed)
+        assert pow_sparse(exps, cofs, k, n) == _repeated_mul_dense(exps, cofs, k, n), (d, k, n)
+        routes.add(len(packed) > calls)
+    assert routes == {True, False}
+    for exps, cofs, k, n, bound, width, past in _slot_edge_powers(rng):
+        packed.clear()
+        out = pow_sparse(exps, cofs, k, n)
+        assert out == _repeated_mul_dense(exps, cofs, k, n), (width, past, k)
+        assert packed == [(-(-n // exps[1]), k)]
+        assert (bound >= 2 ** (width - 1)) == past
+        assert past or max(map(abs, out)) >= 2 ** (width - 9), (width, k)
+
+
+def test_packed_power_reaches_the_bound_exactly():
+    """A constant c0 has c0^k = |c0|^(k-1) * |c0|, the slot bound itself: at
+    2^(W-1) - 1 or below, W = 32, 64 and 72, it fills its slot's top bit."""
+    for width in (32, 64, 72):
+        for k in (2, 3, 5):
+            c0 = math.isqrt(2 ** (width - 1) - 1) if k == 2 else 2 ** ((width - 2) // k)
+            for sign in (1, -1):
+                bound = c0**k
+                out = _backend._power_packed([(0, sign * c0)], k, 5, bound)
+                assert out == [(sign * c0) ** k, 0, 0, 0, 0], (width, k)
+                assert bound < 2 ** (width - 1) and _backend._slot_bytes(bound.bit_length()) * 8 == width
+
+
+def _load_workloads(monkeypatch):
+    """The benchmark's perfbench/workloads.py, imported for this test only."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_powers_take_the_estimated_route(monkeypatch):
+    """In seed-1 passes of the four benchmark workloads only the dense pass packs:
+    (q;q)^5 at 999 coefficients and the cubes of a(q^3), b(q^3) and c(q^3), each
+    in q^3.  Negative powers and every eta_quotient seed run Miller's recurrence,
+    and so does (q;q)^7 at 1000 coefficients, where packing measured slower."""
+    packed = _count_packed_powers(monkeypatch)
+    workloads = _load_workloads(monkeypatch)
+    for name in ("pentagonal", "binomial", "dissection", "dense"):
+        for job in workloads.plan(name, 1):
+            workloads.run(job)
+        assert packed == ([(999, 5), (331, 3), (331, 3), (330, 3)] if name == "dense" else []), name
+    exps, cofs = pentagonal_terms(1, 999)
+    assert pow_sparse(exps, cofs, 7, 1000) == _repeated_mul_dense(exps, cofs, 7, 1000)
+    assert packed == [(999, 5), (331, 3), (331, 3), (330, 3)]
+
+
 def _slot_edge_calls(rng):
     """mul_sparse calls whose bound max|xs| * sum|c| over the live terms is
     2^(W-1) - 1 or 2^(W-1), for the slot widths W = 8, 16, 32, 64 and 72,
@@ -138,6 +256,43 @@ def test_strided_mul_sparse_matches_mul_dense(seed):
         out = mul_sparse(xs, exps, cofs, n, stride)
         assert out == _dense_product(xs, exps, cofs, n, stride), (stride, n, bound)
         assert (max(out), min(out)) == (bound, -bound), (stride, n, bound)
+
+
+def _guard_edge_calls(rng):
+    """mul_sparse calls whose guard slot reaches its bound (max|xs| + 1) * sum|c|,
+    2^(W-1) - 1 or 2^(W-1), for W = 8, 16, 32, 64 and 72.
+
+    xs is -X throughout, shorter or longer than the width, and every live term
+    has a negative coefficient and drops a tail of -X slots, whose floor is -1:
+    each term adds |c| * (X + 1) to the guard.  Strides reach classes with n_r
+    below the width, and one term lies past n.
+    """
+    for width in (8, 16, 32, 64, 72):
+        for bound in (2 ** (width - 1) - 1, 2 ** (width - 1)):
+            weight = 1 if bound % 2 else 2 ** rng.randint(0, 3)
+            X = bound // weight - 1
+            cuts = sorted(rng.sample(range(1, weight), min(weight - 1, 2)))
+            weights = [b - a for a, b in zip([0, *cuts], [*cuts, weight])]
+            stride, m = rng.randint(1, 5), rng.randint(8, 30)
+            n = stride * m - rng.randrange(stride)
+            r = rng.randrange(stride)
+            n_r, wide = len(range(r, n, stride)), -(-n // stride)
+            length = rng.choice((wide + rng.randint(0, 5), wide - rng.randint(1, 3)))
+            lo = max(2 - (wide - n_r), n_r + 2 - min(length, wide), 0)
+            shifts = sorted(rng.sample(range(lo, n_r), len(weights)))
+            exps = [r + stride * s for s in shifts] + [n + rng.randint(0, 9)]
+            cofs = [-w for w in weights] + [rng.randint(-(10**30), 10**30)]
+            yield [-X] * length, exps, cofs, n, stride, bound
+
+
+def test_mul_sparse_guard_slot_at_its_edge():
+    """mul_sparse against mul_dense where the guard slot holds its bound, and on
+    all-zero input or with no live term."""
+    rng = random.Random(3)
+    for xs, exps, cofs, n, stride, bound in _guard_edge_calls(rng):
+        assert mul_sparse(xs, exps, cofs, n, stride) == _dense_product(xs, exps, cofs, n, stride), (stride, n, bound)
+    assert mul_sparse([0] * 9, [0, 2], [1, -5], 20, 2) == [0] * 20
+    assert mul_sparse([3, -4], [20, 21], [1, -5], 20, 2) == [0] * 20
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -370,7 +525,7 @@ def test_packed_division_by_euler_reaches_the_table_bound(monkeypatch):
         out = div_sparse(xs, exps, cofs, n)
         assert out[::d] == [X * p for p in partitions]
         assert mul_sparse(out, exps, cofs, n) == xs
-        assert max(map(abs, out)) == bound and _backend._slot_bytes(bound) == w + past
+        assert max(map(abs, out)) == bound and _backend._slot_bytes(bound.bit_length()) == w + past
         assert bound.bit_length() == 8 * w - 1 + past
         assert packed == [(d, m)] and len(_backend._partitions) == m
         packed.clear()
@@ -394,6 +549,32 @@ def test_dividing_one_by_euler_runs_no_recurrence_once_the_table_is_long(monkeyp
     assert calls == [500]
     calls.clear()
     assert div_sparse([1], exps, cofs, n) == expected and calls == []
+
+
+def test_partition_table_keeps_at_most_its_cap(monkeypatch):
+    """A division of 1 by (y;y) longer than _PARTITIONS_KEPT builds its table for
+    that call only and keeps the first _PARTITIONS_KEPT numbers, which a shorter
+    division then reads with no recurrence; a cap of 100 gives the same numbers."""
+    monkeypatch.setattr(_backend, "_partitions", [1])
+    cap = _backend._PARTITIONS_KEPT
+    assert cap == 1 << 14
+    series = eta_quotient("1^-1", 40000)
+    kept = _backend._partitions
+    assert len(kept) == cap and list(series.coefficients[:cap]) == kept
+    calls = []
+    divide = _backend._divide
+    monkeypatch.setattr(_backend, "_divide", lambda out, terms, c0: calls.append(len(out)) or divide(out, terms, c0))
+    fifth = eta_quotient("5^-1", 40000)
+    assert fifth.coefficients[::5] == series.coefficients[:8001] and calls == []
+    assert _backend._partitions is kept
+    monkeypatch.setattr(_backend, "_PARTITIONS_KEPT", 100)
+    monkeypatch.setattr(_backend, "_partitions", [1])
+    partitions = _partitions_dense(300)
+    longest = 1
+    for m in (50, 150, 300, 120, 80):
+        longest = max(longest, m)
+        assert _backend._partition_numbers(m)[:m] == partitions[:m], m
+        assert _backend._partitions == partitions[:min(100, longest)], m
 
 
 def test_pack_round_trips_wide_slots():

@@ -3,9 +3,9 @@
 import random
 
 import pytest
-from _propcheck import check_mul_matches_dense_oracle, check_power_and_inverse_match_oracle
+from _propcheck import _power_oracle, check_mul_matches_dense_oracle, check_power_and_inverse_match_oracle
 
-from qsigns import BeyondPrecision, InvalidParameter, NonUnitConstantTerm, Series
+from qsigns import BeyondPrecision, InvalidParameter, NonUnitConstantTerm, Series, _backend
 from qsigns.series import MAX_PRECISION
 
 
@@ -144,6 +144,29 @@ def test_power_factors_out_the_lowest_term():
     assert Series([0, 0, 1, 1, 0, 0, 0]).power(2) == Series([0, 0, 0, 0, 1, 2, 1])
     assert Series([0, 0, 1, 1, 0, 0]).power(3) == Series.zero(5)
     assert Series.zero(4).power(5) == Series.zero(4)
+
+
+def test_power_with_a_lowest_term_offset(monkeypatch):
+    """q^v * f to the power k is q^(v*k) * f^k, f raised at T + 1 - v*k coefficients:
+    by packed squaring for a dense f, by Miller's recurrence for a sparse one."""
+    packed = []
+    power_packed = _backend._power_packed
+
+    def count(live, k, n, bound):
+        packed.append((n, k))
+        return power_packed(live, k, n, bound)
+
+    monkeypatch.setattr(_backend, "_power_packed", count)
+    rng = random.Random(5)
+    T = 60
+    for v in (1, 2, 3):
+        for k in (2, 3, 5):
+            for dense in (True, False):
+                f = [rng.choice((1, -1, 7)) if dense or i < 2 else 0 for i in range(T + 1 - v)]
+                cs = [0] * v + f
+                packed.clear()
+                assert list(Series(cs).power(k).coefficients) == _power_oracle(cs, k), (v, k, dense)
+                assert packed == ([(T + 1 - v * k, k)] if dense else []), (v, k, dense)
 
 
 @pytest.mark.parametrize("seed", [0, 1])

@@ -168,12 +168,18 @@ def test_census_small_quotient():
 
 
 def test_census_matches_a_term_by_term_walk():
-    """Counting each residue class from its slice agrees with the one-coefficient walk."""
+    """The census agrees with the one-coefficient walk: few classes of many terms;
+    with K = 1 and 2, thousands of classes; and counts of 255 and 256 in one class."""
     rng = random.Random(0)
-    for _ in range(300):
+    for i in range(324):
         modulus, K = rng.randint(1, 13), rng.randint(1, 30)
+        signs = (-1, 0, 0, 1)
+        if i >= 300:
+            modulus, K = rng.randint(1000, 9999), 1 + i % 2
+        if i >= 320:
+            modulus, K, signs = 300, 255 + i % 2, ((-1, 0, 1, 1, 1, 1, 1, 1) if i < 322 else (1,))
         big = rng.choice((3, 10**40))
-        coefficients = [rng.choice((-1, 0, 0, 1)) * rng.randint(1, big)
+        coefficients = [rng.choice(signs) * rng.randint(1, big)
                         for _ in range(modulus * K + rng.randint(0, 20))]
         expected = []
         for r in range(modulus):
