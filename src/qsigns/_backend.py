@@ -455,8 +455,7 @@ def _slot_bytes(bits: int) -> int:
 # coefficients, 64-bit slots, took 8.1 ms packed against 6.7 ms by
 # Miller.  The estimate picked the faster way in 55 of these 63 cases;
 # in the other 8 it kept Miller where packing took 0.36-0.99 times as
-# long, 6 of them at k = 9 or 12.  Its bit length (k-1) * bits(norm) +
-# bits(top) can exceed the bound's by k - 1, and so choose a wider slot.
+# long, 6 of them at k = 9 or 12.
 _MILLER_STEP = 60
 _SLOT = 120
 # the operand length in 30-bit digits above which CPython multiplies by Karatsuba
@@ -467,8 +466,9 @@ def _packing_pays(n: int, terms: int, k: int, bits: int) -> bool:
     """Whether `_power_packed` is estimated to raise a base with that many live
     terms to the power k >= 2 below q^n faster than Miller's recurrence.
 
-    bits is at least the bit length of the slot bound; the estimate reads
-    only these sizes.
+    bits is the bit length of the slot bound; the estimate reads only these
+    sizes, and it grows with bits, so a lower bound on bits that does not
+    pay rules packing out.
     """
     digits = -(-8 * _slot_bytes(bits) * n // 30)
     product = 1
@@ -548,8 +548,13 @@ def pow_sparse(exps: list, cofs: list, k: int, n: int) -> list:
         return out
     if k > 1:
         norm, top = sum(abs(c) for _, c in live), max(abs(c) for _, c in live)
-        if _packing_pays(n, len(live), k, (k - 1) * norm.bit_length() + top.bit_length()):
-            return _power_packed(live, k, n, norm ** (k - 1) * top)
+        # norm^(k-1) * top has at least this many bits; pricing it first
+        # spares computing a huge power when k is large
+        least = (k - 1) * (norm.bit_length() - 1) + top.bit_length()
+        if _packing_pays(n, len(live), k, least):
+            bound = norm ** (k - 1) * top
+            if _packing_pays(n, len(live), k, bound.bit_length()):
+                return _power_packed(live, k, n, bound)
     out = [0] * n
     if k == 1:
         for e, c in live:

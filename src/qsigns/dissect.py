@@ -14,9 +14,9 @@ M and r, and t1 and t2 are integers.  `quintuple_components` is therefore
 pure arithmetic; it expands nothing.  Integral t's and offsets and
 nonnegative offsets are still checked, and a failure raises
 `QSignsError`; the reassembly checks in the CLI and the tests compare
-the result with a direct expansion.  For the (q;q) case (M=4, j=1),
-`qq_components` evaluates the explicit closed forms instead, which
-double as a regression oracle for the general routine.
+the result with a direct expansion.  (q;q) is the quintuple product
+(M=4, j=1), (q, q^3, q^4; q^4)(q^2, q^6; q^8), so `qq_components` is
+this general dissection at those parameters.
 
 Offsets are evaluated scaled by 24*P2, which makes every term an
 integer, and the sign thresholds are compared after multiplying out
@@ -100,7 +100,7 @@ class DissectionExpression:
 
 
 # ----------------------------------------------------------------------
-# Closed forms for the (q;q) dissection (M=4, j=1)
+# General quintuple dissection
 # ----------------------------------------------------------------------
 
 def _check_modulus(m: int) -> None:
@@ -109,82 +109,6 @@ def _check_modulus(m: int) -> None:
     if m % 3 == 0:
         raise InvalidParameter(f"modulus must not be divisible by 3, got {m}")
 
-
-def qq_offset(m: int, r: int) -> int:
-    """Prefactor exponent of residue r in the m-dissection of (q;q)."""
-    _check_modulus(m)
-    if not 0 <= r < m:
-        raise InvalidParameter(f"residue {r} not in [0, {m})")
-    base = 6 * r * r + r
-    if m % 3 == 1:
-        if 12 * r <= 4 * m - 1:
-            return base
-        if 12 * r <= 10 * m - 1:
-            return base - 8 * m * r + (8 * m * m - 2 * m) // 3
-        return base - 12 * m * r + 6 * m * m - m
-    if 12 * r <= 2 * m - 1:
-        return base
-    if 12 * r <= 8 * m - 1:
-        return base - 4 * m * r + (2 * m * m - m) // 3
-    return base - 12 * m * r + 6 * m * m - m
-
-
-def qq_sign_exp(m: int, r: int) -> int:
-    """Sign exponent of residue r in the m-dissection of (q;q)."""
-    _check_modulus(m)
-    if not 0 <= r < m:
-        raise InvalidParameter(f"residue {r} not in [0, {m})")
-    if m % 3 == 1:
-        lo, hi = 4 * m - 1, 10 * m - 1
-    else:
-        lo, hi = 2 * m - 1, 8 * m - 1
-    if 12 * r <= lo:
-        return 0
-    return 1 if 12 * r <= hi else 2
-
-
-def _qq_t1(m: int, r: int) -> int:
-    if m % 3 == 1:
-        if 12 * r < 10 * m - 1:
-            return (2 * m * m + m) // 3 + 4 * m * r
-        return (-10 * m * m + m) // 3 + 4 * m * r
-    if 12 * r < 2 * m - 1:
-        return (2 * m * m - m) // 3 - 4 * m * r
-    return (14 * m * m - m) // 3 - 4 * m * r
-
-
-def _qq_t2(m: int, r: int) -> int:
-    if m % 3 == 1:
-        if 12 * r < 4 * m - 1:
-            return (16 * m * m + 2 * m) // 3 + 8 * m * r
-        return (-8 * m * m + 2 * m) // 3 + 8 * m * r
-    if 12 * r < 8 * m - 1:
-        return (8 * m * m + 2 * m) // 3 + 8 * m * r
-    return (-16 * m * m + 2 * m) // 3 + 8 * m * r
-
-
-def qq_components(m: int) -> DissectionExpression:
-    """The m-dissection of (q;q) via the explicit closed forms."""
-    _check_modulus(m)
-    comps = []
-    for r in range(m):
-        comps.append(
-            DissectionComponent(
-                r=r,
-                sign_exp=qq_sign_exp(m, r),
-                offset=qq_offset(m, r),
-                t1=_qq_t1(m, r),
-                t2=_qq_t2(m, r),
-                period1=4 * m * m,
-                period2=8 * m * m,
-            )
-        )
-    return DissectionExpression(tuple(comps))
-
-
-# ----------------------------------------------------------------------
-# General quintuple dissection
-# ----------------------------------------------------------------------
 
 def check_quintuple(M: int, j: int, m: int) -> None:
     """Reject parameters that `quintuple_components` does not accept."""
@@ -235,6 +159,32 @@ def quintuple_components(M: int, j: int, m: int) -> DissectionExpression:
     check_quintuple(M, j, m)
     comps = _candidate(M, j, m, 1 if m % 3 == 1 else -1)
     return DissectionExpression(tuple(comps))
+
+
+# ----------------------------------------------------------------------
+# (q;q) = Q(4, 1)
+# ----------------------------------------------------------------------
+
+def qq_components(m: int) -> DissectionExpression:
+    """The m-dissection of (q;q), the quintuple product (4, 1)."""
+    return quintuple_components(4, 1, m)
+
+
+def _qq_component(m: int, r: int) -> DissectionComponent:
+    _check_modulus(m)
+    if not 0 <= r < m:
+        raise InvalidParameter(f"residue {r} not in [0, {m})")
+    return qq_components(m).components[r]
+
+
+def qq_offset(m: int, r: int) -> int:
+    """Prefactor exponent of residue r in the m-dissection of (q;q)."""
+    return _qq_component(m, r).offset
+
+
+def qq_sign_exp(m: int, r: int) -> int:
+    """Sign exponent of residue r in the m-dissection of (q;q)."""
+    return _qq_component(m, r).sign_exp
 
 
 def _component_terms(comp: DissectionComponent, precision: int):

@@ -5,8 +5,10 @@ per residue, and an onset N meaning the pattern is asserted for all
 n > N (N = -1 covers every n >= 0).  Patterns come from three places:
 
 * `predict_quotient_pattern(p, i)` derives the pattern of
-  (q^i;q^i)/(q^p;q^p) for prime p > 3 from the dissection offsets,
-  together with the sharp onset bound;
+  (q^i;q^i)/(q^p;q^p) for prime p > 3, together with the sharp onset
+  bound, from the offsets and signs of the components of
+  `qq_components(p)`, the p-dissection of (q;q) as the quintuple
+  product (4, 1);
 * `pattern_catalog()` lists fixed quotients whose patterns follow from
   theta-series dissections;
 * `detect_pattern` scans an expansion empirically.
@@ -31,9 +33,9 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from operator import gt, not_, sub
 
-from .dissect import qq_offset, qq_sign_exp
+from .dissect import qq_components
 from .products import EtaQuotientSpec
-from .series import BeyondPrecision, InvalidParameter, QSignsError, Series
+from .series import MAX_PRECISION, BeyondPrecision, InvalidParameter, QSignsError, Series
 
 __all__ = [
     "SignClass",
@@ -177,8 +179,11 @@ def predict_quotient_pattern(p: int, i: int) -> SignCertificate:
     Residue i(6r^2+r) mod p is positive or negative according to the sign
     exponent of r in the p-dissection of (q;q); residues hit by no r are
     exactly zero.  The onset is max over attained residues of the least
-    i*offset(r) landing there, minus p.
+    i*offset(r) landing there, minus p.  The dissection has p components,
+    so p is capped like a precision, before the primality test runs.
     """
+    if p > MAX_PRECISION:
+        raise InvalidParameter(f"p = {p} exceeds the limit MAX_PRECISION = {MAX_PRECISION}")
     if p <= 3 or not _is_prime(p):
         raise InvalidParameter(f"p must be a prime > 3, got {p}")
     if i <= 1:
@@ -186,16 +191,15 @@ def predict_quotient_pattern(p: int, i: int) -> SignCertificate:
     if i % p == 0:
         raise InvalidParameter(f"i must not be divisible by p, got i={i}, p={p}")
 
-    offsets = tuple(qq_offset(p, r) for r in range(p))
-    sign_exponents = tuple(qq_sign_exp(p, r) for r in range(p))
+    comps = qq_components(p).components
+    offsets = tuple(c.offset for c in comps)
+    sign_exponents = tuple(c.sign_exp for c in comps)
     residue_map = tuple((i * (6 * r * r + r)) % p for r in range(p))
     for r in range(p):
         # the offset realizes the residue: i*L(r) = i(6r^2+r) (mod p)
         if (i * offsets[r]) % p != residue_map[r]:
             raise QSignsError(f"offset congruence broken at r={r} for (p={p}, i={i})")
-    classes, onset = _signed_pieces(
-        p, [(i * offsets[r], (-1) ** sign_exponents[r]) for r in range(p)]
-    )
+    classes, onset = _signed_pieces(p, [(i * c.offset, c.sign) for c in comps])
     pattern = SignPattern(p, classes, max(onset, -1))
     return SignCertificate(
         p=p,

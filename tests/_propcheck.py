@@ -11,7 +11,10 @@ import contextlib
 import random
 
 from qsigns import (
+    DissectionComponent,
+    DissectionExpression,
     EtaQuotientSpec,
+    InvalidParameter,
     NonUnitConstantTerm,
     PochhammerFactor,
     Series,
@@ -20,6 +23,7 @@ from qsigns import (
 )
 from qsigns import products
 from qsigns._backend import invert_dense, mul_dense
+from qsigns.dissect import _check_modulus
 from qsigns.plan import THETA_ATOMS, ExpansionPlan
 from qsigns.products import _apply_factor
 
@@ -157,6 +161,84 @@ def binomial_expansion(spec: EtaQuotientSpec, precision: int) -> Series:
     for f in spec.factors:
         cur = _apply_factor(cur, f.a, f.b, f.delta, n)
     return Series(cur)
+
+
+# -- the closed forms of the (q;q) dissection ---------------------------------
+# The m-dissection of (q;q), M = 4 and j = 1, written out branch by branch
+# in m mod 3 and the position of 12r against multiples of m.  It is the
+# reference for `qq_components` and the predictions, which the package
+# derives from the general quintuple dissection.
+
+def closed_form_offset(m: int, r: int) -> int:
+    """Prefactor exponent of residue r in the m-dissection of (q;q)."""
+    _check_modulus(m)
+    if not 0 <= r < m:
+        raise InvalidParameter(f"residue {r} not in [0, {m})")
+    base = 6 * r * r + r
+    if m % 3 == 1:
+        if 12 * r <= 4 * m - 1:
+            return base
+        if 12 * r <= 10 * m - 1:
+            return base - 8 * m * r + (8 * m * m - 2 * m) // 3
+        return base - 12 * m * r + 6 * m * m - m
+    if 12 * r <= 2 * m - 1:
+        return base
+    if 12 * r <= 8 * m - 1:
+        return base - 4 * m * r + (2 * m * m - m) // 3
+    return base - 12 * m * r + 6 * m * m - m
+
+
+def closed_form_sign_exp(m: int, r: int) -> int:
+    """Sign exponent of residue r in the m-dissection of (q;q)."""
+    _check_modulus(m)
+    if not 0 <= r < m:
+        raise InvalidParameter(f"residue {r} not in [0, {m})")
+    if m % 3 == 1:
+        lo, hi = 4 * m - 1, 10 * m - 1
+    else:
+        lo, hi = 2 * m - 1, 8 * m - 1
+    if 12 * r <= lo:
+        return 0
+    return 1 if 12 * r <= hi else 2
+
+
+def _closed_form_t1(m: int, r: int) -> int:
+    if m % 3 == 1:
+        if 12 * r < 10 * m - 1:
+            return (2 * m * m + m) // 3 + 4 * m * r
+        return (-10 * m * m + m) // 3 + 4 * m * r
+    if 12 * r < 2 * m - 1:
+        return (2 * m * m - m) // 3 - 4 * m * r
+    return (14 * m * m - m) // 3 - 4 * m * r
+
+
+def _closed_form_t2(m: int, r: int) -> int:
+    if m % 3 == 1:
+        if 12 * r < 4 * m - 1:
+            return (16 * m * m + 2 * m) // 3 + 8 * m * r
+        return (-8 * m * m + 2 * m) // 3 + 8 * m * r
+    if 12 * r < 8 * m - 1:
+        return (8 * m * m + 2 * m) // 3 + 8 * m * r
+    return (-16 * m * m + 2 * m) // 3 + 8 * m * r
+
+
+def closed_form_components(m: int) -> DissectionExpression:
+    """The m-dissection of (q;q) via the explicit closed forms."""
+    _check_modulus(m)
+    comps = []
+    for r in range(m):
+        comps.append(
+            DissectionComponent(
+                r=r,
+                sign_exp=closed_form_sign_exp(m, r),
+                offset=closed_form_offset(m, r),
+                t1=_closed_form_t1(m, r),
+                t2=_closed_form_t2(m, r),
+                period1=4 * m * m,
+                period2=8 * m * m,
+            )
+        )
+    return DissectionExpression(tuple(comps))
 
 
 def _random_factors(rng: random.Random) -> list[PochhammerFactor]:

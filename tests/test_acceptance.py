@@ -13,6 +13,7 @@ from _propcheck import (
     check_power_additivity,
     check_ring_laws,
     check_unit_lower_bound,
+    closed_form_components,
 )
 
 from qsigns import (
@@ -120,7 +121,7 @@ def test_criterion_03_euler_dissection_closed_forms():
         expr = qq_components(m)
         if assemble(expr, 500) != euler:
             failures.append(f"m={m} reassembly")
-        if expr != quintuple_components(4, 1, m):
+        if expr != closed_form_components(m):
             failures.append(f"m={m} closed forms")
     _criterion(
         "criterion 3: (q;q) dissection closed forms, T=500",

@@ -173,12 +173,17 @@ def no_expansion(*args):
     ({}, ("dissect", "--m", "100000000", "--T", "10")),
     # 5 * 200001 - 1 = MAX_PRECISION + 4: over only when the target counts too
     ({}, ("dissect", "--m", "4", "--T", "200000")),
-], ids=["expand", "census", "env-precision", "dissect", "dissect-target"])
+    # a prime p above the cap: rejected before the primality test and the p-dissection
+    ({}, ("predict", "--p", "1000003", "--i", "2")),
+    ({}, ("verify", "--p", "1000003", "--i", "2")),
+], ids=["expand", "census", "env-precision", "dissect", "dissect-target", "predict", "verify"])
 def test_oversized_expansion_exits_2(capsys, monkeypatch, env, argv):
     for name, value in env.items():
         monkeypatch.setenv(name, value)
     monkeypatch.setattr(cli, "eta_quotient", no_expansion)
     monkeypatch.setattr(cli, "quintuple_components", no_expansion)
+    monkeypatch.setattr("qsigns.signs._is_prime", no_expansion)
+    monkeypatch.setattr("qsigns.signs.qq_components", no_expansion)
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""

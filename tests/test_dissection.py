@@ -4,6 +4,7 @@ import random
 from dataclasses import replace
 
 import pytest
+from _propcheck import closed_form_components, closed_form_offset, closed_form_sign_exp
 
 from qsigns import (
     DissectionExpression,
@@ -58,11 +59,19 @@ def test_offset_and_sign_exponent_tables():
     assert [qq_offset(5, r) for r in range(5)] == [0, 2, 1, 12, 5]
     assert [qq_offset(7, r) for r in range(7)] == [0, 7, 26, 15, 2, 1, 5]
     assert [qq_sign_exp(5, r) for r in range(5)] == [0, 1, 1, 1, 2]
+    for m in MODULI:
+        assert [qq_offset(m, r) for r in range(m)] == [closed_form_offset(m, r) for r in range(m)]
+        assert [qq_sign_exp(m, r) for r in range(m)] == [closed_form_sign_exp(m, r) for r in range(m)]
+    for r in (-1, 5):
+        for table in (qq_offset, qq_sign_exp):
+            with pytest.raises(InvalidParameter, match=rf"residue {r} not in \[0, 5\)"):
+                table(5, r)
 
 
 def test_closed_forms_agree_with_general_routine():
-    for m in MODULI:
-        assert qq_components(m) == quintuple_components(4, 1, m)
+    for m in range(2, 300):
+        if m % 3:
+            assert qq_components(m) == closed_form_components(m), m
 
 
 # -- reassembly ---------------------------------------------------------------
@@ -181,7 +190,7 @@ def test_quintuple_components_expands_nothing(monkeypatch):
     monkeypatch.setattr(products, "eta_quotient", no_expansion)
     monkeypatch.setattr(dissect, "eta_quotient", no_expansion)
     assert quintuple_components(7, 2, 8).modulus == 8
-    assert quintuple_components(4, 1, 5) == qq_components(5)
+    assert qq_components(5) == closed_form_components(5)
 
 
 # -- structural invariants ------------------------------------------------------
@@ -219,8 +228,9 @@ def test_component_quantities_pairwise_distinct(m):
 
 @pytest.mark.parametrize("m", (0, 1, 3, 6, 9))
 def test_rejects_bad_moduli(m):
-    with pytest.raises(InvalidParameter):
-        qq_components(m)
+    for build in (qq_components, lambda k: qq_offset(k, 0), lambda k: qq_sign_exp(k, 0)):
+        with pytest.raises(InvalidParameter):
+            build(m)
     with pytest.raises(InvalidParameter):
         quintuple_components(4, 1, m)
 

@@ -200,6 +200,26 @@ def test_benchmark_powers_take_the_estimated_route(monkeypatch):
     assert packed == [(999, 5), (331, 3), (331, 3), (330, 3)]
 
 
+def test_packing_is_priced_at_the_exact_slot_width(monkeypatch):
+    """(q;q)^6 at 2000 coefficients has 73 live terms and the slot bound
+    73^5 < 2^31, so it packs in 32-bit slots; 5 * bits(73) + 1 = 36 bits
+    would price 64-bit slots and keep Miller's recurrence.  (q;q) to
+    k = 10^6 at 50 coefficients, 11 live terms, is priced out by the lower
+    bound (10^6 - 1) * 3 + 1 bits before 11^(10^6 - 1) is computed."""
+    packed = _count_packed_powers(monkeypatch)
+    k = 10**6
+    out = pow_sparse(*pentagonal_terms(1, 49), k, 50)
+    assert packed == []
+    assert out[:3] == [1, -k, k * (k - 3) // 2]
+    exps, cofs = pentagonal_terms(1, 1999)
+    assert sum(map(abs, cofs)) ** 5 < 2**31
+    out = pow_sparse(exps, cofs, 6, 2000)
+    assert packed == [(2000, 6)]
+    monkeypatch.setattr(_backend, "_packing_pays", lambda *args: False)
+    assert out == pow_sparse(exps, cofs, 6, 2000)
+    assert packed == [(2000, 6)]
+
+
 def _slot_edge_calls(rng):
     """mul_sparse calls whose bound max|xs| * sum|c| over the live terms is
     2^(W-1) - 1 or 2^(W-1), for the slot widths W = 8, 16, 32, 64 and 72,

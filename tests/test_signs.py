@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from _propcheck import closed_form_offset, closed_form_sign_exp
 
 from qsigns import (
     BeyondPrecision,
@@ -21,7 +22,6 @@ from qsigns import (
     vanishing_predicate,
     verify_pattern,
 )
-from qsigns.dissect import qq_offset, qq_sign_exp
 from qsigns.signs import _alt_squares_case, _signed_pieces, _triangular_case
 
 
@@ -230,10 +230,13 @@ def test_catalog_case_verifies_at_small_horizon():
 # -- the signed-pieces rule ------------------------------------------------------------
 # Test-local copies of the three loops that each derived classes and onsets
 # on their own before `_signed_pieces` took over; the rule must agree with all.
+# The predict loop reads the closed forms of the (q;q) dissection, so it is
+# also the oracle for the offsets and signs `predict_quotient_pattern` takes
+# from the general quintuple dissection.
 
 def _predict_loop(p, i):
-    offsets = tuple(qq_offset(p, r) for r in range(p))
-    sign_exponents = tuple(qq_sign_exp(p, r) for r in range(p))
+    offsets = tuple(closed_form_offset(p, r) for r in range(p))
+    sign_exponents = tuple(closed_form_sign_exp(p, r) for r in range(p))
     residue_map = tuple((i * (6 * r * r + r)) % p for r in range(p))
     classes = [SignClass.ZERO] * p
     least = {}
