@@ -10,12 +10,9 @@ prediction against brute-force expansion.
 from ._backend import backend_name
 from .dissect import (
     DissectionComponent,
-    DissectionExpression,
     assemble,
-    component_series,
     qq_components,
-    qq_offset,
-    qq_sign_exp,
+    quintuple_component,
     quintuple_components,
     ramanujan5,
     three_dissection_qq,
@@ -83,12 +80,9 @@ __all__ = [
     "lambert_cubic",
     "theta_threevar",
     "DissectionComponent",
-    "DissectionExpression",
+    "quintuple_component",
     "quintuple_components",
     "qq_components",
-    "qq_offset",
-    "qq_sign_exp",
-    "component_series",
     "assemble",
     "three_dissection_qq",
     "three_dissection_qq3",

@@ -30,7 +30,7 @@ from . import __version__
 from ._backend import backend_name
 from .dissect import assemble, check_quintuple, quintuple_components
 from .products import EtaQuotientSpec, eta_quotient, quintuple_product
-from .series import MAX_PRECISION, QSignsError
+from .series import MAX_PRECISION, QSignsError, _check_precision
 from .signs import (
     corpus,
     detect_pattern,
@@ -55,10 +55,7 @@ def _precision(value: int | None, name: str = "--T") -> int:
             value = int(raw)
         except ValueError:
             raise QSignsError(f"QSIGNS_PRECISION must be an integer, got {raw!r}")
-    if value < 0:
-        raise QSignsError(f"{name} must be nonnegative, got {value}")
-    if value > MAX_PRECISION:
-        raise QSignsError(f"{name} = {value} exceeds the limit MAX_PRECISION = {MAX_PRECISION}")
+    _check_precision(value, name)
     return value
 
 
@@ -145,12 +142,11 @@ def _cmd_dissect(args) -> Report:
     check_quintuple(args.M, args.j, args.m)
     # the size counts the m components the reassembly builds and the target's T + 1 coefficients
     _precision((args.m + 1) * (T + 1) - 1, "dissection size (m+1)*(T+1) - 1")
-    expr = quintuple_components(args.M, args.j, args.m)
+    comps = quintuple_components(args.M, args.j, args.m)
     target = quintuple_product(args.M, args.j, T)
-    ok = assemble(expr, T) == target
+    ok = assemble(comps, T) == target
     columns = ("r", "sign_exp", "offset", "t1", "t2", "period1", "period2")
-    rows = [(c.r, c.sign_exp, c.offset, c.t1, c.t2, c.period1, c.period2)
-            for c in expr.components]
+    rows = [(c.r, c.sign_exp, c.offset, c.t1, c.t2, c.period1, c.period2) for c in comps]
 
     def lines():
         return [f"dissection of quintuple product (M={args.M}, j={args.j}) mod {args.m}",

@@ -10,13 +10,17 @@ with periods P1 = m^2*M and P2 = 2*m^2*M.  The t parameters carry a
 sign eps fixed by m mod 3: eps = +1 when m = 1 (mod 3) and eps = -1 when
 m = 2 (mod 3).  Then m + eps*(6r - 1) is divisible by 3, and it is even
 whenever m is odd, so m*M*(m + eps*(6r - 1)) is divisible by 6 for every
-M and r, and t1 and t2 are integers.  `quintuple_components` is therefore
-pure arithmetic; it expands nothing.  Integral t's and offsets and
-nonnegative offsets are still checked, and a failure raises
-`QSignsError`; the reassembly checks in the CLI and the tests compare
-the result with a direct expansion.  (q;q) is the quintuple product
+M and r, and t1 and t2 are integers.  `quintuple_component(M, j, m, r)`
+computes the component of one residue and is the only place this
+arithmetic lives; it is pure arithmetic and expands nothing.  Integral
+t's and offsets and nonnegative offsets are still checked, and a failure
+raises `QSignsError`; the reassembly checks in the CLI and the tests
+compare the result with a direct expansion.  `quintuple_components` is
+the tuple of all m components.  (q;q) is the quintuple product
 (M=4, j=1), (q, q^3, q^4; q^4)(q^2, q^6; q^8), so `qq_components` is
-this general dissection at those parameters.
+this general dissection at those parameters, and the prediction of
+quotient sign patterns reads `quintuple_component(4, 1, p, r)` residue
+by residue.
 
 Offsets are evaluated scaled by 24*P2, which makes every term an
 integer, and the sign thresholds are compared after multiplying out
@@ -26,22 +30,20 @@ fractions and no floats anywhere.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import chain
 
 from .plan import quintuple_terms
 from .products import _check_quintuple, eta_quotient, lambert_cubic, pochhammer
-from .series import InvalidParameter, QSignsError, Series
+from .series import InvalidParameter, QSignsError, Series, _check_precision
 
 __all__ = [
     "DissectionComponent",
-    "DissectionExpression",
-    "qq_offset",
-    "qq_sign_exp",
     "check_quintuple",
+    "quintuple_component",
     "quintuple_components",
     "qq_components",
-    "component_series",
     "assemble",
     "three_dissection_qq",
     "three_dissection_qq3",
@@ -88,17 +90,6 @@ class DissectionComponent:
         return min(self.t1, self.period1 - self.t1)
 
 
-@dataclass(frozen=True)
-class DissectionExpression:
-    """A full m-dissection: one component per residue class of the target."""
-
-    components: tuple[DissectionComponent, ...]
-
-    @property
-    def modulus(self) -> int:
-        return len(self.components)
-
-
 # ----------------------------------------------------------------------
 # General quintuple dissection
 # ----------------------------------------------------------------------
@@ -111,80 +102,69 @@ def _check_modulus(m: int) -> None:
 
 
 def check_quintuple(M: int, j: int, m: int) -> None:
-    """Reject parameters that `quintuple_components` does not accept."""
+    """Reject M, j and m that the dissection does not accept; `quintuple_components` also caps m."""
     _check_quintuple(M, j)
     _check_modulus(m)
 
 
-def _candidate(M: int, j: int, m: int, eps: int) -> list[DissectionComponent]:
-    """Components for the sign choice eps; raises when eps does not suit m.
+def quintuple_component(M: int, j: int, m: int, r: int, *, _eps: int = 0) -> DissectionComponent:
+    """The component of residue r in the m-dissection of the (M, j) quintuple product.
+
+    Requires M >= 3, 1 <= j < M/2, m >= 2 not divisible by 3, and
+    0 <= r < m.  The sign choice is eps = +1 for m = 1 (mod 3) and -1 for
+    m = 2 (mod 3).  ``_eps`` forces a choice, for tests that probe the
+    other one; a choice that does not suit m raises `QSignsError` or gives
+    components that do not reassemble.
 
     The offset L = 7*P1/24 + t1*(t1/P1 - 1)/2 + t2*(t2/P2 - 1)/2 - ref is
     computed as 24*P2*L, which clears every denominator since P2 = 2*P1
     and P2 = 2*m^2*M.
     """
+    check_quintuple(M, j, m)
+    if not 0 <= r < m:
+        raise InvalidParameter(f"residue {r} not in [0, {m})")
+    eps = _eps or (1 if m % 3 == 1 else -1)
     P1 = m * m * M
-    P2 = 2 * m * m * M
-    scale = 24 * P2
+    P2 = 2 * P1
+    a = m * M * (m + eps * (6 * r - 1))
+    # t1 needs a divisible by 6 and t2 by 3, so one test covers both
+    if a % 6:
+        raise QSignsError(f"non-integral t for (M={M}, j={j}, m={m}, r={r}, eps={eps})")
+    t1 = (a // 6 + eps * j * m) % P1
+    t2 = (P1 + 2 * j * m + eps * (a // 3)) % P2
     ref = 7 * M * P2 + 24 * m * m * j * (j - M) - 12 * m * m * (M * M - 4 * j * j)
+    offset, rest = divmod(7 * P1 * P2 + 24 * t1 * (t1 - P1) + 12 * t2 * (t2 - P2) - ref, 24 * P2)
+    if rest:
+        raise QSignsError(f"non-integral offset for (M={M}, j={j}, m={m}, r={r}, eps={eps})")
+    # r <= (k*M - 6j) / (6M), for k = lo and k = hi
     lo, hi = (2 * m + 1, 5 * m + 1) if m % 3 == 1 else (m + 1, 4 * m + 1)
-    comps = []
-    for r in range(m):
-        a = m * M * (m + eps * (6 * r - 1))
-        # t1 needs a divisible by 6 and t2 by 3, so one test covers both
-        if a % 6:
-            raise QSignsError(f"non-integral t for (M={M}, j={j}, m={m}, r={r}, eps={eps})")
-        t1 = (a // 6 + eps * j * m) % P1
-        t2 = (m * m * M + 2 * j * m + eps * (a // 3)) % P2
-        offset = 7 * P1 * P2 + 24 * t1 * (t1 - P1) + 12 * t2 * (t2 - P2) - ref
-        if offset % scale:
-            raise QSignsError(f"non-integral offset for (M={M}, j={j}, m={m}, r={r}, eps={eps})")
-        # r <= (k*M - 6j) / (6M), for k = lo and k = hi
-        s = 0 if 6 * M * r <= lo * M - 6 * j else (1 if 6 * M * r <= hi * M - 6 * j else 2)
-        # a zero t or a negative offset fails the component's own range checks
-        comps.append(
-            DissectionComponent(
-                r=r, sign_exp=s, offset=offset // scale, t1=t1, t2=t2, period1=P1, period2=P2
-            )
-        )
-    return comps
+    s = 0 if 6 * M * r <= lo * M - 6 * j else (1 if 6 * M * r <= hi * M - 6 * j else 2)
+    # a zero t or a negative offset fails the component's own range checks
+    return DissectionComponent(
+        r=r, sign_exp=s, offset=offset, t1=t1, t2=t2, period1=P1, period2=P2
+    )
 
 
-def quintuple_components(M: int, j: int, m: int) -> DissectionExpression:
-    """The m-dissection of the (M, j) quintuple product.
+def quintuple_components(M: int, j: int, m: int) -> tuple[DissectionComponent, ...]:
+    """The m-dissection of the (M, j) quintuple product: its component for each r < m.
 
-    Requires M >= 3, 1 <= j < M/2, and m >= 2 not divisible by 3.  The
-    sign choice is eps = +1 for m = 1 (mod 3) and -1 for m = 2 (mod 3).
+    The m components are capped like a precision, before the first is built.
     """
     check_quintuple(M, j, m)
-    comps = _candidate(M, j, m, 1 if m % 3 == 1 else -1)
-    return DissectionExpression(tuple(comps))
+    _check_precision(m, "m")
+    # a list first: tuple() of a generator grows by reallocation, and
+    # repeated calls then fragment the heap (max RSS climbed ~1 MB over
+    # 800 passes of the `dissect` jobs, flat with the list)
+    return tuple([quintuple_component(M, j, m, r) for r in range(m)])
 
 
 # ----------------------------------------------------------------------
 # (q;q) = Q(4, 1)
 # ----------------------------------------------------------------------
 
-def qq_components(m: int) -> DissectionExpression:
+def qq_components(m: int) -> tuple[DissectionComponent, ...]:
     """The m-dissection of (q;q), the quintuple product (4, 1)."""
     return quintuple_components(4, 1, m)
-
-
-def _qq_component(m: int, r: int) -> DissectionComponent:
-    _check_modulus(m)
-    if not 0 <= r < m:
-        raise InvalidParameter(f"residue {r} not in [0, {m})")
-    return qq_components(m).components[r]
-
-
-def qq_offset(m: int, r: int) -> int:
-    """Prefactor exponent of residue r in the m-dissection of (q;q)."""
-    return _qq_component(m, r).offset
-
-
-def qq_sign_exp(m: int, r: int) -> int:
-    """Sign exponent of residue r in the m-dissection of (q;q)."""
-    return _qq_component(m, r).sign_exp
 
 
 def _component_terms(comp: DissectionComponent, precision: int):
@@ -203,19 +183,15 @@ def _component_terms(comp: DissectionComponent, precision: int):
         yield e + comp.offset, comp.sign * c
 
 
-def component_series(comp: DissectionComponent, precision: int) -> Series:
-    """Expand one dissection component: the quintuple product (period1, j), shifted and signed."""
-    return Series.from_terms(_component_terms(comp, precision), precision)
-
-
-def assemble(expr: DissectionExpression, precision: int) -> Series:
-    """Sum all components; equals the target product when the dissection is exact.
+def assemble(components: Iterable[DissectionComponent], precision: int) -> Series:
+    """Sum the components; equals the target product when the dissection is exact.
 
     The sum is one sparse scatter of the components' terms, about
     sqrt(precision) per component, into the precision + 1 coefficients.
+    One component on its own is its expansion: shifted, signed, truncated.
     """
     return Series.from_terms(
-        chain.from_iterable(_component_terms(c, precision) for c in expr.components), precision
+        chain.from_iterable(_component_terms(c, precision) for c in components), precision
     )
 
 

@@ -6,9 +6,9 @@ n > N (N = -1 covers every n >= 0).  Patterns come from three places:
 
 * `predict_quotient_pattern(p, i)` derives the pattern of
   (q^i;q^i)/(q^p;q^p) for prime p > 3, together with the sharp onset
-  bound, from the offsets and signs of the components of
-  `qq_components(p)`, the p-dissection of (q;q) as the quintuple
-  product (4, 1);
+  bound, from the offset and sign of each component
+  `quintuple_component(4, 1, p, r)` of the p-dissection of (q;q), the
+  quintuple product (4, 1);
 * `pattern_catalog()` lists fixed quotients whose patterns follow from
   theta-series dissections;
 * `detect_pattern` scans an expansion empirically.
@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from operator import gt, not_, sub
 
-from .dissect import qq_components
+from .dissect import quintuple_component
 from .products import EtaQuotientSpec
 from .series import MAX_PRECISION, BeyondPrecision, InvalidParameter, QSignsError, Series
 
@@ -179,8 +179,9 @@ def predict_quotient_pattern(p: int, i: int) -> SignCertificate:
     Residue i(6r^2+r) mod p is positive or negative according to the sign
     exponent of r in the p-dissection of (q;q); residues hit by no r are
     exactly zero.  The onset is max over attained residues of the least
-    i*offset(r) landing there, minus p.  The dissection has p components,
-    so p is capped like a precision, before the primality test runs.
+    i*offset(r) landing there, minus p.  Only the offsets and sign
+    exponents of the p components are kept.  p is capped like a
+    precision, before the primality test runs.
     """
     if p > MAX_PRECISION:
         raise InvalidParameter(f"p = {p} exceeds the limit MAX_PRECISION = {MAX_PRECISION}")
@@ -191,21 +192,23 @@ def predict_quotient_pattern(p: int, i: int) -> SignCertificate:
     if i % p == 0:
         raise InvalidParameter(f"i must not be divisible by p, got i={i}, p={p}")
 
-    comps = qq_components(p).components
-    offsets = tuple(c.offset for c in comps)
-    sign_exponents = tuple(c.sign_exp for c in comps)
     residue_map = tuple((i * (6 * r * r + r)) % p for r in range(p))
-    for r in range(p):
+    offsets, sign_exponents = [], []
+    for r, rho in enumerate(residue_map):
+        comp = quintuple_component(4, 1, p, r)
         # the offset realizes the residue: i*L(r) = i(6r^2+r) (mod p)
-        if (i * offsets[r]) % p != residue_map[r]:
+        if (i * comp.offset) % p != rho:
             raise QSignsError(f"offset congruence broken at r={r} for (p={p}, i={i})")
-    classes, onset = _signed_pieces(p, [(i * c.offset, c.sign) for c in comps])
+        offsets.append(comp.offset)
+        sign_exponents.append(comp.sign_exp)
+    pieces = ((i * L, (-1) ** s) for L, s in zip(offsets, sign_exponents))
+    classes, onset = _signed_pieces(p, pieces)
     pattern = SignPattern(p, classes, max(onset, -1))
     return SignCertificate(
         p=p,
         i=i,
-        offsets=offsets,
-        sign_exponents=sign_exponents,
+        offsets=tuple(offsets),
+        sign_exponents=tuple(sign_exponents),
         residue_map=residue_map,
         onset=onset,
         pattern=pattern,

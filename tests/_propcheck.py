@@ -12,7 +12,6 @@ import random
 
 from qsigns import (
     DissectionComponent,
-    DissectionExpression,
     EtaQuotientSpec,
     InvalidParameter,
     NonUnitConstantTerm,
@@ -222,7 +221,7 @@ def _closed_form_t2(m: int, r: int) -> int:
     return (-16 * m * m + 2 * m) // 3 + 8 * m * r
 
 
-def closed_form_components(m: int) -> DissectionExpression:
+def closed_form_components(m: int) -> tuple[DissectionComponent, ...]:
     """The m-dissection of (q;q) via the explicit closed forms."""
     _check_modulus(m)
     comps = []
@@ -238,7 +237,7 @@ def closed_form_components(m: int) -> DissectionExpression:
                 period2=8 * m * m,
             )
         )
-    return DissectionExpression(tuple(comps))
+    return tuple(comps)
 
 
 def _random_factors(rng: random.Random) -> list[PochhammerFactor]:

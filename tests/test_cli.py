@@ -183,7 +183,7 @@ def test_oversized_expansion_exits_2(capsys, monkeypatch, env, argv):
     monkeypatch.setattr(cli, "eta_quotient", no_expansion)
     monkeypatch.setattr(cli, "quintuple_components", no_expansion)
     monkeypatch.setattr("qsigns.signs._is_prime", no_expansion)
-    monkeypatch.setattr("qsigns.signs.qq_components", no_expansion)
+    monkeypatch.setattr("qsigns.signs.quintuple_component", no_expansion)
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""

@@ -7,15 +7,12 @@ import pytest
 from _propcheck import closed_form_components, closed_form_offset, closed_form_sign_exp
 
 from qsigns import (
-    DissectionExpression,
     InvalidParameter,
     assemble,
-    component_series,
     eta_quotient,
     pochhammer,
     qq_components,
-    qq_offset,
-    qq_sign_exp,
+    quintuple_component,
     quintuple_components,
     quintuple_product,
     ramanujan5,
@@ -23,7 +20,6 @@ from qsigns import (
     three_dissection_qq3,
 )
 from qsigns import dissect, products
-from qsigns.dissect import _candidate
 from qsigns.series import MAX_PRECISION, QSignsError, Series
 
 MODULI = (2, 4, 5, 7, 8, 10, 11, 13)
@@ -32,7 +28,7 @@ MODULI = (2, 4, 5, 7, 8, 10, 11, 13)
 # -- component tables --------------------------------------------------------
 
 def test_components_mod_5():
-    comps = qq_components(5).components
+    comps = qq_components(5)
     assert [c.t1 for c in comps] == [15, 95, 75, 55, 35]
     assert [c.t2 for c in comps] == [70, 110, 150, 190, 30]
     assert [c.offset for c in comps] == [0, 2, 1, 12, 5]
@@ -41,13 +37,13 @@ def test_components_mod_5():
 
 
 def test_components_mod_7():
-    comps = qq_components(7).components
+    comps = qq_components(7)
     assert [c.offset for c in comps] == [0, 7, 26, 15, 2, 1, 5]
     assert [c.sign for c in comps] == [1, 1, 1, -1, -1, -1, 1]
 
 
 def test_components_mod_2():
-    comps = qq_components(2).components
+    comps = qq_components(2)
     assert [(c.r, c.sign_exp, c.offset, c.t1, c.t2) for c in comps] == [
         (0, 0, 0, 2, 12),
         (1, 1, 1, 10, 28),
@@ -56,22 +52,27 @@ def test_components_mod_2():
 
 
 def test_offset_and_sign_exponent_tables():
-    assert [qq_offset(5, r) for r in range(5)] == [0, 2, 1, 12, 5]
-    assert [qq_offset(7, r) for r in range(7)] == [0, 7, 26, 15, 2, 1, 5]
-    assert [qq_sign_exp(5, r) for r in range(5)] == [0, 1, 1, 1, 2]
+    def qq(m):
+        return [quintuple_component(4, 1, m, r) for r in range(m)]
+
+    assert [c.offset for c in qq(5)] == [0, 2, 1, 12, 5]
+    assert [c.offset for c in qq(7)] == [0, 7, 26, 15, 2, 1, 5]
+    assert [c.sign_exp for c in qq(5)] == [0, 1, 1, 1, 2]
     for m in MODULI:
-        assert [qq_offset(m, r) for r in range(m)] == [closed_form_offset(m, r) for r in range(m)]
-        assert [qq_sign_exp(m, r) for r in range(m)] == [closed_form_sign_exp(m, r) for r in range(m)]
+        assert [c.offset for c in qq(m)] == [closed_form_offset(m, r) for r in range(m)]
+        assert [c.sign_exp for c in qq(m)] == [closed_form_sign_exp(m, r) for r in range(m)]
     for r in (-1, 5):
-        for table in (qq_offset, qq_sign_exp):
+        for M, j in ((4, 1), (7, 2)):
             with pytest.raises(InvalidParameter, match=rf"residue {r} not in \[0, 5\)"):
-                table(5, r)
+                quintuple_component(M, j, 5, r)
 
 
 def test_closed_forms_agree_with_general_routine():
     for m in range(2, 300):
         if m % 3:
-            assert qq_components(m) == closed_form_components(m), m
+            oracle = closed_form_components(m)
+            assert qq_components(m) == oracle, m
+            assert tuple(quintuple_component(4, 1, m, r) for r in range(m)) == oracle, m
 
 
 # -- reassembly ---------------------------------------------------------------
@@ -85,21 +86,21 @@ def test_quintuple_reassembly_5_1_mod_7():
 
 
 def test_component_zero_has_unit_constant_term():
-    comp = qq_components(5).components[0]
-    assert component_series(comp, 10).coefficient(0) == 1
+    comp = qq_components(5)[0]
+    assert assemble((comp,), 10).coefficient(0) == 1
 
 
 def test_general_reassembly_with_equal_t_parameters():
     # t1 == t2 == 25 at r=4 here; the dissection is still exact
-    expr = quintuple_components(3, 1, 5)
-    assert any(c.t1 == c.t2 for c in expr.components)
-    assert assemble(expr, 150) == quintuple_product(3, 1, 150)
+    comps = quintuple_components(3, 1, 5)
+    assert any(c.t1 == c.t2 for c in comps)
+    assert assemble(comps, 150) == quintuple_product(3, 1, 150)
 
 
-def dense_sum(expr, precision):
+def dense_sum(comps, precision):
     """The reference reassembly: each component a dense series, shifted, signed and added."""
     total = Series.zero(precision)
-    for comp in expr.components:
+    for comp in comps:
         part = quintuple_product(comp.period1, comp.j, precision).shift(comp.offset)
         total = total + (-part if comp.sign < 0 else part)
     return total
@@ -114,11 +115,11 @@ def test_sparse_assemble_matches_the_dense_sum():
         m = rng.choice([k for k in range(2, 30) if k % 3])
         T = rng.choice((0, rng.randrange(1, 60), rng.randrange(60, 900)))
         cases.append((quintuple_components(M, j, m), T))
-    assert any(c.offset > T for expr, T in cases for c in expr.components)
-    for expr, T in cases:
-        assert assemble(expr, T) == dense_sum(expr, T), (expr, T)
-        for comp in expr.components:
-            assert component_series(comp, T) == dense_sum(DissectionExpression((comp,)), T)
+    assert any(c.offset > T for comps, T in cases for c in comps)
+    for comps, T in cases:
+        assert assemble(comps, T) == dense_sum(comps, T), (comps, T)
+        for comp in comps:
+            assert assemble((comp,), T) == dense_sum((comp,), T)
 
 
 def test_reassembly_checks_the_precision_before_making_terms(monkeypatch):
@@ -126,12 +127,11 @@ def test_reassembly_checks_the_precision_before_making_terms(monkeypatch):
         raise AssertionError("made terms past MAX_PRECISION")
 
     monkeypatch.setattr(dissect, "quintuple_terms", refuse)
-    expr = qq_components(5)
-    for build in (lambda T: assemble(expr, T), lambda T: component_series(expr.components[0], T)):
+    for comps in (qq_components(5), qq_components(5)[:1]):
         with pytest.raises(InvalidParameter, match="exceeds the limit MAX_PRECISION"):
-            build(MAX_PRECISION + 1)
+            assemble(comps, MAX_PRECISION + 1)
         with pytest.raises(InvalidParameter, match="precision must be nonnegative"):
-            build(-1)
+            assemble(comps, -1)
 
 
 def probe_sign_choice(M, j, m, precision=60):
@@ -140,12 +140,11 @@ def probe_sign_choice(M, j, m, precision=60):
     preferred = 1 if m % 3 == 1 else -1
     for eps in (preferred, -preferred):
         try:
-            comps = tuple(_candidate(M, j, m, eps))
+            comps = tuple(quintuple_component(M, j, m, r, _eps=eps) for r in range(m))
         except QSignsError:
             continue
-        expr = DissectionExpression(comps)
-        if assemble(expr, precision) == target:
-            return expr
+        if assemble(comps, precision) == target:
+            return comps
     raise AssertionError(f"no sign choice reassembles for {(M, j, m)}")
 
 
@@ -178,7 +177,10 @@ def test_derived_sign_choice_always_builds():
             for m in range(2, 32):
                 if m % 3 == 0:
                     continue
-                assert len(quintuple_components(M, j, m).components) == m
+                comps = quintuple_components(M, j, m)
+                assert len(comps) == m
+                for r in range(m):
+                    assert quintuple_component(M, j, m, r) == comps[r], (M, j, m, r)
                 cases += 1
     assert cases == 2640
 
@@ -189,7 +191,8 @@ def test_quintuple_components_expands_nothing(monkeypatch):
 
     monkeypatch.setattr(products, "eta_quotient", no_expansion)
     monkeypatch.setattr(dissect, "eta_quotient", no_expansion)
-    assert quintuple_components(7, 2, 8).modulus == 8
+    assert len(quintuple_components(7, 2, 8)) == 8
+    assert quintuple_component(7, 2, 8, 3).r == 3
     assert qq_components(5) == closed_form_components(5)
 
 
@@ -197,8 +200,8 @@ def test_quintuple_components_expands_nothing(monkeypatch):
 
 @pytest.mark.parametrize("m", MODULI)
 def test_components_supported_on_single_residue(m):
-    for comp in qq_components(m).components:
-        series = component_series(comp, 150)
+    for comp in qq_components(m):
+        series = assemble((comp,), 150)
         for n, c in enumerate(series.coefficients):
             if c:
                 assert n % m == comp.offset % m
@@ -206,7 +209,7 @@ def test_components_supported_on_single_residue(m):
 
 @pytest.mark.parametrize("m", MODULI)
 def test_offset_congruence_and_divisibility(m):
-    for comp in qq_components(m).components:
+    for comp in qq_components(m):
         r = comp.r
         assert comp.offset % m == (6 * r * r + r) % m
         assert comp.t1 % m == 0
@@ -215,7 +218,7 @@ def test_offset_congruence_and_divisibility(m):
 
 @pytest.mark.parametrize("m", MODULI)
 def test_component_quantities_pairwise_distinct(m):
-    for c in qq_components(m).components:
+    for c in qq_components(m):
         values = (
             c.t1, c.period1 - c.t1, c.period1, c.period1 + c.t1,
             c.period2 - c.t1, c.period2, c.t2, c.period2 - c.t2,
@@ -228,25 +231,36 @@ def test_component_quantities_pairwise_distinct(m):
 
 @pytest.mark.parametrize("m", (0, 1, 3, 6, 9))
 def test_rejects_bad_moduli(m):
-    for build in (qq_components, lambda k: qq_offset(k, 0), lambda k: qq_sign_exp(k, 0)):
+    for build in (qq_components, lambda k: quintuple_components(4, 1, k),
+                  lambda k: quintuple_component(4, 1, k, 0)):
         with pytest.raises(InvalidParameter):
             build(m)
-    with pytest.raises(InvalidParameter):
-        quintuple_components(4, 1, m)
+
+
+def test_dissection_caps_the_modulus_before_the_first_component(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a component past MAX_PRECISION")
+
+    monkeypatch.setattr(dissect, "quintuple_component", refuse)
+    for m in (MAX_PRECISION + 1, 10**8):
+        assert m % 3
+        for build in (qq_components, lambda k: quintuple_components(7, 2, k)):
+            with pytest.raises(InvalidParameter, match=f"m = {m} exceeds the limit MAX_PRECISION"):
+                build(m)
 
 
 @pytest.mark.parametrize("field,delta", [("t2", 1), ("t2", -2), ("period2", 2)])
 def test_component_rejects_a_non_quintuple_shape(field, delta):
-    comp = qq_components(5).components[1]
+    comp = qq_components(5)[1]
     with pytest.raises(InvalidParameter, match="not a quintuple product"):
         replace(comp, **{field: getattr(comp, field) + delta})
 
 
 def test_rejects_bad_quintuple_parameters():
-    with pytest.raises(InvalidParameter):
-        quintuple_components(2, 1, 5)
-    with pytest.raises(InvalidParameter):
-        quintuple_components(4, 2, 5)
+    for M, j in ((2, 1), (4, 2), (7, 0), (7, 4)):
+        for build in (quintuple_components, lambda *qj: quintuple_component(*qj, 0)):
+            with pytest.raises(InvalidParameter):
+                build(M, j, 5)
 
 
 # -- 3-dissections and the 5-dissection -------------------------------------------

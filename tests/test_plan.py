@@ -15,7 +15,7 @@ from qsigns import quintuple_product
 from qsigns import products, ramanujan5, three_dissection_qq
 from qsigns import _backend
 from qsigns._backend import _BLOCK, _PACK_MAX, _PACK_MIN, div_sparse, invert_dense, mul_dense, mul_sparse, pow_sparse
-from qsigns.dissect import component_series
+from qsigns.dissect import assemble
 from qsigns.plan import (
     FORMS,
     THETA_ATOMS,
@@ -871,7 +871,7 @@ def test_dissection_components_are_one_quintuple_atom():
     for M in range(3, 9):
         for j in range(1, (M + 1) // 2):
             for m in MODULI:
-                for c in quintuple_components(M, j, m).components:
+                for c in quintuple_components(M, j, m):
                     spec = (
                         f"{c.t1}.{c.period1} {c.period1 - c.t1}.{c.period1} {c.period1} "
                         f"{c.t2}.{c.period2} {c.period2 - c.t2}.{c.period2}"
@@ -893,7 +893,6 @@ def test_paper_products_never_take_the_binomial_path(monkeypatch):
     for M in range(3, 9):
         for j in range(1, (M + 1) // 2):
             quintuple_product(M, j, 200)
-            for comp in quintuple_components(M, j, 5).components:
-                component_series(comp, 200)
+            assemble(quintuple_components(M, j, 5), 200)
     three_dissection_qq(200)
     ramanujan5(200)

@@ -22,6 +22,7 @@ from qsigns import (
     vanishing_predicate,
     verify_pattern,
 )
+from qsigns import dissect
 from qsigns.signs import _alt_squares_case, _signed_pieces, _triangular_case
 
 
@@ -277,7 +278,13 @@ def _alt_squares_loop(p):
     return classes, max(least.values()) - mod
 
 
-def test_signed_pieces_matches_the_predict_loop():
+def test_signed_pieces_matches_the_predict_loop(monkeypatch):
+    # the prediction reads one component per residue, never a whole dissection
+    def refuse(*args):
+        raise AssertionError("the prediction built a whole dissection")
+
+    monkeypatch.setattr(dissect, "quintuple_components", refuse)
+    monkeypatch.setattr(dissect, "qq_components", refuse)
     pairs = [(p, i) for p in range(5, 100) for i in range(2, 31)
              if all(p % d for d in range(2, p)) and i % p]
     assert len(pairs) == 649
