@@ -12,18 +12,12 @@ raised to a power, and names the one to raise outright:
 * **Jacobi triple products.** By the triple product identity
   (q^a;q^b)(q^{b-a};q^b) = JTP(a,b) / (q^b;q^b), where
   JTP(a,b) = sum_k (-1)^k q^{b k(k-1)/2 + a k} has O(sqrt(T/b)) terms.
-  Partners whose net exponents share a sign are paired that many times
-  (a factor with b = 2a pairs with itself), and each pair moves its
-  (q^b;q^b) into that factor's net exponent.
-* **Quintuple products.** By the quintuple product identity in Cooper's
-  form, JTP(j,M) JTP(M-2j,2M) = Q(M,j) (q^{2M};q^{2M}) for 1 <= j < M/2,
-  where Q(M,j) = (q^j, q^{M-j}, q^M; q^M)(q^{M-2j}, q^{M+2j}; q^{2M})
-  = sum_n q^{M n(3n+1)/2} (q^{-3jn} - q^{j(3n+1)}) also has O(sqrt(T/M))
-  terms.  Two such thetas whose exponents share a sign become one atom
-  Q(M,j)^k, k their common part, by the same pairing rule (`_pair`) as
-  the partners above, and k is added to the net exponent of
-  (q^{2M};q^{2M}).  A quintuple product, and so every dissection
-  component, plans as the single atom Q(M,j)^1, which is one scatter.
+  A factor with b = 2a is its own partner, and JTP(a,2a) is the theta
+  atom phi(-q^a) below, so (q^a;q^{2a}) is netted as
+  (q^a;q^a)/(q^{2a};q^{2a}) before anything is paired.  Any other
+  partners whose net exponents share a sign are paired as often as the
+  one nearer zero allows, into JTP(a,b) with 2a < b, and each pair
+  moves its (q^b;q^b) into that factor's net exponent.
 * **Theta atoms.** Four eta quotients are sparse theta series (R. J.
   Lemke Oliver, "Eta-quotients and theta functions", Adv. Math. 2013):
   Jacobi's (q;q)^3 = sum_{n>=0} (-1)^n (2n+1) q^{n(n+1)/2},
@@ -41,11 +35,13 @@ raised to a power, and names the one to raise outright:
   (form, params, k) entry; `FORMS` maps the form to its term generator.
   The plan names one entry, the seed, to raise in one pass of Miller's
   power recurrence (`pow_sparse`), and it orders the others, each
-  multiplied or divided in once per unit of k.  The expansion runs in
-  the coarsest variable q^d it can: d is the gcd of the steps of the
-  series applied so far, so (q^i;q^i)/(q^p;q^p) divides by (q^p;q^p) at
-  T/p coefficients and then multiplies by (q^i;q^i) straight into
-  every p-th coefficient (`mul_sparse` with a stride).  Every order gives the same coefficients, since truncated
+  multiplied or divided in once per unit of k, or raised once and
+  multiplied in once when |k| exceeds the length of its pass.  The
+  expansion runs in the coarsest variable q^d it can: d is the gcd of
+  the steps of the series applied so far, so (q^i;q^i)/(q^p;q^p) divides
+  by (q^p;q^p) at T/p coefficients and then multiplies by (q^i;q^i)
+  straight into every p-th coefficient (`mul_sparse` with a stride).
+  Every order gives the same coefficients, since truncated
   series over Z form a commutative ring, but not the same work: the
   estimate charges each pass |k| * work * n/d, at the step d the
   accumulator has when the pass runs, and Miller's pass over a series in
@@ -57,10 +53,11 @@ raised to a power, and names the one to raise outright:
   recurrence, which multiplies at every term, three times, or 3.5 times
   to a negative power.
 * **Binomial fallback.** Unpaired factors and factors with a > b stay
-  binomials, multiplied or divided in one binomial 1-q^{a+kb} at a
-  time by slice arithmetic, with no kernel pass
+  binomials, multiplied or divided in one binomial 1-q^e, e = a+kb, at
+  a time by slice arithmetic, with no kernel pass
   (`products._apply_factor`), which also serves the tests as the
-  reference expansion of any spec.
+  reference expansion of any spec.  A binomial to a power above T/e is
+  multiplied in as its truncated binomial series instead.
 """
 
 from __future__ import annotations
@@ -68,6 +65,7 @@ from __future__ import annotations
 import functools
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 
 from .series import InvalidParameter
@@ -218,7 +216,6 @@ def square_terms(s: int, sign: int, limit: int) -> tuple[list[int], list[int]]:
 # form: sparse terms of the series, called with its parameters and a limit
 FORMS = {
     "jtp": jacobi_triple_terms,
-    "Q": quintuple_terms,
     "euler": pentagonal_terms,
     "J": jacobi_cube_terms,
     "psi": triangular_terms,
@@ -249,9 +246,8 @@ class ExpansionPlan:
 
     The seed (or None) and each of powers is (form, params, k), the series
     ``FORMS[form](*params, limit)`` to the power k: "jtp" (a, b) is
-    JTP(a,b) with a <= b - a, "Q" (M, j) the quintuple atom Q(M,j),
-    "euler" (b,) the pentagonal (q^b;q^b), and a `THETA_ATOMS` name (s,)
-    that theta atom in q^s.  The seed is raised outright, first; powers
+    JTP(a,b) with 2a < b, "euler" (b,) the pentagonal (q^b;q^b), and a
+    `THETA_ATOMS` name (s,) that theta atom in q^s.  The seed is raised outright, first; powers
     are multiplied or divided in once per unit of k, in the order the cost
     estimate picks together with the seed, each in the coarsest q^d it
     can run in.  Each (a, b, d) in binomials is (q^a;q^b)^d, applied one
@@ -264,34 +260,37 @@ class ExpansionPlan:
 
     @classmethod
     def of(cls, spec: "EtaQuotientSpec | str") -> "ExpansionPlan":
-        """Net the exponents of the spec's factors, pair partners into JTPs,
-        pair JTPs into quintuple products, take the theta atoms that lower
-        the estimated cost, then seed and order the powers as the estimate
-        picks.  Plans are cached per parsed spec, so a spec and its text
-        share one plan."""
+        """Net the exponents of the spec's factors, with (q^a;q^{2a}) as
+        (q^a;q^a)/(q^{2a};q^{2a}), pair partners into JTPs, take the theta
+        atoms that lower the estimated cost, then seed and order the powers
+        as the estimate picks.  Plans are cached per parsed spec, so a spec
+        and its text share one plan."""
         return _plan(_as_spec(spec))
 
 
 @functools.lru_cache(maxsize=1024)
 def _plan(spec: EtaQuotientSpec) -> ExpansionPlan:
-    net: dict[tuple[int, int], int] = {}
+    net: Counter = Counter()
     for f in spec.factors:
-        net[f.a, f.b] = net.get((f.a, f.b), 0) + f.delta
-    # (q^a;q^b)(q^{b-a};q^b) = JTP(a,b) / (q^b;q^b)
-    jtps: dict[tuple[int, int], int] = {}
+        if f.b == 2 * f.a:
+            # (q^a;q^{2a}) = (q^a;q^a) / (q^{2a};q^{2a})
+            net[f.a, f.a] += f.delta
+            net[f.b, f.b] -= f.delta
+        else:
+            net[f.a, f.b] += f.delta
+    # (q^a;q^b)(q^{b-a};q^b) = JTP(a,b) / (q^b;q^b), as often as the
+    # exponent nearer zero when the two share a sign (a >= b has no partner)
+    jtps = []
     for a, b in list(net):
-        if a < b and (k := _pair(net, (a, b), (b - a, b))):
-            jtps[min(a, b - a), b] = k
-            net[b, b] = net.get((b, b), 0) - k
-    # JTP(j,M) JTP(M-2j,2M) = Q(M,j) (q^{2M};q^{2M})
-    quintuples = []
-    for j, M in list(jtps):
-        if 2 * j < M and (k := _pair(jtps, (j, M), (M - 2 * j, 2 * M))):
-            quintuples.append(("Q", (M, j), k))
-            net[2 * M, 2 * M] = net.get((2 * M, 2 * M), 0) + k
+        x, y = net[a, b], net[b - a, b]
+        if x * y > 0:
+            k = min(x, y, key=abs)
+            net[a, b] -= k
+            net[b - a, b] -= k
+            net[b, b] -= k
+            jtps.append(("jtp", (min(a, b - a), b), k))
     powers, (_, seed, order) = _with_theta_atoms([
-        *quintuples,
-        *(("jtp", ab, k) for ab, k in jtps.items() if k),
+        *jtps,
         *(("euler", (b,), d) for (a, b), d in net.items() if a == b and d),
     ])
     return ExpansionPlan(
@@ -299,24 +298,6 @@ def _plan(spec: EtaQuotientSpec) -> ExpansionPlan:
         powers=tuple(powers[i] for i in order),
         binomials=tuple((a, b, d) for (a, b), d in net.items() if a != b and d),
     )
-
-
-def _pair(exps: dict, x, y) -> int:
-    """Pair x with y in exps as often as their exponents allow, and return how often.
-
-    Two exponents of one sign have in common the one nearer zero; a key
-    that pairs with itself pairs half its exponent, rounded toward zero.
-    """
-    if x == y:
-        k = _toward_zero(exps[x], 2)
-        exps[x] -= 2 * k
-    elif exps.get(x, 0) * exps.get(y, 0) > 0:
-        k = min(exps[x], exps[y]) if exps[x] > 0 else max(exps[x], exps[y])
-        exps[x] -= k
-        exps[y] -= k
-    else:
-        k = 0
-    return k
 
 
 def _toward_zero(d: int, e: int) -> int:

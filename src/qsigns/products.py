@@ -8,16 +8,19 @@ the plan's seed to its power with `pow_sparse` (Miller's recurrence, or
 packed squaring where that is estimated cheaper) in the seed's own
 step, or else starts from 1 in the step of the first power.  It then
 multiplies or divides in each power once per unit, in the plan's
-order: a power in a coarser q^{d'} runs at T/d + 1 coefficients, a
-multiplication into a finer lattice writes straight into it
-(`mul_sparse` with a stride), and a division into one spreads the
-accumulator onto it; `div_sparse` then divides in the
-divisor's own q^{d'}, all residue classes mod d' of the accumulator in
-one packed pass at about T/d' + 1 coefficients when most of them are
-nonzero.  At the end it spreads the result onto q and applies the
-binomials one at a time (`_apply_factor`), with no kernel: 1 - q^e is
-one slice subtraction, and its inverse, the product of 1 + q^(e*2^j),
-about log2(T/e) slice additions.
+order; a power |k| above the length of its pass is instead raised once
+with `pow_sparse` and multiplied in as one sparse series.  A power in a
+coarser q^{d'} runs at T/d + 1 coefficients, a multiplication into a
+finer lattice writes straight into it (`mul_sparse` with a stride),
+and a division into one spreads the accumulator onto it; `div_sparse`
+then divides in the divisor's own q^{d'}, all residue classes mod d'
+of the accumulator in one packed pass at about T/d' + 1 coefficients
+when most of them are nonzero.  At the end it spreads the result onto
+q and applies the binomials one at a time (`_apply_factor`), with no
+kernel: 1 - q^e is one slice subtraction, and its inverse, the product
+of 1 + q^(e*2^j), about log2(T/e) slice additions; a power with more
+units than T/e is its truncated binomial series, T/e slice
+multiply-adds.
 Every sparse series comes from its term generator in `plan.FORMS`.
 `qsigns.plan` also holds the spec grammar and the sparse closed forms.
 """
@@ -63,22 +66,33 @@ __all__ = [
 def _apply_factor(cur: list, a: int, b: int, delta: int, n: int) -> list:
     """Multiply cur, a list of n coefficients, by (q^a;q^b)^delta, truncated to n.
 
-    Each binomial 1 - q^e is one slice subtraction, and its inverse
-    1/(1 - q^e) = prod_{j>=0} (1 + q^(e*2^j)) one slice addition per
-    factor below q^n.
+    Each binomial 1 - q^e is one slice subtraction per unit of delta, and
+    its inverse 1/(1 - q^e) = prod_{j>=0} (1 + q^(e*2^j)) one slice
+    addition per factor below q^n.  To a power |delta| above (n-1)//e,
+    the number of multiples of e below q^n, a binomial is multiplied in
+    as its truncated binomial series instead, one slice multiply-add per
+    term, so that the work does not grow with delta.
     """
     if delta == 0:
         return cur
-    reps, divide = abs(delta), delta < 0
     cur = list(cur)
-    for _ in range(reps):
-        for e in range(a, n, b):
-            if divide:
+    for e in range(a, n, b):
+        if abs(delta) > (n - 1) // e:
+            # (1 - q^e)^delta = sum_j (-1)^j C(delta, j) q^(e*j), and for
+            # delta < 0, (-1)^j C(delta, j) = C(j - delta - 1, j)
+            out = list(cur)
+            for j in range(1, (n - 1) // e + 1):
+                c = (-1) ** j * math.comb(delta, j) if delta > 0 else math.comb(j - delta - 1, j)
+                out[e * j:] = map(add, out[e * j:], map(c.__mul__, cur[:n - e * j]))
+            cur = out
+        elif delta < 0:
+            for _ in range(-delta):
                 s = e
                 while s < n:
                     cur[s:] = map(add, cur[s:], cur[:n - s])
                     s *= 2
-            else:
+        else:
+            for _ in range(delta):
                 cur[e:] = map(sub, cur[e:], cur[:n - e])
     return cur
 
@@ -101,6 +115,11 @@ def eta_quotient(spec: "EtaQuotientSpec | str", precision: int) -> Series:
     for exps, cofs, k in powers:
         g = math.gcd(d, *exps)
         exps, m = [e // g for e in exps], T // g + 1
+        if abs(k) > m:
+            # more passes than coefficients: raise the power once, and multiply it in
+            power = pow_sparse(exps, cofs, k, m)
+            exps = [e for e, c in enumerate(power) if c]
+            cofs, k = [power[e] for e in exps], 1
         if k < 0:
             cur, d = _spread(cur, d // g, m), g
         for _ in range(abs(k)):

@@ -234,6 +234,8 @@ def verify_pattern(series: Series, pattern: SignPattern, horizon: int) -> Patter
         raise BeyondPrecision(
             f"horizon {horizon} beyond series precision {series.precision}"
         )
+    if horizon < 0:
+        raise InvalidParameter(f"horizon must be nonnegative, got {horizon}")
     cs = series.coefficients
     m = pattern.modulus
     start = max(0, pattern.onset + 1)

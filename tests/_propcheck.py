@@ -248,7 +248,7 @@ def _random_factors(rng: random.Random) -> list[PochhammerFactor]:
     kind = rng.randrange(8)
     if kind == 0:  # partners, same or opposite sign
         return [PochhammerFactor(a, b, d), PochhammerFactor(b - a, b, rng.choice((-2, -1, 1, 2)))]
-    if kind == 1:  # a self-paired factor, odd or even exponent
+    if kind == 1:  # (q^h;q^{2h}), netted into eulers, odd or even exponent
         h = rng.randint(1, 6)
         return [PochhammerFactor(h, 2 * h, rng.randint(-5, 5))]
     if kind == 2:  # offset beyond the period
@@ -298,7 +298,7 @@ def _seed_feature(plan: ExpansionPlan) -> str:
 
 
 # the order in which plans applied their powers before the cost estimate picked it
-_FIXED_ORDER = {**dict.fromkeys(THETA_ATOMS, 0), "Q": 1, "jtp": 2, "euler": 3}
+_FIXED_ORDER = {**dict.fromkeys(THETA_ATOMS, 0), "jtp": 1, "euler": 2}
 
 
 def _order_features(plan: ExpansionPlan) -> set[str]:
@@ -360,7 +360,7 @@ def _quintuple_features(net: dict[tuple[int, int], int], j: int, M: int) -> set[
         return {"quintuple thetas of opposite signs"}
     if narrow * wide == 0:
         return set()
-    features = {"negative quintuple atom" if narrow < 0 else "positive quintuple atom"}
+    features = {"negative quintuple thetas" if narrow < 0 else "positive quintuple thetas"}
     full = {net.get(f, 0) for f in ((j, M), (M - j, M), (M, M), (M - 2 * j, 2 * M), (M + 2 * j, 2 * M))}
     if full == {narrow}:
         features.add("full quintuple product")
@@ -377,7 +377,7 @@ def check_plan_matches_binomial_oracle(seed: int, rounds: int = 1000,
     seen = dict.fromkeys(
         ("a > b", "b = 2a, odd", "b = 2a, even", "opposite partners",
          "cancelling repeats", "T = 0", "full quintuple product", "partial quintuple overlap",
-         "positive quintuple atom", "negative quintuple atom",
+         "positive quintuple thetas", "negative quintuple thetas",
          "quintuple thetas of opposite signs", "seed by scatter", "seed by Miller", "no seed",
          "strided scatter", "division in a coarse lattice", "reordered plan",
          *(f"{name} atom, {how}" for name in THETA_ATOMS

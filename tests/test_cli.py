@@ -207,7 +207,7 @@ def no_kernel_pass(*args):
 
 
 def test_dissect_runs_no_kernel_pass(capsys, monkeypatch):
-    # every component and the target are single quintuple atoms, scattered
+    # every component and the target are one scatter of quintuple_terms
     monkeypatch.setattr("qsigns.products.mul_sparse", no_kernel_pass)
     monkeypatch.setattr("qsigns.products.div_sparse", no_kernel_pass)
     requests = [

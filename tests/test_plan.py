@@ -25,8 +25,6 @@ from qsigns.plan import (
     quintuple_terms,
 )
 
-MODULI = (2, 4, 5, 7, 8, 10, 11, 13)
-
 
 # -- differential suite ---------------------------------------------------------
 
@@ -628,6 +626,29 @@ def test_binomial_factors_match_dense_oracle(seed):
         assert cur == before
 
 
+@pytest.mark.parametrize("delta", [-13, -5, -1, 1, 5, 13, 10**9, -(10**9)])
+def test_binomial_powers_match_series_power(delta):
+    """(q^2;q^5)^delta to q^10 is ((1 - q^2)(1 - q^7))^delta, by Miller's recurrence."""
+    base = Series.from_terms([(0, 1), (2, -1), (7, -1), (9, 1)], 10)
+    assert eta_quotient(f"2.5^{delta}", 10) == base.power(delta)
+
+
+@pytest.mark.parametrize("k", [18, -18, 10**9, -(10**9)])
+def test_powers_longer_than_their_pass_are_raised_once(monkeypatch, k):
+    """(q;q)^k (q^2;q^2)^k to q^4: each power above the 5 coefficients of its
+    pass is raised once and multiplied in by one pass, whatever k is."""
+    expected = eta_quotient("1 2", 4).power(k)
+    passes = []
+
+    def recording(kernel):
+        return lambda *args: passes.append(kernel.__name__) or kernel(*args)
+
+    monkeypatch.setattr(products, "mul_sparse", recording(mul_sparse))
+    monkeypatch.setattr(products, "div_sparse", recording(div_sparse))
+    assert eta_quotient(f"1^{k} 2^{k}", 4) == expected
+    assert len(passes) <= 2, passes
+
+
 def test_div_sparse_rejects_a_divisor_without_a_unit_constant_term():
     with pytest.raises(ValueError, match="cannot divide by constant term 2"):
         div_sparse([1, 0, 0, 0, 0], [0, 1], [2, 1], 5)
@@ -739,10 +760,18 @@ PLAN_SHAPES = [
     ("2.5 3.5^-1", None, (), ((2, 5, 1), (3, 5, -1))),
     ("3.5^2 2.5 5^-1", ("euler", (5,), -2), (("jtp", (2, 5), 1),), ((3, 5, 1),)),
     ("1.4^-3 3.4^-2", None, (("euler", (4,), 2), ("jtp", (1, 4), -2)), ((1, 4, -1),)),
-    ("1.2^3", None, (("euler", (2,), -1), ("jtp", (1, 2), 1)), ((1, 2, 1),)),
-    ("1.2^-4", ("jtp", (1, 2), -2), (("euler", (2,), 2),), ()),
-    ("3.6^-1", None, (), ((3, 6, -1),)),
+    # (q^a;q^{2a}) = (q^a;q^a) / (q^{2a};q^{2a}), so these are eulers and theta atoms
+    ("1.2^3", None, (("J", (2,), -1), ("J", (1,), 1)), ()),
+    ("1.2^-4", ("phi(-q)", (1,), -2), (("euler", (2,), 2),), ()),
+    ("3.6^-1", ("euler", (6,), 1), (("euler", (3,), -1),), ()),
     ("7.5 2.5", None, (), ((7, 5, 1), (2, 5, 1))),
+    # partners of opposite signs form no JTP
+    (
+        "1.4 3.4 2.8^-1 6.8^-1",
+        ("euler", (8,), 1),
+        (("euler", (4,), -1), ("jtp", (2, 8), -1), ("jtp", (1, 4), 1)),
+        (),
+    ),
 ]
 
 
@@ -752,39 +781,6 @@ PLAN_SHAPES = [
 )
 def test_plan_shapes(spec, seed, powers, binomials):
     assert ExpansionPlan.of(spec) == ExpansionPlan(seed, powers, binomials)
-
-
-QUINTUPLE_PLANS = [
-    ("1.4 3.4 4 2.8 6.8", ("Q", (4, 1), 1), ()),
-    ("1.4^-3 3.4^-3 4^-3 2.8^-3 6.8^-3", ("Q", (4, 1), -3), ()),
-    # partial overlap: one JTP(1,4) is left over
-    ("1.4^2 3.4^2 2.8 6.8", ("euler", (4,), -2), (("Q", (4, 1), 1), ("jtp", (1, 4), 1))),
-    (
-        "1.4^-1 3.4^-1 2.8^-2 6.8^-2",
-        ("euler", (8,), 1),
-        (("euler", (4,), 1), ("jtp", (2, 8), -1), ("Q", (4, 1), -1)),
-    ),
-    # opposite signs form no atom
-    (
-        "1.4 3.4 2.8^-1 6.8^-1",
-        ("euler", (8,), 1),
-        (("euler", (4,), -1), ("jtp", (2, 8), -1), ("jtp", (1, 4), 1)),
-    ),
-    # a theta can be the wide factor of one atom and the narrow one of the next
-    (
-        "1.3 2.3 1.6^2 5.6^2 4.12 8.12",
-        None,
-        (("euler", (6,), -1), ("euler", (3,), -1), ("Q", (3, 1), 1), ("Q", (6, 1), 1)),
-    ),
-]
-
-
-@pytest.mark.parametrize(
-    "spec,seed,powers", QUINTUPLE_PLANS,
-    ids=_stable_ids(QUINTUPLE_PLANS, "thetas", "eulers", "quintuples"),
-)
-def test_plan_quintuple_atoms(spec, seed, powers):
-    assert ExpansionPlan.of(spec) == ExpansionPlan(seed, powers, ())
 
 
 THETA_ATOM_PLANS = [
@@ -867,27 +863,30 @@ def test_theta_atom_terms_equal_binomial_expansion(name):
         assert exps == sorted(set(exps)) and 0 not in cofs, (name, s)
 
 
-def test_dissection_components_are_one_quintuple_atom():
-    for M in range(3, 9):
+def refuse_binomials(*args):
+    raise AssertionError(f"binomial path reached with {args[1:]}")
+
+
+def test_quintuple_specs_expand_without_binomials(monkeypatch):
+    monkeypatch.setattr(products, "_apply_factor", refuse_binomials)
+    for M in range(3, 13):
         for j in range(1, (M + 1) // 2):
-            for m in MODULI:
-                for c in quintuple_components(M, j, m):
-                    spec = (
-                        f"{c.t1}.{c.period1} {c.period1 - c.t1}.{c.period1} {c.period1} "
-                        f"{c.t2}.{c.period2} {c.period2 - c.t2}.{c.period2}"
-                    )
-                    assert ExpansionPlan.of(spec) == ExpansionPlan(
-                        seed=("Q", (c.period1, min(c.t1, c.period1 - c.t1)), 1),
-                        powers=(),
-                        binomials=(),
-                    )
+            spec = f"{j}.{M} {M - j}.{M} {M} {M - 2 * j}.{2 * M} {M + 2 * j}.{2 * M}"
+            assert eta_quotient(spec, 400) == quintuple_product(M, j, 400), (M, j)
+
+
+def test_factors_with_b_twice_a_plan_no_binomials():
+    # (q^a;q^{2a}) alone, and twice with (q^{2a};q^{2a}) as in JTP(a,2a)
+    for a in range(1, 7):
+        for d in (*range(-5, 0), *range(1, 6)):
+            for text in (f"{a}.{2 * a}^{d}", f"{a}.{2 * a}^{d} {a}.{2 * a}^{d} {2 * a}^{d}"):
+                spec = EtaQuotientSpec.parse(text)
+                assert ExpansionPlan.of(spec).binomials == (), text
+                assert eta_quotient(spec, 120) == binomial_expansion(spec, 120), text
 
 
 def test_paper_products_never_take_the_binomial_path(monkeypatch):
-    def refuse(*args):
-        raise AssertionError(f"binomial path reached with {args[1:]}")
-
-    monkeypatch.setattr(products, "_apply_factor", refuse)
+    monkeypatch.setattr(products, "_apply_factor", refuse_binomials)
     for entry in corpus():
         eta_quotient(entry.spec, 200)
     for M in range(3, 9):

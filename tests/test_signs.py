@@ -106,6 +106,14 @@ def test_verify_beyond_precision():
         verify_pattern(Series.one(10), SignPattern.from_string("+"), 11)
 
 
+def test_verify_rejects_a_negative_horizon():
+    # (q^2;q^2)/(q^5;q^5) fails "+-0-0" by n = 50, but a negative horizon checks nothing
+    series, pattern = eta_quotient("2^1 5^-1", 50), SignPattern.from_string("+-0-0")
+    assert not verify_pattern(series, pattern, 50).passed
+    with pytest.raises(InvalidParameter, match="horizon must be nonnegative, got -7"):
+        verify_pattern(series, pattern, -7)
+
+
 def test_pattern_validation():
     with pytest.raises(InvalidParameter):
         SignPattern(3, (SignClass.POS,), onset=-1)
