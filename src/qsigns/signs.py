@@ -11,7 +11,9 @@ n > N (N = -1 covers every n >= 0).  Patterns come from three places:
   quintuple product (4, 1);
 * `pattern_catalog()` lists fixed quotients whose patterns follow from
   theta-series dissections;
-* `detect_pattern` scans an expansion empirically.
+* `detect_pattern` classifies an expansion's tail empirically; its
+  onset is the last violation `verify_pattern` finds, so it follows the
+  same convention as the predictions.
 
 The proven patterns (the predictions and both catalog families) follow
 one rule.  The quotient is a sum of pieces +-q^e F(q^m), m the modulus,
@@ -256,12 +258,14 @@ def verify_pattern(series: Series, pattern: SignPattern, horizon: int) -> Patter
 def detect_pattern(series: Series, modulus: int, horizon: int) -> SignPattern:
     """Empirically classify each residue class up to the horizon.
 
-    A residue is MIXED when both strict signs occur in the tail window
-    (exponents above horizon/2); otherwise it gets the nonzero sign seen
-    there (ZERO when the window is all zeros).  The onset is one past the
-    largest exponent violating its class, so the estimate always verifies
-    against the same expansion.  It remains an estimate: nothing beyond
-    the horizon is claimed.
+    A residue is MIXED when both strict signs occur in its tail window
+    (exponents above horizon/2, or its last exponent when none is);
+    otherwise it gets the nonzero sign seen there (ZERO when the window is
+    all zeros).  The onset is the largest exponent `verify_pattern` lists
+    as violating its class, or -1 when it lists none, as `SignPattern`
+    defines it, so the estimate always verifies against the same
+    expansion.  It remains an estimate: nothing beyond the horizon is
+    claimed.
     """
     if horizon > series.precision:
         raise BeyondPrecision(
@@ -274,23 +278,18 @@ def detect_pattern(series: Series, modulus: int, horizon: int) -> SignPattern:
             f"horizon {horizon} leaves residue classes of modulus {modulus} empty"
         )
     cs = series.coefficients
-    classes: list[SignClass] = []
-    onset = 0
+    tail = horizon // 2 + 1
+    classes = []
     for r in range(modulus):
-        exps = range(r, horizon + 1, modulus)
-        signs = [(cs[n] > 0) - (cs[n] < 0) for n in exps]
-        window = [s for n, s in zip(exps, signs) if 2 * n > horizon] or signs[-1:]
-        has_pos = any(s > 0 for s in window)
-        has_neg = any(s < 0 for s in window)
-        if has_pos and has_neg:
-            classes.append(SignClass.MIXED)
-            continue
-        cls = SignClass.POS if has_pos else SignClass.NEG if has_neg else SignClass.ZERO
-        classes.append(cls)
-        for n, s in zip(exps, signs):
-            if not cls.matches(s) and n + 1 > onset:
-                onset = n + 1
-    return SignPattern(modulus, tuple(classes), onset)
+        window = cs[tail + (r - tail) % modulus:horizon + 1:modulus]
+        if not window:
+            window = [cs[horizon - (horizon - r) % modulus]]
+        hi, lo = max(window), min(window)
+        classes.append(SignClass.MIXED if hi > 0 > lo else SignClass.POS if hi > 0
+                       else SignClass.NEG if lo < 0 else SignClass.ZERO)
+    pattern = SignPattern(modulus, tuple(classes), -1)
+    violations = verify_pattern(series, pattern, horizon).violations
+    return SignPattern(modulus, pattern.classes, violations[-1][0] if violations else -1)
 
 
 def sign_census(

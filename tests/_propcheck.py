@@ -17,6 +17,9 @@ from qsigns import (
     NonUnitConstantTerm,
     PochhammerFactor,
     Series,
+    SignClass,
+    SignPattern,
+    detect_pattern,
     eta_quotient,
     predict_quotient_pattern,
 )
@@ -160,6 +163,71 @@ def binomial_expansion(spec: EtaQuotientSpec, precision: int) -> Series:
     for f in spec.factors:
         cur = _apply_factor(cur, f.a, f.b, f.delta, n)
     return Series(cur)
+
+
+# -- the per-coefficient pattern scan ---------------------------------------
+
+def scan_detect_pattern(series: Series, modulus: int, horizon: int) -> SignPattern:
+    """The reference for `detect_pattern`: one scan over per-coefficient signs.
+
+    Residue r's class comes from the signs in its tail window, exponents
+    above horizon/2 (its last sign when there are none there), and the
+    onset is the largest exponent whose sign its class rejects, or -1.
+    """
+    cs = series.coefficients
+    classes = []
+    onset = -1
+    for r in range(modulus):
+        exps = range(r, horizon + 1, modulus)
+        signs = [(cs[n] > 0) - (cs[n] < 0) for n in exps]
+        window = [s for n, s in zip(exps, signs) if 2 * n > horizon] or signs[-1:]
+        has_pos = any(s > 0 for s in window)
+        has_neg = any(s < 0 for s in window)
+        if has_pos and has_neg:
+            classes.append(SignClass.MIXED)
+            continue
+        cls = SignClass.POS if has_pos else SignClass.NEG if has_neg else SignClass.ZERO
+        classes.append(cls)
+        for n, s in zip(exps, signs):
+            if not cls.matches(s):
+                onset = max(onset, n)
+    return SignPattern(modulus, tuple(classes), onset)
+
+
+def check_detect_matches_scan(seed: int, rounds: int = 40) -> list[str]:
+    """detect_pattern against the scan, for every modulus and horizon of random series.
+
+    Each residue class draws its coefficients from one sign pool, and a
+    few coefficients are noise, so every class, violations late and early,
+    and clean patterns all occur.
+    """
+    rng = random.Random(seed)
+    pools = ((1, 2, 5), (-3, -1), (0,), (-2, 0, 3))
+    failures = []
+    seen = dict.fromkeys(
+        ("class +", "class -", "class 0", "class ?", "onset -1", "onset >= 0",
+         "empty tail window"), 0)
+    for k in range(rounds):
+        n = rng.randint(1, 40)
+        period = rng.randint(1, 6)
+        pool = [rng.choice(pools) for _ in range(period)]
+        noise = rng.choice((0.0, 0.05, 0.2))
+        cs = [rng.randint(-9, 9) if rng.random() < noise else rng.choice(pool[e % period])
+              for e in range(n)]
+        series = Series(cs)
+        for modulus in range(1, n + 1):
+            for horizon in range(modulus - 1, n):
+                got = detect_pattern(series, modulus, horizon)
+                expected = scan_detect_pattern(series, modulus, horizon)
+                if got != expected:
+                    failures.append(f"round {k}: {cs}, modulus {modulus}, horizon {horizon}")
+                for c in set(expected.class_string):
+                    seen[f"class {c}"] += 1
+                seen["onset -1" if expected.onset < 0 else "onset >= 0"] += 1
+                if modulus > horizon - horizon // 2:
+                    seen["empty tail window"] += 1
+    failures += [f"no case with {feature}" for feature, count in seen.items() if count == 0]
+    return failures
 
 
 # -- the closed forms of the (q;q) dissection ---------------------------------

@@ -212,8 +212,8 @@ def test_criterion_09_corpus_regression():
             failures.append(entry.name)
         if entry.name == "rr-quotient":
             detected = detect_pattern(series, 5, entry.horizon)
-            if detected.class_string != "++---":
-                failures.append(f"rr-quotient detected {detected.class_string}")
+            if detected != entry.pattern:
+                failures.append(f"rr-quotient detected {detected}")
     series = eta_quotient("1^7 2^-2 3^-1", 3000)
     for n in range(1, 3001):
         if (series.coefficient(n) == 0) != vanishing_predicate(n):

@@ -298,9 +298,9 @@ GOLDEN = {
     ("verify-fail", "text"): ("987499f28978ada9ae68d276fe7b52216ae417de13548a40f23d1f95c4069856", 1),
     ("verify-fail", "csv"): ("9a32dce2d17251e94fdef92d4c026f794cd82cd3a3ec10d0fdd660d983b17eb8", 1),
     ("verify-fail", "json"): ("e4d1caa448c892d63fbd1354d360a2141b6920ffd45d81ee8c1692ab1c986a06", 1),
-    ("detect", "text"): ("9fe23d2ab16d831ca3567a2f68d9e1f7d2addd974d826ca31cf650e75ae743a6", 0),
+    ("detect", "text"): ("40aa4fe87ec9d302979db49458de2881252324d85f69d9c79aa9b7f8a3022257", 0),
     ("detect", "csv"): ("a240f7669e66b883f6de70a54ef96a6ba3a5376df8613d5914d2eeb55ccd0351", 0),
-    ("detect", "json"): ("f84bf428489ca4a2bc42b68454ddd033b53ed5f6d4737d1fa292442e430a12f5", 0),
+    ("detect", "json"): ("859c08f3af31e118f85332803be29dce6cfb35a6af75eed8d434452729b01521", 0),
     ("census", "text"): ("ac5a30128ff911a22f098532d0a2ca4a910657fcc0556725bac0deaaa723aa24", 0),
     ("census", "csv"): ("c92adeba2f3d272c0b36b0c8835f36c5664363ce27f5efd35839a38e5a249901", 0),
     ("census", "json"): ("ebc038e1acf9484b96554e28ef507a1474f1a0da17423914b2d9db62a936a8c0", 0),

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from _propcheck import closed_form_offset, closed_form_sign_exp
+from _propcheck import check_detect_matches_scan, closed_form_offset, closed_form_sign_exp
 
 from qsigns import (
     BeyondPrecision,
@@ -129,7 +129,7 @@ def test_detect_quotient_pattern():
     series = eta_quotient("2^1 5^-1", 2000)
     pattern = detect_pattern(series, 5, 2000)
     assert pattern.class_string == "+0-0-"
-    assert pattern.onset == 0
+    assert pattern.onset == -1
 
 
 def test_detect_flags_mixed_residues():
@@ -145,14 +145,21 @@ def test_detect_pentagonal_is_mixed():
 
 
 def test_detect_agrees_with_prediction():
-    for p, i in [(5, 2), (5, 3), (7, 2), (7, 3), (11, 2), (13, 2)]:
+    primes = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+    cells = [(p, i) for p in primes for i in range(2, 7) if i % p]
+    assert len(cells) == 64
+    for p, i in cells:
         cert = predict_quotient_pattern(p, i)
         horizon = max(2000, 3 * cert.onset)
         series = eta_quotient(f"{i}^1 {p}^-1", horizon)
         detected = detect_pattern(series, p, horizon)
-        assert detected.classes == cert.pattern.classes
-        assert detected.onset <= cert.onset + p
+        assert detected.classes == cert.pattern.classes, (p, i)
+        assert detected.onset == cert.onset, (p, i)
         assert verify_pattern(series, detected, horizon).passed
+
+
+def test_detect_matches_the_scan_oracle():
+    assert check_detect_matches_scan(seed=20) == []
 
 
 def test_detect_rejects_bad_parameters():
