@@ -7,6 +7,9 @@ report to a file.  The exit status is 0 exactly when every verdict in
 the report passed, 1 on a failed verdict, 2 on usage or domain errors
 and on an unwritable ``--output``.
 
+JSON is ``json.dumps(doc, sort_keys=True, indent=2)`` byte for byte, as
+`_jsonfmt` renders it.
+
 The argument parser is built once per process, on the first `main`
 call, and every later call reuses it.  The handlers read this module's
 globals when they run.
@@ -20,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from collections.abc import Callable
@@ -28,6 +30,7 @@ from dataclasses import dataclass, field
 
 from . import __version__
 from ._backend import backend_name
+from ._jsonfmt import render, render_object, render_rows
 from .dissect import assemble, check_quintuple, quintuple_components
 from .products import EtaQuotientSpec, eta_quotient, quintuple_product
 from .series import MAX_PRECISION, QSignsError, _check_precision
@@ -110,9 +113,10 @@ def _render(report: Report, command: str, fmt: str) -> str:
             "horizon": report.horizon,
             **report.fields,
         }
+        parts = {k: render(v, "\n  ") for k, v in doc.items()}
         if report.key:
-            doc[report.key] = [dict(zip(report.columns, row)) for row in report.rows[:report.cap]]
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+            parts[report.key] = render_rows(report.columns, report.rows[:report.cap], "\n  ")
+        return render_object(parts.items(), "\n") + "\n"
     if fmt == "csv":
         lines = [",".join(report.columns)] + [
             ",".join(str(v).lower() if isinstance(v, bool) else str(v) for v in row)
@@ -134,7 +138,7 @@ def _cmd_expand(args) -> Report:
     rows = list(enumerate(coefficients))
     return Report(str(spec), {"T": T}, T, ("n", "coefficient"), rows,
                   lambda: [f"{n}\t{c}" for n, c in rows],
-                  fields={"coefficients": list(coefficients)})
+                  fields={"coefficients": coefficients})
 
 
 def _cmd_dissect(args) -> Report:
@@ -173,9 +177,9 @@ def _cmd_predict(args) -> Report:
     fields = {
         "pattern": cert.pattern.class_string,
         "onset": cert.onset,
-        "offsets": list(cert.offsets),
-        "sign_exponents": list(cert.sign_exponents),
-        "residue_map": list(cert.residue_map),
+        "offsets": cert.offsets,
+        "sign_exponents": cert.sign_exponents,
+        "residue_map": cert.residue_map,
     }
     return Report(f"{args.i}^1 {args.p}^-1", {"p": args.p, "i": args.i}, None,
                   ("residue", "class"), _residue_classes(cert.pattern), lines, fields=fields)

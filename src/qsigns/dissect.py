@@ -7,32 +7,23 @@ component for residue r is
     (-1)^{s(r)} q^{L(r)} (q^{t1}, q^{P1-t1}, q^{P1}; q^{P1}) (q^{t2}, q^{P2-t2}; q^{P2})
 
 with periods P1 = m^2*M and P2 = 2*m^2*M.  The t parameters carry a
-sign eps fixed by m mod 3: eps = +1 when m = 1 (mod 3) and eps = -1 when
-m = 2 (mod 3).  Then m + eps*(6r - 1) is divisible by 3, and it is even
-whenever m is odd, so m*M*(m + eps*(6r - 1)) is divisible by 6 for every
-M and r, and t1 and t2 are integers.  `quintuple_component(M, j, m, r)`
-computes the component of one residue and is the only place this
-arithmetic lives; it is pure arithmetic and expands nothing.  Integral
-t's and offsets and nonnegative offsets are still checked, and a failure
-raises `QSignsError`; the reassembly checks in the CLI and the tests
-compare the result with a direct expansion.  `quintuple_components` is
-the tuple of all m components.  (q;q) is the quintuple product
-(M=4, j=1), (q, q^3, q^4; q^4)(q^2, q^6; q^8), so `qq_components` is
-this general dissection at those parameters, and the prediction of
-quotient sign patterns reads `quintuple_component(4, 1, p, r)` residue
-by residue.
-
-Offsets are evaluated scaled by 24*P2, which makes every term an
-integer, and the sign thresholds are compared after multiplying out
-their denominators, so all of it is exact integer arithmetic; no
-fractions and no floats anywhere.
+sign eps = +1 when m = 1 (mod 3) and -1 when m = 2 (mod 3).  Then
+m + eps*(6r - 1) is divisible by 3, and even whenever m is odd, so
+m*M*(m + eps*(6r - 1)) is divisible by 6 and t1 and t2 are integers.
+`_residues` is the only place this arithmetic lives: exact integers,
+no expansion, and `QSignsError` on a non-integral t or offset.  Each
+dissection is validated once: `quintuple_components` checks M, j and m
+and caps m, then each component checks its own ranges.  (q;q) is the
+quintuple product (4, 1): `qq_components` and the quotient sign
+predictions read the dissection there.
+`assemble` is a direct scatter of the components' terms, which the CLI
+and the tests compare with a direct expansion.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import chain
 
 from .plan import quintuple_terms
 from .products import _check_quintuple, eta_quotient, lambert_cubic, pochhammer
@@ -94,68 +85,65 @@ class DissectionComponent:
 # General quintuple dissection
 # ----------------------------------------------------------------------
 
-def _check_modulus(m: int) -> None:
+def check_quintuple(M: int, j: int, m: int) -> None:
+    """Reject M, j and m that the dissection does not accept; `quintuple_components` also caps m."""
+    _check_quintuple(M, j)
     if m < 2:
         raise InvalidParameter(f"need m >= 2, got {m}")
     if m % 3 == 0:
         raise InvalidParameter(f"modulus must not be divisible by 3, got {m}")
 
 
-def check_quintuple(M: int, j: int, m: int) -> None:
-    """Reject M, j and m that the dissection does not accept; `quintuple_components` also caps m."""
-    _check_quintuple(M, j)
-    _check_modulus(m)
+def _residues(M: int, j: int, m: int, rs, eps: int = 0):
+    """(r, sign_exp, offset, t1, t2, P1, P2) of each r in rs, all unchecked.
+
+    The offset L = 7*P1/24 + t1*(t1/P1 - 1)/2 + t2*(t2/P2 - 1)/2 - ref is
+    computed as 24*P2*L, which clears every denominator.
+    """
+    eps = eps or (1 if m % 3 == 1 else -1)
+    P1 = m * m * M
+    P2 = 2 * P1
+    ref = 7 * M * P2 + 24 * m * m * j * (j - M) - 12 * m * m * (M * M - 4 * j * j)
+    # s counts the bounds that 6M*r passes
+    k = 2 * m if m % 3 == 1 else m
+    lo, hi = (k + 1) * M - 6 * j, (k + 3 * m + 1) * M - 6 * j
+    for r in rs:
+        a = m * M * (m + eps * (6 * r - 1))
+        # t1 needs a divisible by 6 and t2 by 3, so one test covers both
+        if a % 6:
+            raise QSignsError(f"non-integral t for (M={M}, j={j}, m={m}, r={r}, eps={eps})")
+        t1 = (a // 6 + eps * j * m) % P1
+        t2 = (P1 + 2 * j * m + eps * (a // 3)) % P2
+        offset, rest = divmod(7 * P1 * P2 + 24 * t1 * (t1 - P1) + 12 * t2 * (t2 - P2) - ref,
+                              24 * P2)
+        if rest:
+            raise QSignsError(f"non-integral offset for (M={M}, j={j}, m={m}, r={r}, eps={eps})")
+        s = 0 if 6 * M * r <= lo else (1 if 6 * M * r <= hi else 2)
+        yield r, s, offset, t1, t2, P1, P2
 
 
 def quintuple_component(M: int, j: int, m: int, r: int, *, _eps: int = 0) -> DissectionComponent:
     """The component of residue r in the m-dissection of the (M, j) quintuple product.
 
-    Requires M >= 3, 1 <= j < M/2, m >= 2 not divisible by 3, and
-    0 <= r < m.  The sign choice is eps = +1 for m = 1 (mod 3) and -1 for
-    m = 2 (mod 3).  ``_eps`` forces a choice, for tests that probe the
-    other one; a choice that does not suit m raises `QSignsError` or gives
-    components that do not reassemble.
-
-    The offset L = 7*P1/24 + t1*(t1/P1 - 1)/2 + t2*(t2/P2 - 1)/2 - ref is
-    computed as 24*P2*L, which clears every denominator since P2 = 2*P1
-    and P2 = 2*m^2*M.
+    Requires M >= 3, 1 <= j < M/2, m >= 2 not divisible by 3 and 0 <= r < m.
+    ``_eps`` forces the sign choice, for tests; one that does not suit m
+    raises `QSignsError` or gives components that do not reassemble.
     """
     check_quintuple(M, j, m)
     if not 0 <= r < m:
         raise InvalidParameter(f"residue {r} not in [0, {m})")
-    eps = _eps or (1 if m % 3 == 1 else -1)
-    P1 = m * m * M
-    P2 = 2 * P1
-    a = m * M * (m + eps * (6 * r - 1))
-    # t1 needs a divisible by 6 and t2 by 3, so one test covers both
-    if a % 6:
-        raise QSignsError(f"non-integral t for (M={M}, j={j}, m={m}, r={r}, eps={eps})")
-    t1 = (a // 6 + eps * j * m) % P1
-    t2 = (P1 + 2 * j * m + eps * (a // 3)) % P2
-    ref = 7 * M * P2 + 24 * m * m * j * (j - M) - 12 * m * m * (M * M - 4 * j * j)
-    offset, rest = divmod(7 * P1 * P2 + 24 * t1 * (t1 - P1) + 12 * t2 * (t2 - P2) - ref, 24 * P2)
-    if rest:
-        raise QSignsError(f"non-integral offset for (M={M}, j={j}, m={m}, r={r}, eps={eps})")
-    # r <= (k*M - 6j) / (6M), for k = lo and k = hi
-    lo, hi = (2 * m + 1, 5 * m + 1) if m % 3 == 1 else (m + 1, 4 * m + 1)
-    s = 0 if 6 * M * r <= lo * M - 6 * j else (1 if 6 * M * r <= hi * M - 6 * j else 2)
-    # a zero t or a negative offset fails the component's own range checks
-    return DissectionComponent(
-        r=r, sign_exp=s, offset=offset, t1=t1, t2=t2, period1=P1, period2=P2
-    )
+    return DissectionComponent(*next(_residues(M, j, m, (r,), _eps)))
 
 
 def quintuple_components(M: int, j: int, m: int) -> tuple[DissectionComponent, ...]:
     """The m-dissection of the (M, j) quintuple product: its component for each r < m.
 
-    The m components are capped like a precision, before the first is built.
+    M, j and m are checked and m capped once, before any component is built.
     """
     check_quintuple(M, j, m)
     _check_precision(m, "m")
-    # a list first: tuple() of a generator grows by reallocation, and
-    # repeated calls then fragment the heap (max RSS climbed ~1 MB over
-    # 800 passes of the `dissect` jobs, flat with the list)
-    return tuple([quintuple_component(M, j, m, r) for r in range(m)])
+    # tuple() of a generator grows by reallocation and fragments the heap
+    return tuple([DissectionComponent(*row) for row in _residues(M, j, m, range(m))])
 
 
 # ----------------------------------------------------------------------
@@ -167,32 +155,22 @@ def qq_components(m: int) -> tuple[DissectionComponent, ...]:
     return quintuple_components(4, 1, m)
 
 
-def _component_terms(comp: DissectionComponent, precision: int):
-    """The (exponent, coefficient) terms of one component up to q^precision.
-
-    They are the terms of the quintuple product (period1, j) up to
-    precision - offset, shifted by the offset and signed; a component whose
-    offset is above precision has none.  Lazy, so `Series.from_terms`
-    checks the precision before any term is made.
-    """
-    limit = precision - comp.offset
-    if limit < 0:
-        return
-    exps, cofs = quintuple_terms(comp.period1, comp.j, limit)
-    for e, c in zip(exps, cofs):
-        yield e + comp.offset, comp.sign * c
-
-
 def assemble(components: Iterable[DissectionComponent], precision: int) -> Series:
     """Sum the components; equals the target product when the dissection is exact.
 
-    The sum is one sparse scatter of the components' terms, about
-    sqrt(precision) per component, into the precision + 1 coefficients.
-    One component on its own is its expansion: shifted, signed, truncated.
+    The precision is checked before anything is allocated.  Then the
+    terms of each component, those of the quintuple product (period1, j)
+    up to precision - offset, are shifted, signed and added straight into
+    one list of precision + 1 coefficients: a direct scatter.
     """
-    return Series.from_terms(
-        chain.from_iterable(_component_terms(c, precision) for c in components), precision
-    )
+    _check_precision(precision)
+    out = [0] * (precision + 1)
+    for c in components:
+        offset, sign = c.offset, c.sign
+        exps, cofs = quintuple_terms(c.period1, c.j, precision - offset)
+        for e, k in zip(exps, cofs):
+            out[e + offset] += sign * k
+    return Series(out)
 
 
 # ----------------------------------------------------------------------

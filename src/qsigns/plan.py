@@ -163,17 +163,21 @@ def quintuple_terms(M: int, j: int, limit: int) -> tuple[list[int], list[int]]:
     Terms up to exponent limit, sorted, with colliding terms merged, so
     exponents are distinct and coefficients nonzero.
     """
+    if limit < M - 2 * j:
+        # n = 0 gives 1 - q^j; every other n lies at or above q^(M-2j) (n = -1)
+        exps = [e for e in (0, j) if e <= limit]
+        return exps, [1, -1][:len(exps)]
     terms: dict[int, int] = {}
     for n, step in ((0, 1), (-1, -1)):
         while True:
             base = M * n * (3 * n + 1) // 2
-            live = False
-            for e, c in ((base - 3 * j * n, 1), (base + j * (3 * n + 1), -1)):
-                if e <= limit:
-                    terms[e] = terms.get(e, 0) + c
-                    live = True
-            if not live:
+            e, f = base - 3 * j * n, base + j * (3 * n + 1)
+            if e > limit and f > limit:
                 break
+            if e <= limit:
+                terms[e] = terms.get(e, 0) + 1
+            if f <= limit:
+                terms[f] = terms.get(f, 0) - 1
             n += step
     exps = sorted(e for e, c in terms.items() if c)
     return exps, [terms[e] for e in exps]
@@ -353,20 +357,11 @@ _REFERENCE_T = 10_000
 # the work of one coefficient update by one term, in half the time of a
 # multiplication by a term +-1: a multiplication and a division by a term
 # +-1 and by any other term, and Miller's recurrence to a power k > 0 and
-# k < 0, which multiplies at every term.  They were set against kernels
-# that did one interpreted or map step per update, which measured, in
-# these units, 2 / 4.4, 4.8 / 6.4, 4 and 6.4 (Python 3.11, T = 1000 to
-# 10000, partition-sized coefficients); Miller is set higher and a
-# division lower, so that the estimate picks the order that ran fastest
-# for the census and catalog quotients: after a division every later
-# pass works on large coefficients, which the kernel ratios leave out.
-# A multiplication is now one big-integer shift-and-add per term, whose
-# cost grows with the size of the coefficients.  The same measurement
-# now reads 2 / 2.9-3.9, 2.5-5 / 4.7-8.7, 4.1-7.8 and 6.3-10.7 on
-# partition-sized coefficients (105 to 354 bits), and 2 / 2.9-3.2,
-# 13.5-19.7 / 17-28, 27-43 and 37-63 on coefficients under 10 bits: the
-# weights, kept so that every plan stays as it was, overprice a
-# multiplication against a division and Miller's recurrence.
+# k < 0, which multiplies at every term.  Set so that the estimate picks
+# the order that ran fastest for the census and catalog quotients, and
+# kept so that every plan stays as it was, although the shift-and-add
+# multiplication now costs less against a division and Miller's
+# recurrence than they say (the measurements are in CHANGES.md).
 _MUL, _DIV = (2, 4), (4, 6)
 _MILLER, _MILLER_NEGATIVE = 6, 7
 

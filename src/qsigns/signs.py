@@ -6,9 +6,8 @@ n > N (N = -1 covers every n >= 0).  Patterns come from three places:
 
 * `predict_quotient_pattern(p, i)` derives the pattern of
   (q^i;q^i)/(q^p;q^p) for prime p > 3, together with the sharp onset
-  bound, from the offset and sign of each component
-  `quintuple_component(4, 1, p, r)` of the p-dissection of (q;q), the
-  quintuple product (4, 1);
+  bound, from the offset and sign of each residue's component in the
+  p-dissection of (q;q), the quintuple product (4, 1);
 * `pattern_catalog()` lists fixed quotients whose patterns follow from
   theta-series dissections;
 * `detect_pattern` classifies an expansion's tail empirically; its
@@ -35,7 +34,7 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from operator import gt, not_, sub
 
-from .dissect import quintuple_component
+from .dissect import _residues
 from .products import EtaQuotientSpec
 from .series import MAX_PRECISION, BeyondPrecision, InvalidParameter, QSignsError, Series
 
@@ -181,9 +180,9 @@ def predict_quotient_pattern(p: int, i: int) -> SignCertificate:
     Residue i(6r^2+r) mod p is positive or negative according to the sign
     exponent of r in the p-dissection of (q;q); residues hit by no r are
     exactly zero.  The onset is max over attained residues of the least
-    i*offset(r) landing there, minus p.  Only the offsets and sign
-    exponents of the p components are kept.  p is capped like a
-    precision, before the primality test runs.
+    i*offset(r) landing there, minus p.  p is capped like a precision,
+    before the primality test runs, and the offsets and sign exponents
+    come straight from the dissection arithmetic: no component is built.
     """
     if p > MAX_PRECISION:
         raise InvalidParameter(f"p = {p} exceeds the limit MAX_PRECISION = {MAX_PRECISION}")
@@ -196,13 +195,12 @@ def predict_quotient_pattern(p: int, i: int) -> SignCertificate:
 
     residue_map = tuple((i * (6 * r * r + r)) % p for r in range(p))
     offsets, sign_exponents = [], []
-    for r, rho in enumerate(residue_map):
-        comp = quintuple_component(4, 1, p, r)
-        # the offset realizes the residue: i*L(r) = i(6r^2+r) (mod p)
-        if (i * comp.offset) % p != rho:
-            raise QSignsError(f"offset congruence broken at r={r} for (p={p}, i={i})")
-        offsets.append(comp.offset)
-        sign_exponents.append(comp.sign_exp)
+    for r, s, offset, *_ in _residues(4, 1, p, range(p)):
+        # L(r) >= 0 and i*L(r) = i(6r^2+r) (mod p)
+        if offset < 0 or (i * offset) % p != residue_map[r]:
+            raise QSignsError(f"bad offset {offset} at r={r} for (p={p}, i={i})")
+        offsets.append(offset)
+        sign_exponents.append(s)
     pieces = ((i * L, (-1) ** s) for L, s in zip(offsets, sign_exponents))
     classes, onset = _signed_pieces(p, pieces)
     pattern = SignPattern(p, classes, max(onset, -1))
@@ -226,16 +224,18 @@ _holds = {
 }
 
 
+def _check_horizon(series: Series, horizon: int) -> None:
+    if horizon > series.precision:
+        raise BeyondPrecision(f"horizon {horizon} beyond series precision {series.precision}")
+
+
 def verify_pattern(series: Series, pattern: SignPattern, horizon: int) -> PatternReport:
     """Check every coefficient sign in (onset, horizon] against the pattern.
 
     Each residue class is checked whole, and walked term by term only
     when it fails, to list its violations.
     """
-    if horizon > series.precision:
-        raise BeyondPrecision(
-            f"horizon {horizon} beyond series precision {series.precision}"
-        )
+    _check_horizon(series, horizon)
     if horizon < 0:
         raise InvalidParameter(f"horizon must be nonnegative, got {horizon}")
     cs = series.coefficients
@@ -267,10 +267,7 @@ def detect_pattern(series: Series, modulus: int, horizon: int) -> SignPattern:
     expansion.  It remains an estimate: nothing beyond the horizon is
     claimed.
     """
-    if horizon > series.precision:
-        raise BeyondPrecision(
-            f"horizon {horizon} beyond series precision {series.precision}"
-        )
+    _check_horizon(series, horizon)
     if modulus < 1:
         raise InvalidParameter(f"modulus must be positive, got {modulus}")
     if horizon + 1 < modulus:

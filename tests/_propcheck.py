@@ -25,7 +25,7 @@ from qsigns import (
 )
 from qsigns import products
 from qsigns._backend import invert_dense, mul_dense
-from qsigns.dissect import _check_modulus
+from qsigns.dissect import check_quintuple
 from qsigns.plan import THETA_ATOMS, ExpansionPlan
 from qsigns.products import _apply_factor
 
@@ -238,7 +238,7 @@ def check_detect_matches_scan(seed: int, rounds: int = 40) -> list[str]:
 
 def closed_form_offset(m: int, r: int) -> int:
     """Prefactor exponent of residue r in the m-dissection of (q;q)."""
-    _check_modulus(m)
+    check_quintuple(4, 1, m)
     if not 0 <= r < m:
         raise InvalidParameter(f"residue {r} not in [0, {m})")
     base = 6 * r * r + r
@@ -257,7 +257,7 @@ def closed_form_offset(m: int, r: int) -> int:
 
 def closed_form_sign_exp(m: int, r: int) -> int:
     """Sign exponent of residue r in the m-dissection of (q;q)."""
-    _check_modulus(m)
+    check_quintuple(4, 1, m)
     if not 0 <= r < m:
         raise InvalidParameter(f"residue {r} not in [0, {m})")
     if m % 3 == 1:
@@ -291,7 +291,7 @@ def _closed_form_t2(m: int, r: int) -> int:
 
 def closed_form_components(m: int) -> tuple[DissectionComponent, ...]:
     """The m-dissection of (q;q) via the explicit closed forms."""
-    _check_modulus(m)
+    check_quintuple(4, 1, m)
     comps = []
     for r in range(m):
         comps.append(

@@ -2,11 +2,12 @@
 
 import hashlib
 import json
+import random
 
 import pytest
 
 from qsigns import EtaQuotientSpec, SignPattern, backend_name
-from qsigns import cli
+from qsigns import _jsonfmt, cli
 from qsigns.signs import CorpusEntry
 
 
@@ -183,7 +184,7 @@ def test_oversized_expansion_exits_2(capsys, monkeypatch, env, argv):
     monkeypatch.setattr(cli, "eta_quotient", no_expansion)
     monkeypatch.setattr(cli, "quintuple_components", no_expansion)
     monkeypatch.setattr("qsigns.signs._is_prime", no_expansion)
-    monkeypatch.setattr("qsigns.signs.quintuple_component", no_expansion)
+    monkeypatch.setattr("qsigns.signs._residues", no_expansion)
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
@@ -396,3 +397,107 @@ def test_one_parser_serves_a_sequence_of_calls(capsys, monkeypatch, tmp_path):
     assert (hashlib.sha256(out.encode()).hexdigest(), code) == GOLDEN["predict", "text"]
     assert len(parses) == 6
     assert cli._parser() is parser
+
+
+# ----------------------------------------------------------------------
+# JSON rendering: byte-identical to json.dumps(doc, sort_keys=True, indent=2)
+# ----------------------------------------------------------------------
+
+def json_oracle(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2)
+
+
+# quotes, backslashes, control characters, non-ASCII (one outside the BMP) and % signs
+TRICKY = ("", "a", 'say "hi"', "back\\slash", "\t\n\r\x00\x1f\x7f", "café – \U0001f600",
+          "%s %% %d", "r", "sign_exp")
+
+
+def random_scalar(rng):
+    return rng.choice([
+        lambda: rng.choice((True, False)),
+        lambda: rng.choice((0, 1, -1, 2)),
+        lambda: rng.randrange(-10**9, 10**9),
+        lambda: rng.getrandbits(1000) * rng.choice((1, -1)),
+        lambda: None,
+        lambda: rng.choice(TRICKY),
+        lambda: "".join(rng.choice(TRICKY) for _ in range(rng.randrange(1, 4))),
+    ])()
+
+
+def random_doc(rng, depth=0):
+    """A nested doc, at most four levels deep, with empty dicts and lists among its nodes."""
+    kind = rng.randrange(4) if depth < 4 else 0
+    if kind == 0:
+        return random_scalar(rng)
+    items = [random_doc(rng, depth + 1) for _ in range(rng.randrange(4))]
+    if kind == 1:
+        return {random_scalar_key(rng): item for item in items}
+    return items if kind == 2 else tuple(items)
+
+
+def random_scalar_key(rng):
+    return "".join(rng.choice(TRICKY + ("B", "b", "_", "0")) for _ in range(rng.randrange(1, 3)))
+
+
+def depth(doc) -> int:
+    if isinstance(doc, dict):
+        doc = list(doc.values())
+    if isinstance(doc, (list, tuple)):
+        return 1 + max(map(depth, doc), default=0)
+    return 0
+
+
+def test_json_rendering_matches_the_stdlib_on_random_docs():
+    rng = random.Random(20261019)
+    docs = [{}, [], (), {"a": {}, "b": [], "c": [[{}]]}, True, 0, None, "é",
+            {"flag": True, "one": 1, "zero": 0, "no": False, "none": None}]
+    docs += [{random_scalar_key(rng): random_doc(rng) for _ in range(rng.randrange(6))}
+             for _ in range(400)]
+    assert max(map(depth, docs)) >= 3
+    for doc in docs:
+        assert _jsonfmt.render(doc) == json_oracle(doc), doc
+
+
+def random_report(rng) -> cli.Report:
+    columns = tuple(rng.sample(("r", "sign_exp", "offset", "t1", "B", "_x", "café"),
+                               rng.randrange(1, 6)))
+    rows = [tuple(random_scalar(rng) for _ in columns) for _ in range(rng.randrange(5))]
+    fields = {random_scalar_key(rng): random_doc(rng) for _ in range(rng.randrange(3))}
+    return cli.Report(rng.choice((None, "2^5 7^-1")), {"T": rng.randrange(100)},
+                      rng.choice((None, 7)), columns, rows, lambda: [], fields=fields,
+                      key=rng.choice((None, "rows", "components")), cap=rng.choice((None, 2)))
+
+
+def test_json_reports_match_the_stdlib_rendering_of_their_doc():
+    # the rows fill one template per report, whatever the order and types of its columns
+    rng = random.Random(7142)
+    for _ in range(300):
+        report = random_report(rng)
+        doc = {"schema_version": 1, "command": "cmd", "spec": report.spec,
+               "parameters": report.parameters, "horizon": report.horizon, **report.fields}
+        if report.key:
+            doc[report.key] = [dict(zip(report.columns, row)) for row in report.rows[:report.cap]]
+        assert cli._render(report, "cmd", "json") == json_oracle(doc) + "\n", doc
+
+
+@pytest.mark.parametrize("value", [{1, 2}, b"bytes", object(), 1j, {"k": [2, {3}]}, (1, {"k": b""})])
+def test_json_rendering_rejects_other_types(value):
+    with pytest.raises(TypeError):
+        json_oracle(value)
+    with pytest.raises(TypeError):
+        _jsonfmt.render(value)
+
+
+@pytest.mark.parametrize("value", [1.5, [0, {"k": 2.0}], {1: "int key"}])
+def test_json_rendering_takes_no_floats_and_only_string_keys(value):
+    # json.dumps writes these; no report holds one, so the renderer refuses them
+    json_oracle(value)
+    with pytest.raises(TypeError):
+        _jsonfmt.render(value)
+
+
+@pytest.mark.parametrize("case", sorted({case for case, fmt in GOLDEN if fmt == "json"}
+                                        - {"domain-error"}))
+def test_golden_json_reports_are_the_stdlib_layout(capsys, monkeypatch, case):
+    out = golden_report(capsys, monkeypatch, case, "json")[1].decode()
+    assert out == json_oracle(json.loads(out)) + "\n"

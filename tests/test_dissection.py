@@ -170,11 +170,12 @@ def test_dissections_reassemble_far_above_the_probe():
 
 
 def test_derived_sign_choice_always_builds():
-    # integral t and offset, 0 < t < period and offset >= 0 are checked on construction
+    # integral t and offset, 0 < t < period and offset >= 0 are checked on construction;
+    # the whole dissection, validated once, equals the residues built one at a time
     cases = 0
     for M in range(3, 25):
         for j in range(1, (M + 1) // 2):
-            for m in range(2, 32):
+            for m in range(2, 50):
                 if m % 3 == 0:
                     continue
                 comps = quintuple_components(M, j, m)
@@ -182,7 +183,7 @@ def test_derived_sign_choice_always_builds():
                 for r in range(m):
                     assert quintuple_component(M, j, m, r) == comps[r], (M, j, m, r)
                 cases += 1
-    assert cases == 2640
+    assert cases == 4224
 
 
 def test_quintuple_components_expands_nothing(monkeypatch):
@@ -242,6 +243,7 @@ def test_dissection_caps_the_modulus_before_the_first_component(monkeypatch):
         raise AssertionError("built a component past MAX_PRECISION")
 
     monkeypatch.setattr(dissect, "quintuple_component", refuse)
+    monkeypatch.setattr(dissect, "_residues", refuse)
     for m in (MAX_PRECISION + 1, 10**8):
         assert m % 3
         for build in (qq_components, lambda k: quintuple_components(7, 2, k)):
@@ -261,6 +263,31 @@ def test_rejects_bad_quintuple_parameters():
         for build in (quintuple_components, lambda *qj: quintuple_component(*qj, 0)):
             with pytest.raises(InvalidParameter):
                 build(M, j, 5)
+
+
+@pytest.mark.parametrize("M,j,m,r,message", [
+    (2, 1, 5, 0, "need M >= 3, got 2"),
+    (7, 0, 5, 0, "need 1 <= j < M/2, got j=0, M=7"),
+    (8, 4, 5, 0, "need 1 <= j < M/2, got j=4, M=8"),
+    (7, 2, 1, 0, "need m >= 2, got 1"),
+    (7, 2, -4, 0, "need m >= 2, got -4"),
+    (7, 2, 9, 0, "modulus must not be divisible by 3, got 9"),
+    (7, 2, 5, 5, "residue 5 not in [0, 5)"),
+    (7, 2, 5, -1, "residue -1 not in [0, 5)"),
+])
+def test_bad_parameters_fail_before_any_component(monkeypatch, M, j, m, r, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a component from parameters that fail their checks")
+
+    monkeypatch.setattr(dissect, "_residues", refuse)
+    monkeypatch.setattr(dissect, "DissectionComponent", refuse)
+    builds = [lambda: quintuple_component(M, j, m, r)]
+    if r == 0:
+        builds.append(lambda: quintuple_components(M, j, m))
+    for build in builds:
+        with pytest.raises(InvalidParameter) as info:
+            build()
+        assert str(info.value) == message
 
 
 # -- 3-dissections and the 5-dissection -------------------------------------------

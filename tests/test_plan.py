@@ -672,6 +672,16 @@ def test_quintuple_terms_merge_colliding_exponents():
     assert quintuple_terms(5, 2, -1) == ([], [])
 
 
+def test_quintuple_terms_at_limits_below_the_terms_of_n_nonzero():
+    # below q^(M-2j) only n = 0 contributes, 1 - q^j; the loop at a longer limit is the oracle
+    cases = [(M, j) for M in range(3, 40) for j in range(1, (M + 1) // 2)]
+    for M, j in cases + [(605, 1), (605, 88), (605, 302)]:
+        exps, cofs = quintuple_terms(M, j, 2 * M)
+        for limit in range(-1, M + 1):
+            k = sum(e <= limit for e in exps)
+            assert quintuple_terms(M, j, limit) == (exps[:k], cofs[:k]), (M, j, limit)
+
+
 def test_quintuple_product_equals_binomial_expansion():
     for M in range(3, 25):
         for j in range(1, (M + 1) // 2):
