@@ -18,6 +18,22 @@ quintuple product (4, 1): `qq_components` and the quotient sign
 predictions read the dissection there.
 `assemble` is a direct scatter of the components' terms, which the CLI
 and the tests compare with a direct expansion.
+
+The 3- and 5-dissections of (q;q) split its pentagonal series
+(q;q) = sum_k (-1)^k q^{k(3k-1)/2} by s = k mod m, for odd m, with s
+taken from the window of m integers that starts at -floor((3m-1)/6).
+Writing k = s + m*n, piece s is
+
+    (-1)^s q^{s(3s-1)/2} JTP(A_s, 3m^2),    A_s = m(3m + 6s - 1)/2,
+
+and the window is the one where 0 < A_s < 3m^2.  m must be odd: only
+then is the sign (-1)^{s+mn} a triple product's (-1)^s (-1)^n, and every
+exponent m*n(3mn + 6s - 1)/2 of the triple product a multiple of m, so
+that piece s lies on the one residue s(3s-1)/2 mod m.  At m = 5 no piece
+lies on residues 3 and 4: 24*k(3k-1)/2 + 1 = (6k-1)^2 is a square, and
+squares are 0, 1 or 4 mod 5.  Every summand, like `assemble`, is a
+scatter of signed, shifted closed-form terms into one list per residue;
+nothing is planned or expanded.
 """
 
 from __future__ import annotations
@@ -25,8 +41,8 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .plan import quintuple_terms
-from .products import _check_quintuple, eta_quotient, lambert_cubic, pochhammer
+from .plan import jacobi_cube_terms, jacobi_triple_terms, pentagonal_terms, quintuple_terms
+from .products import _check_quintuple, lambert_cubic
 from .series import InvalidParameter, QSignsError, Series, _check_precision
 
 __all__ = [
@@ -122,17 +138,15 @@ def _residues(M: int, j: int, m: int, rs, eps: int = 0):
         yield r, s, offset, t1, t2, P1, P2
 
 
-def quintuple_component(M: int, j: int, m: int, r: int, *, _eps: int = 0) -> DissectionComponent:
+def quintuple_component(M: int, j: int, m: int, r: int) -> DissectionComponent:
     """The component of residue r in the m-dissection of the (M, j) quintuple product.
 
     Requires M >= 3, 1 <= j < M/2, m >= 2 not divisible by 3 and 0 <= r < m.
-    ``_eps`` forces the sign choice, for tests; one that does not suit m
-    raises `QSignsError` or gives components that do not reassemble.
     """
     check_quintuple(M, j, m)
     if not 0 <= r < m:
         raise InvalidParameter(f"residue {r} not in [0, {m})")
-    return DissectionComponent(*next(_residues(M, j, m, (r,), _eps)))
+    return DissectionComponent(*next(_residues(M, j, m, (r,))))
 
 
 def quintuple_components(M: int, j: int, m: int) -> tuple[DissectionComponent, ...]:
@@ -158,19 +172,39 @@ def qq_components(m: int) -> tuple[DissectionComponent, ...]:
 def assemble(components: Iterable[DissectionComponent], precision: int) -> Series:
     """Sum the components; equals the target product when the dissection is exact.
 
-    The precision is checked before anything is allocated.  Then the
-    terms of each component, those of the quintuple product (period1, j)
-    up to precision - offset, are shifted, signed and added straight into
-    one list of precision + 1 coefficients: a direct scatter.
+    Each component contributes the terms of the quintuple product
+    (period1, j), shifted by its offset and signed: a direct scatter.
+    The precision is checked before any terms are made.
+    """
+    pieces = [(c.sign, c.offset, quintuple_terms, (c.period1, c.j)) for c in components]
+    return _scatter(pieces, 1, precision)[0]
+
+
+def _scatter(pieces, m: int, precision: int) -> list[Series]:
+    """The sum of the pieces, as one series of precision + 1 coefficients per residue mod m.
+
+    A piece (c, offset, terms, params) is c q^offset times the sparse
+    series terms(*params, precision - offset), whose exponents are
+    multiples of m; its terms are added straight into the list of
+    residue offset mod m.  The precision is checked before any terms are
+    made.
     """
     _check_precision(precision)
-    out = [0] * (precision + 1)
-    for c in components:
-        offset, sign = c.offset, c.sign
-        exps, cofs = quintuple_terms(c.period1, c.j, precision - offset)
+    outs = [[0] * (precision + 1) for _ in range(m)]
+    for c, offset, terms, params in pieces:
+        out = outs[offset % m]
+        exps, cofs = terms(*params, precision - offset)
         for e, k in zip(exps, cofs):
-            out[e + offset] += sign * k
-    return Series(out)
+            out[e + offset] += c * k
+    return [Series(out) for out in outs]
+
+
+def _qq_split(m: int, precision: int) -> list[Series]:
+    """The m-dissection of (q;q) for odd m, summand r on residue r: the pentagonal split above."""
+    w = (3 * m - 1) // 6
+    pieces = [(-1 if s % 2 else 1, s * (3 * s - 1) // 2, jacobi_triple_terms,
+               (m * (3 * m + 6 * s - 1) // 2, 3 * m * m)) for s in range(-w, m - w)]
+    return _scatter(pieces, m, precision)
 
 
 # ----------------------------------------------------------------------
@@ -184,29 +218,25 @@ def three_dissection_qq(precision: int) -> tuple[Series, Series, Series]:
     the three equals (q;q).  Each summand is a single triple product:
     (q^12,q^15,q^27;q^27), -q (q^6,q^21,q^27;q^27), -q^2 (q^3,q^24,q^27;q^27).
     """
-    s0 = eta_quotient("12.27 15.27 27", precision)
-    s1 = -eta_quotient("6.27 21.27 27", precision).shift(1)
-    s2 = -eta_quotient("3.27 24.27 27", precision).shift(2)
-    return s0, s1, s2
+    return tuple(_qq_split(3, precision))
 
 
 def three_dissection_qq3(precision: int) -> tuple[Series, Series]:
     """The two signed summands of the 3-dissection of (q;q)^3.
 
     (q^3;q^3) times the cubic Lambert series, and -3q (q^9;q^9)^3; their
-    sum equals (q;q)^3.
+    sum equals (q;q)^3 (Borwein's identity).
     """
-    s0 = pochhammer(3, 3, precision) * lambert_cubic(precision)
-    s1 = Series([-3 * c for c in eta_quotient("9^3", precision).coefficients]).shift(1)
-    return s0, s1
+    s0, s1, _ = _scatter([(1, 0, pentagonal_terms, (3,)), (-3, 1, jacobi_cube_terms, (9,))],
+                         3, precision)
+    return s0 * lambert_cubic(precision), s1
 
 
 def ramanujan5(precision: int) -> tuple[Series, Series, Series]:
     """The three signed summands of Ramanujan's 5-dissection of (q;q).
 
     Summand k is supported on exponents = k (mod 5); the sum equals (q;q).
+    They are (q^10,q^15;q^25)/(q^5,q^20;q^25) (q^25;q^25), -q (q^25;q^25)
+    and -q^2 (q^5,q^20;q^25)/(q^10,q^15;q^25) (q^25;q^25).
     """
-    s0 = eta_quotient("25 10.25 15.25 5.25^-1 20.25^-1", precision)
-    s1 = -pochhammer(25, 25, precision).shift(1)
-    s2 = -eta_quotient("25 5.25 20.25 10.25^-1 15.25^-1", precision).shift(2)
-    return s0, s1, s2
+    return tuple(_qq_split(5, precision)[:3])

@@ -135,9 +135,7 @@ def _spread(cur: list, r: int, m: int) -> list:
 
 
 def pochhammer(a: int, b: int, precision: int) -> Series:
-    """(q^a; q^b) = prod_{k>=0} (1 - q^{a+kb}), truncated."""
-    if a < 1 or b < 1:
-        raise InvalidParameter(f"pochhammer needs a >= 1 and b >= 1, got ({a}, {b})")
+    """(q^a; q^b) = prod_{k>=0} (1 - q^{a+kb}), truncated; `PochhammerFactor` checks a, b >= 1."""
     return eta_quotient(EtaQuotientSpec((PochhammerFactor(a, b, 1),)), precision)
 
 

@@ -19,7 +19,7 @@ from qsigns import (
     three_dissection_qq,
     three_dissection_qq3,
 )
-from qsigns import dissect, products
+from qsigns import dissect, plan, products
 from qsigns.series import MAX_PRECISION, QSignsError, Series
 
 MODULI = (2, 4, 5, 7, 8, 10, 11, 13)
@@ -140,7 +140,8 @@ def probe_sign_choice(M, j, m, precision=60):
     preferred = 1 if m % 3 == 1 else -1
     for eps in (preferred, -preferred):
         try:
-            comps = tuple(quintuple_component(M, j, m, r, _eps=eps) for r in range(m))
+            comps = tuple(dissect.DissectionComponent(*row)
+                          for row in dissect._residues(M, j, m, range(m), eps))
         except QSignsError:
             continue
         if assemble(comps, precision) == target:
@@ -191,7 +192,6 @@ def test_quintuple_components_expands_nothing(monkeypatch):
         raise AssertionError("quintuple_components expanded a series")
 
     monkeypatch.setattr(products, "eta_quotient", no_expansion)
-    monkeypatch.setattr(dissect, "eta_quotient", no_expansion)
     assert len(quintuple_components(7, 2, 8)) == 8
     assert quintuple_component(7, 2, 8, 3).r == 3
     assert qq_components(5) == closed_form_components(5)
@@ -332,3 +332,72 @@ def test_five_dissection_supports():
         for n, c in enumerate(summand.coefficients):
             if c:
                 assert n % 5 == k
+
+
+# -- the pentagonal split: the 3- and 5-dissections without a plan -----------------
+
+# the summands as products, each with its sign exponent and shift
+THREE_SPECS = (
+    (0, 0, "12.27 15.27 27"),
+    (1, 1, "6.27 21.27 27"),
+    (1, 2, "3.27 24.27 27"),
+)
+FIVE_SPECS = (
+    (0, 0, "25 10.25 15.25 5.25^-1 20.25^-1"),
+    (1, 1, "25"),
+    (1, 2, "25 5.25 20.25 10.25^-1 15.25^-1"),
+)
+
+
+def test_split_matches_the_quintuple_components_by_residue():
+    # two independent formulas: the pentagonal split and the quintuple dissection of Q(4, 1)
+    T = 400
+    for m in range(5, 50, 2):
+        if m % 3 == 0:
+            continue
+        comps = qq_components(m)
+        for r, summand in enumerate(dissect._qq_split(m, T)):
+            assert summand == assemble([c for c in comps if c.offset % m == r], T), (m, r)
+
+
+def refuse_binomials(*args):
+    raise AssertionError("a product took the binomial path")
+
+
+@pytest.mark.parametrize("T", (0, 1, 2, 7, 600))
+def test_split_summands_equal_their_product_forms(monkeypatch, T):
+    # the products plan with no binomial
+    monkeypatch.setattr(products, "_apply_factor", refuse_binomials)
+    for summands, specs in ((three_dissection_qq(T), THREE_SPECS), (ramanujan5(T), FIVE_SPECS)):
+        assert len(summands) == len(specs)
+        for summand, (sign_exp, shift, spec) in zip(summands, specs):
+            oracle = eta_quotient(spec, T).shift(shift)
+            assert summand == (-oracle if sign_exp else oracle), (spec, T)
+    for summand in dissect._qq_split(5, T)[3:]:
+        assert summand == Series.zero(T)
+
+
+def test_special_dissections_plan_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("planned or expanded a spec")
+
+    monkeypatch.setattr(plan, "_plan", refuse)
+    monkeypatch.setattr(products, "eta_quotient", refuse)
+    assert len(three_dissection_qq(200)) == 3
+    assert len(three_dissection_qq3(200)) == 2
+    assert len(ramanujan5(200)) == 3
+
+
+@pytest.mark.parametrize("T,message", [
+    (-1, "precision must be nonnegative"),
+    (MAX_PRECISION + 1, "exceeds the limit MAX_PRECISION"),
+])
+def test_special_dissections_check_the_precision_first(monkeypatch, T, message):
+    def refuse(*args):
+        raise AssertionError("made terms before checking the precision")
+
+    for name in ("jacobi_triple_terms", "quintuple_terms", "pentagonal_terms", "jacobi_cube_terms"):
+        monkeypatch.setattr(dissect, name, refuse)
+    for build in (three_dissection_qq, three_dissection_qq3, ramanujan5):
+        with pytest.raises(InvalidParameter, match=message):
+            build(T)
