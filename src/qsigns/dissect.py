@@ -110,13 +110,13 @@ def check_quintuple(M: int, j: int, m: int) -> None:
         raise InvalidParameter(f"modulus must not be divisible by 3, got {m}")
 
 
-def _residues(M: int, j: int, m: int, rs, eps: int = 0):
+def _residues(M: int, j: int, m: int, rs):
     """(r, sign_exp, offset, t1, t2, P1, P2) of each r in rs, all unchecked.
 
     The offset L = 7*P1/24 + t1*(t1/P1 - 1)/2 + t2*(t2/P2 - 1)/2 - ref is
     computed as 24*P2*L, which clears every denominator.
     """
-    eps = eps or (1 if m % 3 == 1 else -1)
+    eps = 1 if m % 3 == 1 else -1
     P1 = m * m * M
     P2 = 2 * P1
     ref = 7 * M * P2 + 24 * m * m * j * (j - M) - 12 * m * m * (M * M - 4 * j * j)
@@ -127,13 +127,13 @@ def _residues(M: int, j: int, m: int, rs, eps: int = 0):
         a = m * M * (m + eps * (6 * r - 1))
         # t1 needs a divisible by 6 and t2 by 3, so one test covers both
         if a % 6:
-            raise QSignsError(f"non-integral t for (M={M}, j={j}, m={m}, r={r}, eps={eps})")
+            raise QSignsError(f"non-integral t for (M={M}, j={j}, m={m}, r={r})")
         t1 = (a // 6 + eps * j * m) % P1
         t2 = (P1 + 2 * j * m + eps * (a // 3)) % P2
         offset, rest = divmod(7 * P1 * P2 + 24 * t1 * (t1 - P1) + 12 * t2 * (t2 - P2) - ref,
                               24 * P2)
         if rest:
-            raise QSignsError(f"non-integral offset for (M={M}, j={j}, m={m}, r={r}, eps={eps})")
+            raise QSignsError(f"non-integral offset for (M={M}, j={j}, m={m}, r={r})")
         s = 0 if 6 * M * r <= lo else (1 if 6 * M * r <= hi else 2)
         yield r, s, offset, t1, t2, P1, P2
 

@@ -58,6 +58,18 @@ raised to a power, and names the one to raise outright:
   (`products._apply_factor`), which also serves the tests as the
   reference expansion of any spec.  A binomial to a power above T/e is
   multiplied in as its truncated binomial series instead.
+
+One generator, `theta_terms`, makes every sparse closed form but
+Jacobi's cube: each is a list of sums c * sum_{n in Z} eps^n
+q^{(A n^2 + B n)/2 + C}, given here as (A, B, C, eps), with c = 1 where
+no c is named.  JTP(a,b) is (b, 2a-b, 0, -1), and so the pentagonal
+(q^b;q^b) = JTP(b,3b) is (3b, -b, 0, -1); Q(M,j) is (3M, M-6j, 0, 1)
+plus (3M, M+6j, j, 1) with c = -1, Cooper's form; phi(+-q^s) is
+(2s, 0, 0, +-1); psi(q^s) is (4s, -2s, 0, 1), since
+psi(q) = sum_{n in Z} q^{n(2n-1)}; and `products.theta_weighted` is
+(9, 3, 0, 1) plus (9, 9, 1, 1) with c = -1.  Jacobi's (q^s;q^s)^3
+takes the exponents of psi(q^s) and its own weights (-1)^n (2n+1),
+which are no sign.
 """
 
 from __future__ import annotations
@@ -139,52 +151,64 @@ def _as_spec(spec: "EtaQuotientSpec | str") -> EtaQuotientSpec:
 # Sparse closed forms
 # ----------------------------------------------------------------------
 
-def jacobi_triple_terms(a: int, b: int, limit: int) -> tuple[list[int], list[int]]:
-    """Sparse JTP(a,b) = (q^a, q^{b-a}, q^b; q^b) = sum_k (-1)^k q^{b k(k-1)/2 + a k}.
+def theta_terms(sums, limit: int) -> tuple[list[int], list[int]]:
+    """The sum of c * sum_{n in Z} eps^n q^{(A n^2 + B n)/2 + C} over each (A, B, C, eps, c) in sums.
 
-    Terms up to exponent limit, sorted; terms of k and -k that meet (b = 2a)
-    are merged, so exponents are distinct and coefficients nonzero.
+    Every sparse closed form below but Jacobi's cube is such a sum (eps =
+    +-1).  Terms up to exponent limit, sorted, with colliding terms merged,
+    so exponents are distinct and coefficients nonzero.  A + B even makes
+    every exponent an integer.  Each side is walked outward, n = 0, 1, ...
+    and then n = -1, -2, ..., until the exponent passes limit, and no
+    later term of that side comes back below it: stepping n to n + 1 on
+    the first side adds A n + (A + B)/2 >= 0 when A > 0 and B >= -A, and
+    stepping n to n - 1 on the second adds A |n| + (A - B)/2 > 0 when
+    B < 3A, so both sides only climb.  Their lowest exponents are C and
+    C + (A - B)/2, which the caller keeps nonnegative.
     """
-    terms: dict[int, int] = {}
-    for k, step in ((0, 1), (-1, -1)):
-        while (e := b * k * (k - 1) // 2 + a * k) <= limit:
-            terms[e] = terms.get(e, 0) + (-1 if k % 2 else 1)
-            k += step
-    exps = sorted(e for e, c in terms.items() if c)
-    return exps, [terms[e] for e in exps]
+    pairs = []
+    for A, B, C, eps, c in sums:
+        # (first exponent, its step to the next, coefficient) of each side
+        for e, d, k in ((C, (A + B) // 2, c), (C + (A - B) // 2, (3 * A - B) // 2, c * eps)):
+            while e <= limit:
+                pairs.append((e, k))
+                e += d
+                d += A
+                k *= eps
+    # sorted, equal exponents are neighbours: merge each into the last
+    # term, and drop a term whose coefficient cancels
+    pairs.sort()
+    exps, cofs = [], []
+    for e, k in pairs:
+        if exps and exps[-1] == e:
+            exps.pop()
+            k += cofs.pop()
+        if k:
+            exps.append(e)
+            cofs.append(k)
+    return exps, cofs
+
+
+def jacobi_triple_terms(a: int, b: int, limit: int) -> tuple[list[int], list[int]]:
+    """JTP(a,b) = (q^a, q^{b-a}, q^b; q^b) = sum_k (-1)^k q^{b k(k-1)/2 + a k}: (A, B, C, eps) = (b, 2a-b, 0, -1)."""
+    return theta_terms(((b, 2 * a - b, 0, -1, 1),), limit)
 
 
 def quintuple_terms(M: int, j: int, limit: int) -> tuple[list[int], list[int]]:
     """Sparse Q(M,j) = (q^j, q^{M-j}, q^M; q^M)(q^{M-2j}, q^{M+2j}; q^{2M}), 1 <= j < M/2.
 
     By the quintuple product identity (S. Cooper, Int. J. Number Theory 2,
-    2006) Q(M,j) = sum_n q^{M n(3n+1)/2} (q^{-3jn} - q^{j(3n+1)}).  Both
-    exponents are nonnegative and grow with |n| on each side of n = 0.
-    Terms up to exponent limit, sorted, with colliding terms merged, so
-    exponents are distinct and coefficients nonzero.
+    2006) Q(M,j) = sum_n q^{M n(3n+1)/2} (q^{-3jn} - q^{j(3n+1)}): the sums
+    (3M, M-6j, 0, 1) and, with c = -1, (3M, M+6j, j, 1).
     """
     if limit < M - 2 * j:
         # n = 0 gives 1 - q^j; every other n lies at or above q^(M-2j) (n = -1)
         exps = [e for e in (0, j) if e <= limit]
         return exps, [1, -1][:len(exps)]
-    terms: dict[int, int] = {}
-    for n, step in ((0, 1), (-1, -1)):
-        while True:
-            base = M * n * (3 * n + 1) // 2
-            e, f = base - 3 * j * n, base + j * (3 * n + 1)
-            if e > limit and f > limit:
-                break
-            if e <= limit:
-                terms[e] = terms.get(e, 0) + 1
-            if f <= limit:
-                terms[f] = terms.get(f, 0) - 1
-            n += step
-    exps = sorted(e for e, c in terms.items() if c)
-    return exps, [terms[e] for e in exps]
+    return theta_terms(((3 * M, M - 6 * j, 0, 1, 1), (3 * M, M + 6 * j, j, 1, -1)), limit)
 
 
 def pentagonal_terms(step: int, limit: int) -> tuple[list[int], list[int]]:
-    """Sparse expansion of (q^step; q^step): exponents step*k(3k+-1)/2, signs (-1)^k."""
+    """Sparse expansion of (q^step; q^step) = JTP(step, 3 step): exponents step*k(3k+-1)/2, signs (-1)^k."""
     return jacobi_triple_terms(step, 3 * step, limit)
 
 
@@ -195,26 +219,8 @@ def jacobi_cube_terms(s: int, limit: int) -> tuple[list[int], list[int]]:
 
 
 def triangular_terms(s: int, limit: int) -> tuple[list[int], list[int]]:
-    """Sparse psi(q^s) = (q^{2s};q^{2s})^2 / (q^s;q^s) = sum_{n>=0} q^{s n(n+1)/2}."""
-    exps = []
-    n = 0
-    while (e := s * n * (n + 1) // 2) <= limit:
-        exps.append(e)
-        n += 1
-    return exps, [1] * len(exps)
-
-
-def square_terms(s: int, sign: int, limit: int) -> tuple[list[int], list[int]]:
-    """Sparse phi(sign q^s) = sum_{n in Z} sign^n q^{s n^2}, sign = 1 or -1.
-
-    phi(q) = (q^2;q^2)^5 / ((q;q)^2 (q^4;q^4)^2) and phi(-q) = (q;q)^2 / (q^2;q^2).
-    """
-    exps = []
-    n = 0
-    while (e := s * n * n) <= limit:
-        exps.append(e)
-        n += 1
-    return exps, [1] + [2 * sign ** n for n in range(1, len(exps))]
+    """Sparse psi(q^s) = (q^{2s};q^{2s})^2 / (q^s;q^s) = sum_{n in Z} q^{s n(2n-1)}: (4s, -2s, 0, 1)."""
+    return theta_terms(((4 * s, -2 * s, 0, 1, 1),), limit)
 
 
 # form: sparse terms of the series, called with its parameters and a limit
@@ -223,8 +229,10 @@ FORMS = {
     "euler": pentagonal_terms,
     "J": jacobi_cube_terms,
     "psi": triangular_terms,
-    "phi(-q)": lambda s, limit: square_terms(s, -1, limit),
-    "phi(q)": lambda s, limit: square_terms(s, 1, limit),
+    # phi(+-q^s) = (q;q)^2 / (q^2;q^2) and (q^2;q^2)^5 / ((q;q)^2 (q^4;q^4)^2) in q^s:
+    # sum_{n in Z} (+-1)^n q^{s n^2}, (2s, 0, 0, +-1)
+    "phi(-q)": lambda s, limit: theta_terms(((2 * s, 0, 0, -1, 1),), limit),
+    "phi(q)": lambda s, limit: theta_terms(((2 * s, 0, 0, 1, 1),), limit),
 }
 
 # theta atom: its signature {b: exponent of (q^b;q^b)}; its form has the same name

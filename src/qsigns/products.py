@@ -31,6 +31,7 @@ from .plan import (
     ExpansionPlan,
     PochhammerFactor,
     quintuple_terms,
+    theta_terms,
 )
 from .series import InvalidParameter, Series, _check_precision
 
@@ -181,21 +182,16 @@ def theta_squares(precision: int) -> Series:
     return _atom_series("phi(q)", precision)
 
 
-_WEIGHT_MOD_6 = {1: 1, 3: -2, 5: 1}
-
-
 def theta_weighted(precision: int) -> Series:
     """sum over odd n >= 1 of w(n) q^{(n^2-1)/8} with w = 1, -2, 1 for n = 1, 3, 5 mod 6.
 
-    Folding +-n (equal weights) absorbs the 1/2 in the two-sided form.
+    `plan.theta_terms` makes it from two sums over k in Z.  The sum
+    (9, 3, 0, 1) is n = 6k+1 with weight 1, which meets each odd n = +-1
+    mod 6 once, as |n|; the sum (9, 9, 1, 1) with c = -1 is n = 6k+3 with
+    weight -1, which meets each n = 3 mod 6 twice, once from each sign.
     """
     _check_precision(precision)
-    terms = []
-    n = 1
-    while (n * n - 1) // 8 <= precision:
-        terms.append(((n * n - 1) // 8, _WEIGHT_MOD_6[n % 6]))
-        n += 2
-    return Series.from_terms(terms, precision)
+    return Series.from_terms(zip(*theta_terms(((9, 3, 0, 1, 1), (9, 9, 1, 1, -1)), precision)), precision)
 
 
 def borwein_a(precision: int) -> Series:

@@ -5,7 +5,13 @@ one [PASS]/[FAIL] line; run with ``pytest tests/test_acceptance.py -v -s``
 to see the lines as they complete.
 """
 
+import ast
+import io
+import tokenize
+from pathlib import Path
+
 from _propcheck import (
+    binomial_expansion,
     check_certificate_invariants,
     check_dissection_completeness,
     check_inverse_round_trip,
@@ -17,6 +23,7 @@ from _propcheck import (
 )
 
 from qsigns import (
+    EtaQuotientSpec,
     assemble,
     borwein_a,
     borwein_b,
@@ -148,7 +155,10 @@ def test_criterion_05_theta_identities():
         ("squares", theta_squares(1000), "2^5 1^-2 4^-2"),
         ("weighted", theta_weighted(1000), "1^2 6^1 2^-1 3^-1"),
     ]
-    failures = [name for name, theta, spec in pairs if theta != eta_quotient(spec, 1000)]
+    # each quotient expanded one binomial at a time, since `eta_quotient` plans three
+    # of these specs as the very theta atoms under test
+    failures = [name for name, theta, spec in pairs
+                if theta != binomial_expansion(EtaQuotientSpec.parse(spec), 1000)]
     _criterion(
         "criterion 5: theta-series product identities, T=1000",
         not failures, "; ".join(failures),
@@ -238,3 +248,23 @@ def test_criterion_10_property_suites():
         "criterion 10: seeded property suites, zero failures",
         not failures, "; ".join(failures[:5]),
     )
+
+
+def test_readme_quick_tour_results():
+    """Run the README's "Library quick tour" block; each commented expression's comment starts with its repr."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Library quick tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    comments = {tok.start[0]: tok.string.lstrip("#").strip()
+                for tok in tokenize.generate_tokens(io.StringIO(block).readline)
+                if tok.type == tokenize.COMMENT}
+    namespace: dict = {}
+    checked = 0
+    for stmt in ast.parse(block).body:
+        if isinstance(stmt, ast.Expr) and stmt.end_lineno in comments:
+            value = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace)
+            comment = comments[stmt.end_lineno]
+            assert (comment + " ").startswith(repr(value) + " "), (ast.unparse(stmt), comment, value)
+            checked += 1
+        else:
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+    assert checked == 6

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from _propcheck import _power_oracle, binomial_expansion, check_plan_matches_binomial_oracle
 
-from qsigns import EtaQuotientSpec, Series, corpus, eta_quotient, pattern_catalog
+from qsigns import EtaQuotientSpec, Series, corpus, eta_quotient, pattern_catalog, theta_weighted
 from qsigns import quintuple_components
 from qsigns import quintuple_product
 from qsigns import products, ramanujan5, three_dissection_qq
@@ -23,6 +23,7 @@ from qsigns.plan import (
     jacobi_triple_terms,
     pentagonal_terms,
     quintuple_terms,
+    theta_terms,
 )
 
 
@@ -656,11 +657,49 @@ def test_div_sparse_rejects_a_divisor_without_a_unit_constant_term():
         div_sparse([1, 0, 0, 0, 0], [1, 2], [1, 1], 5)
 
 
+# the limits the closed forms are swept at: every one up to 80, and 400
+SWEPT_LIMITS = (*range(81), 400)
+
+
+def assert_terms_expand(exps, cofs, oracle, limit, label):
+    """The terms up to limit are sorted, distinct and nonnegative, nonzero, and equal the oracle there."""
+    assert exps == sorted(set(exps)) and all(0 <= e <= limit for e in exps), (label, limit)
+    assert len(cofs) == len(exps) and 0 not in cofs, (label, limit)
+    assert Series.from_terms(zip(exps, cofs), limit) == oracle.truncate(limit), (label, limit)
+
+
+def test_theta_terms_equal_a_brute_force_sum():
+    # one or two sums (A, B, C, eps, c) with A > 0, A + B even and -A <= B < 3A, against
+    # the sum over every n with |n| <= limit + 5, past which both sides exceed the limit
+    rng = random.Random(0)
+    for _ in range(500):
+        sums = []
+        for _ in range(rng.randint(1, 2)):
+            A = rng.randint(1, 6)
+            B = rng.choice(range(-A, 3 * A, 2))
+            sums.append((A, B, rng.randint(0, 3), rng.choice((1, -1)), rng.choice((1, -1, 2))))
+        limit = rng.randint(0, 80)
+        brute: dict = {}
+        for A, B, C, eps, c in sums:
+            for n in range(-limit - 5, limit + 6):
+                e = (A * n * n + B * n) // 2 + C
+                if e <= limit:
+                    brute[e] = brute.get(e, 0) + c * eps ** abs(n)
+        exps = sorted(e for e, k in brute.items() if k)
+        assert theta_terms(sums, limit) == (exps, [brute[e] for e in exps]), (sums, limit)
+
+
 def test_jacobi_triple_terms_merge_colliding_exponents():
     # JTP(1,2) = sum_n (-1)^n q^{n^2}
     assert jacobi_triple_terms(1, 2, 16) == ([0, 1, 4, 9, 16], [1, -2, 2, -2, 2])
     assert jacobi_triple_terms(1, 5, 13) == ([0, 1, 4, 7, 13], [1, -1, -1, 1, 1])
     assert pentagonal_terms(1, 12) == ([0, 1, 2, 5, 7, 12], [1, -1, -1, 1, 1, -1])
+    # every JTP(a,b) with b <= 8, the colliding b = 2a among them, at every swept limit
+    for b in range(2, 9):
+        for a in range(1, b):
+            oracle = binomial_expansion(EtaQuotientSpec.parse(f"{a}.{b} {b - a}.{b} {b}"), 400)
+            for limit in SWEPT_LIMITS:
+                assert_terms_expand(*jacobi_triple_terms(a, b, limit), oracle, limit, (a, b))
 
 
 def test_quintuple_terms_merge_colliding_exponents():
@@ -686,7 +725,10 @@ def test_quintuple_product_equals_binomial_expansion():
     for M in range(3, 25):
         for j in range(1, (M + 1) // 2):
             spec = EtaQuotientSpec.parse(f"{j}.{M} {M - j}.{M} {M} {M - 2 * j}.{2 * M} {M + 2 * j}.{2 * M}")
-            assert quintuple_product(M, j, 400) == binomial_expansion(spec, 400), (M, j)
+            oracle = binomial_expansion(spec, 400)
+            for limit in SWEPT_LIMITS:
+                assert_terms_expand(*quintuple_terms(M, j, limit), oracle, limit, (M, j))
+                assert quintuple_product(M, j, limit) == oracle.truncate(limit), (M, j, limit)
 
 
 # -- plan shapes --------------------------------------------------------------------
@@ -868,9 +910,23 @@ def test_theta_atom_terms_equal_binomial_expansion(name):
     signature, terms = THETA_ATOMS[name], FORMS[name]
     for s in range(1, 7):
         spec = EtaQuotientSpec.parse(" ".join(f"{s * b}^{x}" for b, x in signature.items()))
-        exps, cofs = terms(s, 400)
-        assert Series.from_terms(zip(exps, cofs), 400) == binomial_expansion(spec, 400), (name, s)
-        assert exps == sorted(set(exps)) and 0 not in cofs, (name, s)
+        oracle = binomial_expansion(spec, 400)
+        for limit in SWEPT_LIMITS:
+            assert_terms_expand(*terms(s, limit), oracle, limit, (name, s))
+
+
+def test_theta_weighted_terms_equal_binomial_expansion(monkeypatch):
+    made = []
+
+    def recording(sums, limit):
+        made.append(theta_terms(sums, limit))
+        return made[-1]
+
+    monkeypatch.setattr(products, "theta_terms", recording)
+    oracle = binomial_expansion(EtaQuotientSpec.parse("1^2 6^1 2^-1 3^-1"), 400)
+    for limit in SWEPT_LIMITS:
+        assert theta_weighted(limit) == oracle.truncate(limit), limit
+        assert_terms_expand(*made.pop(), oracle, limit, "theta_weighted")
 
 
 def refuse_binomials(*args):

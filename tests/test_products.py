@@ -3,6 +3,7 @@
 from types import SimpleNamespace
 
 import pytest
+from _propcheck import binomial_expansion
 
 from qsigns import (
     EtaQuotientSpec,
@@ -203,7 +204,9 @@ def test_weighted_theta_head():
     ],
 )
 def test_theta_equals_eta_quotient(theta, spec):
-    assert theta(200) == eta_quotient(spec, 200)
+    # the quotient is expanded one binomial at a time: `eta_quotient` plans three of
+    # these specs as the very theta atoms under test
+    assert theta(200) == binomial_expansion(EtaQuotientSpec.parse(spec), 200)
 
 
 # -- cubic theta functions -----------------------------------------------------
