@@ -25,6 +25,7 @@ from .products import (
     borwein_b,
     borwein_c3,
     eta_quotient,
+    eta_quotients,
     lambert_cubic,
     pochhammer,
     quintuple_product,
@@ -69,6 +70,7 @@ __all__ = [
     "EtaQuotientSpec",
     "pochhammer",
     "eta_quotient",
+    "eta_quotients",
     "quintuple_product",
     "theta_alt_squares",
     "theta_triangular",

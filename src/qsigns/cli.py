@@ -32,7 +32,7 @@ from . import __version__
 from ._backend import backend_name
 from ._jsonfmt import render, render_object, render_rows
 from .dissect import assemble, check_quintuple, quintuple_components
-from .products import EtaQuotientSpec, eta_quotient, quintuple_product
+from .products import EtaQuotientSpec, eta_quotient, eta_quotients, quintuple_product
 from .series import MAX_PRECISION, QSignsError, _check_precision
 from .signs import (
     corpus,
@@ -272,11 +272,12 @@ def _cmd_corpus(args) -> Report:
 
 def _cmd_catalog(args) -> Report:
     horizon = _precision(args.T)
-    rows = []
-    for case in pattern_catalog():
-        report = verify_pattern(eta_quotient(case.spec, horizon), case.pattern, horizon)
-        rows.append((case.case_id, case.pattern.class_string, case.pattern.onset,
-                     report.passed))
+    cases = pattern_catalog()
+    rows = [None] * len(cases)
+    for i, series in eta_quotients([case.spec for case in cases], horizon):
+        case = cases[i]
+        report = verify_pattern(series, case.pattern, horizon)
+        rows[i] = (case.case_id, case.pattern.class_string, case.pattern.onset, report.passed)
     return _checklist(("case", "pattern", "onset", "passed"), rows, "{0}  ({1}, onset {2})",
                       f"catalog at T={horizon}", {"T": horizon}, horizon, "cases")
 

@@ -8,7 +8,8 @@ shorthand ``j^d`` meaning (q^j;q^j)^d; ``^d`` defaults to 1.
 raised to a power, and names the one to raise outright:
 
 * **Net exponents.** The exponents of repeated factors (q^a;q^b) are
-  summed, so repeats merge and cancelling factors drop out.
+  summed, so repeats merge and cancelling factors drop out
+  (`net_exponents`, which `products.eta_quotients` reads too).
 * **Jacobi triple products.** By the triple product identity
   (q^a;q^b)(q^{b-a};q^b) = JTP(a,b) / (q^b;q^b), where
   JTP(a,b) = sum_k (-1)^k q^{b k(k-1)/2 + a k} has O(sqrt(T/b)) terms.
@@ -280,8 +281,11 @@ class ExpansionPlan:
         return _plan(_as_spec(spec))
 
 
-@functools.lru_cache(maxsize=1024)
-def _plan(spec: EtaQuotientSpec) -> ExpansionPlan:
+def net_exponents(spec: EtaQuotientSpec) -> Counter:
+    """The summed exponent of each (q^a;q^b) in the spec, with (q^a;q^{2a}) as (q^a;q^a)/(q^{2a};q^{2a}).
+
+    Factors that cancel keep their key, with exponent 0.
+    """
     net: Counter = Counter()
     for f in spec.factors:
         if f.b == 2 * f.a:
@@ -290,6 +294,12 @@ def _plan(spec: EtaQuotientSpec) -> ExpansionPlan:
             net[f.b, f.b] -= f.delta
         else:
             net[f.a, f.b] += f.delta
+    return net
+
+
+@functools.lru_cache(maxsize=1024)
+def _plan(spec: EtaQuotientSpec) -> ExpansionPlan:
+    net = net_exponents(spec)
     # (q^a;q^b)(q^{b-a};q^b) = JTP(a,b) / (q^b;q^b), as often as the
     # exponent nearer zero when the two share a sign (a >= b has no partner)
     jtps = []
@@ -374,15 +384,19 @@ _MUL, _DIV = (2, 4), (4, 6)
 _MILLER, _MILLER_NEGATIVE = 6, 7
 
 
-def _cost(powers: list[Power]) -> tuple[int, "int | None", tuple[int, ...]]:
+def _cost(powers: list[Power], start: int = 0) -> tuple[int, "int | None", tuple[int, ...]]:
     """The estimated cost of expanding the sparse powers, the index of their seed, and the order of the others.
 
     The expansion keeps its accumulator in q^d, n/d coefficients long,
     where d is the gcd of the steps of the series applied so far: a
     series in q^s with d | s keeps d, and any other makes it gcd(d, s).
-    The seed is raised outright, by Miller's recurrence in its own step,
-    or by a free scatter when k = 1; with no seed the accumulator starts
-    as 1 in the step of the first power.  A multiplication into a finer
+    start is the step of the accumulator the powers are applied to.  At
+    start = 0 it is 1, a constant: the seed is raised outright, by
+    Miller's recurrence in its own step, or by a free scatter when k = 1;
+    with no seed the accumulator starts as 1 in the step of the first
+    power.  At start = 1 it is a dense series in q, such as an earlier
+    expansion that `products.eta_quotients` multiplies on: there is no
+    seed, and every pass runs at full length.  A multiplication into a finer
     step g runs at n/d for its first unit and n/g for the rest, a
     division at n/g throughout.  The seed and the order are chosen
     together to minimise the sum; a power the current step divides is
@@ -423,8 +437,10 @@ def _cost(powers: list[Power]) -> tuple[int, "int | None", tuple[int, ...]]:
         return memo[todo, d]
 
     everything = tuple(range(len(powers)))
-    cost, order = rest(everything, 0)
+    cost, order = rest(everything, start)
     best = cost, None, order
+    if start:
+        return best
     for i, (_, _, k) in enumerate(powers):
         units, others, step = shapes[i]
         miller = 0 if k == 1 else (_MILLER if k > 0 else _MILLER_NEGATIVE) * (units + others) * length(step)

@@ -17,11 +17,32 @@ then divides in the divisor's own q^{d'}.  At the end it spreads the
 result onto q and applies the binomials one at a time by slice
 arithmetic (`_apply_factor`), with no kernel.  `qsigns.plan` holds
 the spec grammar and, in `FORMS`, the sparse closed forms.
+
+`eta_quotients` expands several specs at one precision and shares their
+work.  It runs them by increasing sum of their net exponents
+(`plan.net_exponents`, which the plan nets too), ties in input order,
+so each spec runs after every spec it contains factor by factor.  A
+spec contains an earlier one when the difference of their net exponents
+is a product of (q^b;q^b)^delta with every delta > 0: a plan of eulers
+and Jacobi cubes to positive powers, multiplications only, with no
+binomial.  `plan._cost` prices that plan from a dense series in q
+(start step 1: no seed, every pass at full length), and the spec starts
+from the contained result whose difference is priced least, if that is
+below the price of its own plan.  The difference's seed is then an
+ordinary power, and the pass loop `_apply_powers`, which
+`eta_quotient` runs too, multiplies it all in.  Any other spec goes to
+`eta_quotient`.  A result is kept only while a later spec still starts
+from it.  In the catalog, (q;q)^9/(q^3;q^3)^k for k = 12 and 11 start
+from k + 1 by one pass of (q^3;q^3), and k = 9 from k = 12 by one pass
+of (q^3;q^3)^3.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from collections import Counter
+from collections.abc import Iterable, Iterator
 from operator import add, sub
 
 from ._backend import div_sparse, mul_sparse, pow_sparse
@@ -30,6 +51,9 @@ from .plan import (
     EtaQuotientSpec,
     ExpansionPlan,
     PochhammerFactor,
+    _as_spec,
+    _cost,
+    net_exponents,
     quintuple_terms,
     theta_terms,
 )
@@ -41,6 +65,7 @@ __all__ = [
     "ExpansionPlan",
     "pochhammer",
     "eta_quotient",
+    "eta_quotients",
     "quintuple_product",
     "theta_alt_squares",
     "theta_triangular",
@@ -97,7 +122,7 @@ def eta_quotient(spec: "EtaQuotientSpec | str", precision: int) -> Series:
     _check_precision(precision)
     plan = ExpansionPlan.of(spec)
     T = precision
-    powers = [(*FORMS[form](*params, T), k) for form, params, k in plan.powers]
+    powers = _terms(plan.powers, T)
     # the accumulator cur holds the T // d + 1 coefficients of a series in q^d
     if plan.seed:
         form, params, k = plan.seed
@@ -107,6 +132,19 @@ def eta_quotient(spec: "EtaQuotientSpec | str", precision: int) -> Series:
     else:
         d = (math.gcd(*powers[0][0]) or 1) if powers else 1
         cur = [1] + [0] * (T // d)
+    cur = _apply_powers(cur, d, powers, T)
+    for a, b, delta in plan.binomials:
+        cur = _apply_factor(cur, a, b, delta, T + 1)
+    return Series(cur)
+
+
+def _terms(powers, T: int) -> list:
+    """Each (form, params, k) of a plan as (exponents, coefficients, k), its terms up to q^T."""
+    return [(*FORMS[form](*params, T), k) for form, params, k in powers]
+
+
+def _apply_powers(cur: list, d: int, powers: list, T: int) -> list:
+    """Multiply or divide cur, a series in q^d, by each (exps, cofs, k) of powers; the T + 1 coefficients in q."""
     for exps, cofs, k in powers:
         g = math.gcd(d, *exps)
         exps, m = [e // g for e in exps], T // g + 1
@@ -120,10 +158,65 @@ def eta_quotient(spec: "EtaQuotientSpec | str", precision: int) -> Series:
         for _ in range(abs(k)):
             cur = div_sparse(cur, exps, cofs, m) if k < 0 else mul_sparse(cur, exps, cofs, m, d // g)
             d = g
-    cur = _spread(cur, d, T + 1)
-    for a, b, delta in plan.binomials:
-        cur = _apply_factor(cur, a, b, delta, T + 1)
-    return Series(cur)
+    return _spread(cur, d, T + 1)
+
+
+def eta_quotients(specs: "Iterable[EtaQuotientSpec | str]", precision: int) -> Iterator[tuple[int, Series]]:
+    """Expand several specs at one precision, yielding (index, series) pairs in the order they run.
+
+    Each series equals `eta_quotient(specs[index], precision)`.  A spec
+    that contains an earlier one factor by factor may start from that
+    one's result instead; the module docstring says when.
+    """
+    _check_precision(precision)
+    specs = tuple(map(_as_spec, specs))
+    steps = _schedule(specs)
+    uses = Counter(start for _, start, _ in steps if start is not None)
+    kept: dict = {}
+    for i, start, powers in steps:
+        if start is None:
+            series = eta_quotient(specs[i], precision)
+        else:
+            cur = list(kept[start].coefficients)
+            series = Series(_apply_powers(cur, 1, _terms(powers, precision), precision))
+            uses[start] -= 1
+            if not uses[start]:
+                del kept[start]
+        if uses[i]:
+            kept[i] = series
+        yield i, series
+
+
+@functools.lru_cache(maxsize=64)
+def _schedule(specs: tuple) -> tuple:
+    """(index, index of its start or None, the powers that multiply the start) for each spec, in run order.
+
+    Specs run by the sum of their net exponents, ties in input order.  A
+    spec starts from the earlier result whose difference to it costs
+    least, if that is below its own plan.
+    """
+    nets = [{key: d for key, d in net_exponents(spec).items() if d} for spec in specs]
+    order = sorted(range(len(specs)), key=lambda i: sum(nets[i].values()))
+    steps = []
+    for pos, i in enumerate(order):
+        best = _cost(_plan_powers(ExpansionPlan.of(specs[i])))[0], None, ()
+        for j in order[:pos]:
+            keys = sorted(nets[i].keys() | nets[j].keys())
+            factors = tuple(PochhammerFactor(a, b, d) for a, b in keys
+                            if (d := nets[i].get((a, b), 0) - nets[j].get((a, b), 0)))
+            if any(f.a != f.b or f.delta < 0 for f in factors):
+                continue
+            powers = _plan_powers(ExpansionPlan.of(EtaQuotientSpec(factors))) if factors else ()
+            cost = _cost(powers, 1)[0]
+            if cost < best[0]:
+                best = cost, j, powers
+        steps.append((i, *best[1:]))
+    return tuple(steps)
+
+
+def _plan_powers(plan: ExpansionPlan) -> tuple:
+    """The plan's seed, if any, and its powers: what `_cost` prices."""
+    return (plan.seed, *plan.powers) if plan.seed else plan.powers
 
 
 def _spread(cur: list, r: int, m: int) -> list:

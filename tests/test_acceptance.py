@@ -267,4 +267,4 @@ def test_readme_quick_tour_results():
             checked += 1
         else:
             exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
-    assert checked == 6
+    assert checked == 7

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from qsigns import EtaQuotientSpec, SignPattern, backend_name
-from qsigns import _jsonfmt, cli
+from qsigns import _jsonfmt, cli, products
 from qsigns.signs import CorpusEntry
 
 
@@ -119,6 +119,31 @@ def test_catalog_small_horizon(capsys):
     code, out, _ = run(capsys, "catalog", "--T", "300")
     assert code == 0
     assert out.count("PASS") == 17  # 16 cases plus the summary line
+
+
+def test_catalog_derives_three_cases_by_multiplication(capsys, monkeypatch):
+    """Three of the 16 cases start from an earlier case, and such a start never divides."""
+    lone, divide = products.eta_quotient, products.div_sparse
+    fresh, depth, outside = [], [0], []
+
+    def counted(spec, T):
+        fresh.append(spec)
+        depth[0] += 1
+        try:
+            return lone(spec, T)
+        finally:
+            depth[0] -= 1
+
+    def division(*args):
+        if not depth[0]:
+            outside.append(args)
+        return divide(*args)
+
+    monkeypatch.setattr(products, "eta_quotient", counted)
+    monkeypatch.setattr(products, "div_sparse", division)
+    code, out, _ = run(capsys, "catalog", "--T", "300")
+    assert code == 0 and out.count("PASS") == 17
+    assert len(fresh) == 13 and not outside
 
 
 def stub_corpus(monkeypatch):

@@ -1,9 +1,10 @@
 """Product and theta-series constructors against their independent oracles."""
 
+import random
 from types import SimpleNamespace
 
 import pytest
-from _propcheck import binomial_expansion
+from _propcheck import _random_factors, binomial_expansion
 
 from qsigns import (
     EtaQuotientSpec,
@@ -14,6 +15,7 @@ from qsigns import (
     borwein_b,
     borwein_c3,
     eta_quotient,
+    eta_quotients,
     lambert_cubic,
     pochhammer,
     quintuple_product,
@@ -68,6 +70,7 @@ def test_pochhammer_rejects_bad_offsets():
 def test_constructors_reject_negative_precision():
     for build in (
         lambda: eta_quotient("1^1", -1),
+        lambda: list(eta_quotients(["1^1"], -1)),
         lambda: borwein_a(-2),
         lambda: lambert_cubic(-1),
         lambda: theta_threevar(-3),
@@ -92,6 +95,7 @@ def test_constructors_reject_precision_above_the_limit(monkeypatch):
     monkeypatch.setattr(products, "math", SimpleNamespace(isqrt=refuse))
     for build in (
         lambda T: eta_quotient("1^1", T),
+        lambda T: list(eta_quotients(["1^1", "1^2"], T)),
         borwein_a, borwein_b, borwein_c3, lambert_cubic, theta_threevar,
         theta_alt_squares, theta_triangular, theta_squares, theta_weighted,
     ):
@@ -122,6 +126,50 @@ def test_eta_quotient_mixed_bases_match_brute_force():
         * brute_pochhammer(4, 5, 60).invert()
     )
     assert eta_quotient(spec, 60) == expected
+
+
+def test_eta_quotients_match_lone_expansions(monkeypatch):
+    """Each spec of a batch, derived or not, equals its lone expansion, yielded once.
+
+    Batches are chains, a random base times more and more positive powers
+    of (q^b;q^b), shuffled, with a duplicate, a spec whose net exponents
+    are all 0, and the base times an a.b binomial, which no start may
+    multiply in.
+    """
+    rng = random.Random(424)
+    lone = products.eta_quotient
+    fresh = []
+    monkeypatch.setattr(products, "eta_quotient", lambda spec, T: fresh.append(spec) or lone(spec, T))
+    seen = dict.fromkeys(("derived", "derived with a binomial", "derived duplicate",
+                          "T = 0", "T = 1"), 0)
+    for _ in range(60):
+        base = []
+        for _ in range(rng.randint(1, 3)):
+            base += _random_factors(rng)
+        chain = [base]
+        for _ in range(rng.randint(1, 4)):
+            b = rng.randint(1, 9)
+            chain.append([*chain[-1], PochhammerFactor(b, b, rng.randint(1, 3))])
+        b = rng.randint(2, 9)
+        chain.append([*base, PochhammerFactor(rng.randint(1, b - 1), b, rng.randint(1, 2))])
+        chain.append(list(rng.choice(chain)))
+        chain.append([PochhammerFactor(3, 3, 2), PochhammerFactor(3, 3, -2)])
+        rng.shuffle(chain)
+        specs = [EtaQuotientSpec(tuple(factors)) for factors in chain]
+        T = rng.choice((0, 1, rng.randint(2, 600)))
+        fresh.clear()
+        yielded = list(eta_quotients(specs, T))
+        assert sorted(i for i, _ in yielded) == list(range(len(specs)))
+        for i, series in yielded:
+            assert series == lone(specs[i], T), (specs[i], T)
+        for i in range(len(specs)):
+            if not any(spec is specs[i] for spec in fresh):
+                seen["derived"] += 1
+                seen["derived with a binomial"] += any(f.a != f.b for f in specs[i].factors)
+                seen["derived duplicate"] += specs[i] in specs[:i] + specs[i + 1:]
+        seen["T = 0"] += T == 0
+        seen["T = 1"] += T == 1
+    assert all(seen.values()), seen
 
 
 def test_spec_parse_shorthand_and_pairs():
