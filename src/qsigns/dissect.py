@@ -31,9 +31,18 @@ then is the sign (-1)^{s+mn} a triple product's (-1)^s (-1)^n, and every
 exponent m*n(3mn + 6s - 1)/2 of the triple product a multiple of m, so
 that piece s lies on the one residue s(3s-1)/2 mod m.  At m = 5 no piece
 lies on residues 3 and 4: 24*k(3k-1)/2 + 1 = (6k-1)^2 is a square, and
-squares are 0, 1 or 4 mod 5.  Every summand, like `assemble`, is a
-scatter of signed, shifted closed-form terms into one list per residue;
-nothing is planned or expanded.
+squares are 0, 1 or 4 mod 5.
+
+The 3-dissection of (q;q)^3 splits Jacobi's cube
+(q;q)^3 = sum_{n>=0} (-1)^n (2n+1) q^{n(n+1)/2} by exponent mod 3.
+n(n+1)/2 is 0 mod 3 unless n = 1 mod 3, where it is 1, so there are two
+summands.  By Borwein's identity they are (q^3;q^3) a(q^3), with a(q)
+the cubic theta function `products.borwein_a`, and -3q (q^9;q^9)^3; the
+tests check both.
+
+Every summand, like `assemble`, is a scatter of signed, shifted
+closed-form terms, each into the list of its own residue; nothing is
+planned or expanded.
 """
 
 from __future__ import annotations
@@ -41,8 +50,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .plan import jacobi_cube_terms, jacobi_triple_terms, pentagonal_terms, quintuple_terms
-from .products import _check_quintuple, lambert_cubic
+from .plan import _check_quintuple, jacobi_cube_terms, jacobi_triple_terms, quintuple_terms
 from .series import InvalidParameter, QSignsError, Series, _check_precision
 
 __all__ = [
@@ -184,18 +192,17 @@ def _scatter(pieces, m: int, precision: int) -> list[Series]:
     """The sum of the pieces, as one series of precision + 1 coefficients per residue mod m.
 
     A piece (c, offset, terms, params) is c q^offset times the sparse
-    series terms(*params, precision - offset), whose exponents are
-    multiples of m; its terms are added straight into the list of
-    residue offset mod m.  The precision is checked before any terms are
-    made.
+    series terms(*params, precision - offset); each of its terms is
+    added straight into the list of its own residue.  The precision is
+    checked before any terms are made.
     """
     _check_precision(precision)
     outs = [[0] * (precision + 1) for _ in range(m)]
     for c, offset, terms, params in pieces:
-        out = outs[offset % m]
         exps, cofs = terms(*params, precision - offset)
         for e, k in zip(exps, cofs):
-            out[e + offset] += c * k
+            e += offset
+            outs[e % m][e] += c * k
     return [Series(out) for out in outs]
 
 
@@ -222,14 +229,13 @@ def three_dissection_qq(precision: int) -> tuple[Series, Series, Series]:
 
 
 def three_dissection_qq3(precision: int) -> tuple[Series, Series]:
-    """The two signed summands of the 3-dissection of (q;q)^3.
+    """The two signed summands of the 3-dissection of (q;q)^3: Jacobi's cube split by residue.
 
-    (q^3;q^3) times the cubic Lambert series, and -3q (q^9;q^9)^3; their
-    sum equals (q;q)^3 (Borwein's identity).
+    Summand k is supported on exponents = k (mod 3) and the sum equals
+    (q;q)^3.  By Borwein's identity they are (q^3;q^3) times the cubic
+    Lambert series, and -3q (q^9;q^9)^3.
     """
-    s0, s1, _ = _scatter([(1, 0, pentagonal_terms, (3,)), (-3, 1, jacobi_cube_terms, (9,))],
-                         3, precision)
-    return s0 * lambert_cubic(precision), s1
+    return tuple(_scatter([(1, 0, jacobi_cube_terms, (1,))], 3, precision)[:2])
 
 
 def ramanujan5(precision: int) -> tuple[Series, Series, Series]:

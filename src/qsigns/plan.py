@@ -208,6 +208,14 @@ def quintuple_terms(M: int, j: int, limit: int) -> tuple[list[int], list[int]]:
     return theta_terms(((3 * M, M - 6 * j, 0, 1, 1), (3 * M, M + 6 * j, j, 1, -1)), limit)
 
 
+def _check_quintuple(M: int, j: int) -> None:
+    """Reject M and j outside the domain of Q(M,j): M >= 3 and 1 <= j < M/2."""
+    if M < 3:
+        raise InvalidParameter(f"need M >= 3, got {M}")
+    if not 1 <= j or not 2 * j < M:
+        raise InvalidParameter(f"need 1 <= j < M/2, got j={j}, M={M}")
+
+
 def pentagonal_terms(step: int, limit: int) -> tuple[list[int], list[int]]:
     """Sparse expansion of (q^step; q^step) = JTP(step, 3 step): exponents step*k(3k+-1)/2, signs (-1)^k."""
     return jacobi_triple_terms(step, 3 * step, limit)

@@ -35,7 +35,7 @@ from itertools import repeat
 from operator import gt, not_, sub
 
 from .dissect import _residues
-from .products import EtaQuotientSpec
+from .plan import EtaQuotientSpec
 from .series import MAX_PRECISION, BeyondPrecision, InvalidParameter, QSignsError, Series
 
 __all__ = [

@@ -6,7 +6,16 @@ import random
 
 import pytest
 
-from qsigns import EtaQuotientSpec, SignPattern, backend_name
+from qsigns import (
+    EtaQuotientSpec,
+    SignPattern,
+    assemble,
+    backend_name,
+    qq_components,
+    ramanujan5,
+    three_dissection_qq,
+    three_dissection_qq3,
+)
 from qsigns import _jsonfmt, cli, products
 from qsigns.signs import CorpusEntry
 
@@ -121,8 +130,8 @@ def test_catalog_small_horizon(capsys):
     assert out.count("PASS") == 17  # 16 cases plus the summary line
 
 
-def test_catalog_derives_three_cases_by_multiplication(capsys, monkeypatch):
-    """Three of the 16 cases start from an earlier case, and such a start never divides."""
+def test_catalog_derives_four_cases_by_multiplication(capsys, monkeypatch):
+    """Four of the 16 cases start from an earlier case, and such a start never divides."""
     lone, divide = products.eta_quotient, products.div_sparse
     fresh, depth, outside = [], [0], []
 
@@ -143,7 +152,7 @@ def test_catalog_derives_three_cases_by_multiplication(capsys, monkeypatch):
     monkeypatch.setattr(products, "div_sparse", division)
     code, out, _ = run(capsys, "catalog", "--T", "300")
     assert code == 0 and out.count("PASS") == 17
-    assert len(fresh) == 13 and not outside
+    assert len(fresh) == 12 and not outside
 
 
 def stub_corpus(monkeypatch):
@@ -229,13 +238,21 @@ def test_census_rejects_nonpositive_m_and_K_before_expanding(capsys, monkeypatch
 
 
 def no_kernel_pass(*args):
-    raise AssertionError("a sparse kernel pass ran")
+    raise AssertionError("a kernel pass or an expansion ran")
 
 
 def test_dissect_runs_no_kernel_pass(capsys, monkeypatch):
-    # every component and the target are one scatter of quintuple_terms
-    monkeypatch.setattr("qsigns.products.mul_sparse", no_kernel_pass)
-    monkeypatch.setattr("qsigns.products.div_sparse", no_kernel_pass)
+    # every component, the target and each special dissection is one scatter of closed forms
+    for module in ("products", "series"):
+        for kernel in ("mul_sparse", "div_sparse", "pow_sparse"):
+            monkeypatch.setattr(f"qsigns.{module}.{kernel}", no_kernel_pass)
+    monkeypatch.setattr(products, "eta_quotient", no_kernel_pass)
+    for T in (0, 1, 500):
+        assert len(three_dissection_qq(T)) == 3
+        assert len(ramanujan5(T)) == 3
+        assert len(three_dissection_qq3(T)) == 2
+        for m in (2, 5, 13):
+            assert len(assemble(qq_components(m), T)) == T + 1
     requests = [
         (M, j, m, 300)
         for M in range(3, 9)

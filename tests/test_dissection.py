@@ -10,6 +10,7 @@ from qsigns import (
     InvalidParameter,
     assemble,
     eta_quotient,
+    lambert_cubic,
     pochhammer,
     qq_components,
     quintuple_component,
@@ -310,6 +311,16 @@ def test_cube_three_dissection_reassembles():
     assert s0 + s1 == eta_quotient("1^3", 300)
 
 
+@pytest.mark.parametrize("T", (0, 1, 2, 3, 4, 300, 1000))
+def test_cube_three_dissection_is_borweins_identity(T):
+    # the summands of Jacobi's cube split by residue, against their product forms
+    s0, s1 = three_dissection_qq3(T)
+    assert s0 == eta_quotient("3", T) * lambert_cubic(T)
+    assert s1 == Series([-3 * c for c in eta_quotient("9^3", T).coefficients]).shift(1)
+    for k, summand in enumerate((s0, s1)):
+        assert all(n % 3 == k for n, c in enumerate(summand.coefficients) if c)
+
+
 def test_five_dissection_reassembles():
     s0, s1, s2 = ramanujan5(300)
     assert s0 + s1 + s2 == pochhammer(1, 1, 300)
@@ -385,7 +396,7 @@ def test_special_dissections_check_the_precision_first(monkeypatch, T, message):
     def refuse(*args):
         raise AssertionError("made terms before checking the precision")
 
-    for name in ("jacobi_triple_terms", "quintuple_terms", "pentagonal_terms", "jacobi_cube_terms"):
+    for name in ("jacobi_triple_terms", "quintuple_terms", "jacobi_cube_terms"):
         monkeypatch.setattr(dissect, name, refuse)
     for build in (three_dissection_qq, three_dissection_qq3, ramanujan5):
         with pytest.raises(InvalidParameter, match=message):

@@ -26,7 +26,7 @@ from qsigns import (
     theta_weighted,
 )
 from qsigns import products
-from qsigns.plan import FORMS
+from qsigns.plan import FORMS, THETA_ATOMS, net_exponents
 from qsigns.series import MAX_PRECISION
 
 
@@ -132,16 +132,17 @@ def test_eta_quotients_match_lone_expansions(monkeypatch):
     """Each spec of a batch, derived or not, equals its lone expansion, yielded once.
 
     Batches are chains, a random base times more and more positive powers
-    of (q^b;q^b), shuffled, with a duplicate, a spec whose net exponents
-    are all 0, and the base times an a.b binomial, which no start may
-    multiply in.
+    of (q^b;q^b) and of theta atoms in q^s, then times
+    (q^b;q^b)^2/(q^{3b};q^{3b}), which no start may divide by, shuffled,
+    with a duplicate, a spec whose net exponents are all 0, and the base
+    times an a.b binomial, which no start may multiply in.
     """
     rng = random.Random(424)
     lone = products.eta_quotient
     fresh = []
     monkeypatch.setattr(products, "eta_quotient", lambda spec, T: fresh.append(spec) or lone(spec, T))
     seen = dict.fromkeys(("derived", "derived with a binomial", "derived duplicate",
-                          "T = 0", "T = 1"), 0)
+                          "derived by psi or phi(+-q)", "T = 0", "T = 1"), 0)
     for _ in range(60):
         base = []
         for _ in range(rng.randint(1, 3)):
@@ -150,6 +151,12 @@ def test_eta_quotients_match_lone_expansions(monkeypatch):
         for _ in range(rng.randint(1, 4)):
             b = rng.randint(1, 9)
             chain.append([*chain[-1], PochhammerFactor(b, b, rng.randint(1, 3))])
+        for _ in range(rng.randint(0, 2)):
+            s, k = rng.randint(1, 4), rng.randint(1, 2)
+            signature = THETA_ATOMS[rng.choice(list(THETA_ATOMS))]
+            chain.append([*chain[-1], *(PochhammerFactor(s * b, s * b, k * x) for b, x in signature.items())])
+        b = rng.randint(1, 4)
+        chain.append([*chain[-1], PochhammerFactor(b, b, 2), PochhammerFactor(3 * b, 3 * b, -1)])
         b = rng.randint(2, 9)
         chain.append([*base, PochhammerFactor(rng.randint(1, b - 1), b, rng.randint(1, 2))])
         chain.append(list(rng.choice(chain)))
@@ -162,14 +169,42 @@ def test_eta_quotients_match_lone_expansions(monkeypatch):
         assert sorted(i for i, _ in yielded) == list(range(len(specs)))
         for i, series in yielded:
             assert series == lone(specs[i], T), (specs[i], T)
+        multipliers = {i: powers for i, _, powers in products._schedule(tuple(specs))}
         for i in range(len(specs)):
             if not any(spec is specs[i] for spec in fresh):
+                assert all(k > 0 for *_, k in multipliers[i]), "a derived start divides"
                 seen["derived"] += 1
+                seen["derived by psi or phi(+-q)"] += any(form in ("psi", "phi(-q)", "phi(q)")
+                                                          for form, _, _ in multipliers[i])
                 seen["derived with a binomial"] += any(f.a != f.b for f in specs[i].factors)
                 seen["derived duplicate"] += specs[i] in specs[:i] + specs[i + 1:]
         seen["T = 0"] += T == 0
         seen["T = 1"] += T == 1
     assert all(seen.values()), seen
+
+
+def test_start_prefilter_passes_every_product_that_only_multiplies():
+    """`_may_only_multiply` rejects no product of JTPs, eulers and theta atoms, each to a k > 0.
+
+    Seeded products of up to four such powers, in q^s for s <= 8, as the
+    net exponents `_schedule` reads.
+    """
+    rng = random.Random(425)
+    for _ in range(400):
+        factors = []
+        for _ in range(rng.randint(1, 4)):
+            s, k = rng.randint(1, 8), rng.randint(1, 5)
+            kind = rng.choice(("jtp", "euler", *THETA_ATOMS))
+            if kind == "jtp":
+                b = rng.randint(2, 12)
+                a = rng.randint(1, b - 1)
+                factors += [PochhammerFactor(a, b, k), PochhammerFactor(b - a, b, k), PochhammerFactor(b, b, k)]
+            elif kind == "euler":
+                factors.append(PochhammerFactor(s, s, k))
+            else:
+                factors += [PochhammerFactor(s * b, s * b, k * x) for b, x in THETA_ATOMS[kind].items()]
+        net = {key: d for key, d in net_exponents(EtaQuotientSpec(tuple(factors))).items() if d}
+        assert products._may_only_multiply(net), factors
 
 
 def test_spec_parse_shorthand_and_pairs():
