@@ -232,8 +232,8 @@ def three_dissection_qq3(precision: int) -> tuple[Series, Series]:
     """The two signed summands of the 3-dissection of (q;q)^3: Jacobi's cube split by residue.
 
     Summand k is supported on exponents = k (mod 3) and the sum equals
-    (q;q)^3.  By Borwein's identity they are (q^3;q^3) times the cubic
-    Lambert series, and -3q (q^9;q^9)^3.
+    (q;q)^3.  By Borwein's identity they are (q^3;q^3) a(q^3), with a(q)
+    the cubic theta function `products.borwein_a`, and -3q (q^9;q^9)^3.
     """
     return tuple(_scatter([(1, 0, jacobi_cube_terms, (1,))], 3, precision)[:2])
 

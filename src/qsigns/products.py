@@ -38,6 +38,10 @@ earlier case: (q;q)^9/(q^3;q^3)^k for k = 12 and 11 from k + 1 by one
 pass of (q^3;q^3), k = 9 from k = 12 by one pass of (q^3;q^3)^3, and
 (q;q)^4/((q^2;q^2)^2 (q^4;q^4)) from (q;q)^2/((q^2;q^2)(q^4;q^4)) by
 one pass of phi(-q).
+
+The Borweins' cubic theta functions a(q) and c~(q) = (q^3;q^3)^3/(q;q)
+are one lattice sum, sum_{(m,n) in Z^2} q^{m^2+mn+n^2+s(m+n)} at s = 0
+and (a third of it) at s = 1, which `_lattice` walks row by row.
 """
 
 from __future__ import annotations
@@ -310,22 +314,36 @@ def theta_weighted(precision: int) -> Series:
     return Series.from_terms(zip(*theta_terms(((9, 3, 0, 1, 1), (9, 9, 1, 1, -1)), precision)), precision)
 
 
-def borwein_a(precision: int) -> Series:
-    """Lattice sum over m^2 + mn + n^2 <= T, counting representations."""
-    _check_precision(precision)
-    T = precision
+def _lattice(s: int, T: int) -> list:
+    """The T + 1 coefficients of sum_{(m,n) in Z^2} q^{m^2+mn+n^2+s(m+n)}, for s = 0 or 1.
+
+    Twice the exponent is (m+n+s)^2 + m^2 + n^2 - s, so none is negative.
+    Four times it is (2n+m+s)^2 + 3m^2 + 2sm - s^2, so in row m the
+    exponent is at most T exactly when (2n+m+s)^2 <= D = 4T - 3m^2 - 2sm
+    + s^2: the row walks the n with |2n+m+s| <= isqrt(D), and from n to
+    n + 1 its exponent steps by 2n + 1 + m + s.  A row with D < 0 holds
+    no term.  For |m| >= 1, 3(|m|-1)^2 <= 3m^2 + 2sm - s^2, so every row
+    with D >= 0 has |m| <= isqrt(4T // 3) + 1.
+    """
     out = [0] * (T + 1)
-    # m^2+mn+n^2 >= (3/4) max(|m|,|n|)^2, so this box is exhaustive; the
-    # assert is the "+1 ring adds nothing" guarantee in integer form.
-    B = math.isqrt((4 * T) // 3) + 1
-    assert 3 * (B + 1) * (B + 1) > 4 * T
+    B = math.isqrt(4 * T // 3) + 1
     for m in range(-B, B + 1):
-        mm = m * m
-        for n in range(-B, B + 1):
-            e = mm + m * n + n * n
-            if e <= T:
-                out[e] += 1
-    return Series(out)
+        D = 4 * T - 3 * m * m - 2 * s * m + s * s
+        if D < 0:
+            continue
+        r = math.isqrt(D)
+        lo, hi = -((r + m + s) // 2), (r - m - s) // 2
+        e = m * m + m * lo + lo * lo + s * (m + lo)
+        for step in range(2 * lo + 1 + m + s, 2 * hi + 2 + m + s, 2):
+            out[e] += 1
+            e += step
+    return out
+
+
+def borwein_a(precision: int) -> Series:
+    """a(q) = sum_{(m,n) in Z^2} q^{m^2+mn+n^2}, the Borweins' first cubic theta function."""
+    _check_precision(precision)
+    return Series(_lattice(0, precision))
 
 
 def borwein_b(precision: int) -> Series:
@@ -334,49 +352,37 @@ def borwein_b(precision: int) -> Series:
 
 
 def borwein_c3(precision: int) -> Series:
-    """The third cubic theta function with q -> q^3 applied: 3q (q^9;q^9)^3 / (q^3;q^3).
+    """The third cubic theta function with q -> q^3 applied: c(q^3) = 3q (q^9;q^9)^3 / (q^3;q^3).
 
-    Only this substituted form exists here; the unsubstituted function has
+    It is 3q c~(q^3), with c~ = `theta_threevar` a third of the shifted
+    lattice sum, so the sum itself sits on the exponents 1 mod 3.  Only
+    this substituted form exists here; the unsubstituted function has
     exponents in 1/3 + Z, which this integral-exponent carrier cannot hold.
     """
-    return Series([3 * c for c in eta_quotient("9^3 3^-1", precision).coefficients]).shift(1)
+    _check_precision(precision)
+    out = [0] * (precision + 1)
+    if precision:
+        out[1::3] = _lattice(1, (precision - 1) // 3)
+    return Series(out)
 
 
 def lambert_cubic(precision: int) -> Series:
-    """1 + 6 sum_{n>=1} q^{3n} (1-q^{3n}) / (1-q^{9n}), each term expanded exactly."""
+    """a(q^3) = 1 + 6 sum_{n>=1} q^{3n} (1-q^{3n}) / (1-q^{9n}), the cubic Lambert series.
+
+    It is `borwein_a` to ceil(T/3) in q^3: with floor(T/3) the top
+    coefficients would fall off whenever 3 does not divide T.
+    """
     _check_precision(precision)
-    T = precision
-    out = [0] * (T + 1)
-    out[0] = 1
-    n = 1
-    while 3 * n <= T:
-        e = 3 * n
-        while e <= T:
-            out[e] += 6
-            if e + 3 * n <= T:
-                out[e + 3 * n] -= 6
-            e += 9 * n
-        n += 1
-    return Series(out)
+    return borwein_a(-(-precision // 3)).dilate(3, cap=precision)
 
 
 def theta_threevar(precision: int) -> Series:
-    """Zero-sum three-variable theta: exponents 3(m1^2+m1*m2+m2^2) - 2*m1 - m2.
+    """c~(q) = (q^3;q^3)^3 / (q;q), a third of the lattice sum over m^2+mn+n^2+m+n.
 
-    This is the m1+m2+m3 = 0 sublattice sum with m3 eliminated; the
-    exponent is a nonnegative integer on all of it.
+    The map (m, n) -> (n, -m-n-1) keeps the exponent m^2+mn+n^2+m+n,
+    has order 3 and fixes no point (that would need 3m = -1), so it
+    splits the lattice into orbits of three with one exponent each, and
+    every count is divisible by 3.
     """
     _check_precision(precision)
-    T = precision
-    out = [0] * (T + 1)
-    B = math.isqrt((4 * T) // 3) + 2
-    # exponent >= (9/4)x^2 - 3x at x = max(|m1|,|m2|); outside the box it exceeds T
-    assert 9 * (B + 1) * (B + 1) - 12 * (B + 1) > 4 * T
-    for m1 in range(-B, B + 1):
-        for m2 in range(-B, B + 1):
-            e = 3 * (m1 * m1 + m1 * m2 + m2 * m2) - 2 * m1 - m2
-            if 0 <= e <= T:
-                out[e] += 1
-            else:
-                assert e > T, f"negative exponent at ({m1}, {m2})"
-    return Series(out)
+    return Series([c // 3 for c in _lattice(1, precision)])

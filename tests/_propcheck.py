@@ -8,6 +8,7 @@ round.
 from __future__ import annotations
 
 import contextlib
+import math
 import random
 
 from qsigns import (
@@ -564,3 +565,66 @@ def check_mul_matches_dense_oracle(seed: int, rounds: int = 400) -> list[str]:
             failures.append(f"round {k}: {xs} * {ys}")
     failures += [f"no pair with {feature}" for feature, count in seen.items() if count == 0]
     return failures
+
+
+# -- the cubic theta functions, term by term -----------------------------------
+# Two box loops over the lattice, the Lambert series summed term by term, and
+# Borwein's c(q^3) as an eta quotient expanded one binomial at a time: the
+# references for the lattice walk of `products`.
+
+def box_borwein_a(T: int) -> Series:
+    """a(q) = sum over m^2 + mn + n^2 <= T, counting representations in a square box."""
+    out = [0] * (T + 1)
+    # m^2+mn+n^2 >= (3/4) max(|m|,|n|)^2, so this box is exhaustive; the
+    # assert is the "+1 ring adds nothing" guarantee in integer form.
+    B = math.isqrt((4 * T) // 3) + 1
+    assert 3 * (B + 1) * (B + 1) > 4 * T
+    for m in range(-B, B + 1):
+        mm = m * m
+        for n in range(-B, B + 1):
+            e = mm + m * n + n * n
+            if e <= T:
+                out[e] += 1
+    return Series(out)
+
+
+def box_threevar(T: int) -> Series:
+    """The zero-sum three-variable theta: exponents 3(m1^2+m1*m2+m2^2) - 2*m1 - m2.
+
+    This is the m1+m2+m3 = 0 sublattice sum with m3 eliminated; the
+    exponent is a nonnegative integer on all of it.
+    """
+    out = [0] * (T + 1)
+    B = math.isqrt((4 * T) // 3) + 2
+    # exponent >= (9/4)x^2 - 3x at x = max(|m1|,|m2|); outside the box it exceeds T
+    assert 9 * (B + 1) * (B + 1) - 12 * (B + 1) > 4 * T
+    for m1 in range(-B, B + 1):
+        for m2 in range(-B, B + 1):
+            e = 3 * (m1 * m1 + m1 * m2 + m2 * m2) - 2 * m1 - m2
+            if 0 <= e <= T:
+                out[e] += 1
+            else:
+                assert e > T, f"negative exponent at ({m1}, {m2})"
+    return Series(out)
+
+
+def lambert_series(T: int) -> Series:
+    """1 + 6 sum_{n>=1} q^{3n} (1-q^{3n}) / (1-q^{9n}), each term expanded exactly."""
+    out = [0] * (T + 1)
+    out[0] = 1
+    n = 1
+    while 3 * n <= T:
+        e = 3 * n
+        while e <= T:
+            out[e] += 6
+            if e + 3 * n <= T:
+                out[e + 3 * n] -= 6
+            e += 9 * n
+        n += 1
+    return Series(out)
+
+
+def binomial_borwein_c3(T: int) -> Series:
+    """3q (q^9;q^9)^3 / (q^3;q^3), one binomial at a time."""
+    quotient = binomial_expansion(EtaQuotientSpec.parse("9^3 3^-1"), T)
+    return Series([3 * c for c in quotient.coefficients]).shift(1)

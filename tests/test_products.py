@@ -4,7 +4,14 @@ import random
 from types import SimpleNamespace
 
 import pytest
-from _propcheck import _random_factors, binomial_expansion
+from _propcheck import (
+    _random_factors,
+    binomial_borwein_c3,
+    binomial_expansion,
+    box_borwein_a,
+    box_threevar,
+    lambert_series,
+)
 
 from qsigns import (
     EtaQuotientSpec,
@@ -318,7 +325,42 @@ def test_lambert_cubic_head():
 
 
 def test_lambert_cubic_equals_dilated_lattice_sum():
-    assert lambert_cubic(300) == borwein_a(100).dilate(3, cap=300)
+    assert lambert_cubic(300) == lambert_series(300)
+    assert lambert_series(300) == box_borwein_a(100).dilate(3, cap=300)
+
+
+@pytest.mark.parametrize("top", [400, 1000])
+def test_cubic_thetas_match_their_oracles_at_every_precision(top):
+    # each oracle runs once, at the top precision: a truncated series is a prefix
+    threevar = box_threevar(top)
+    assert threevar == eta_quotient("3^3 1^-1", top)
+    pairs = (
+        (borwein_a, box_borwein_a(top)),
+        (lambert_cubic, lambert_series(top)),
+        (theta_threevar, threevar),
+        (borwein_c3, binomial_borwein_c3(top)),
+    )
+    for build, oracle in pairs:
+        for T in range(0 if top == 400 else top - 3, top + 1):
+            # lambert_cubic and borwein_c3 expand to about T/3, and must still reach q^T
+            series = build(T)
+            assert series.precision == T, (build.__name__, T)
+            assert series == oracle.truncate(T), (build.__name__, T)
+
+
+def test_shifted_lattice_sum_is_divisible_by_three():
+    # theta_threevar divides it by 3 exactly
+    assert all(c % 3 == 0 for c in products._lattice(1, 2000))
+
+
+def test_cubic_thetas_expand_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a cubic theta function ran an expansion")
+
+    for name in ("eta_quotient", "mul_sparse", "div_sparse", "pow_sparse"):
+        monkeypatch.setattr(products, name, refuse)
+    for build in (borwein_a, borwein_c3, lambert_cubic, theta_threevar):
+        assert build(300).precision == 300
 
 
 def test_threevar_constant_term():
