@@ -16,37 +16,24 @@ and a division into one spreads the accumulator onto it; `div_sparse`
 then divides in the divisor's own q^{d'}.  At the end it spreads the
 result onto q and applies the binomials one at a time by slice
 arithmetic (`_apply_factor`), with no kernel.  `qsigns.plan` holds
-the spec grammar and, in `FORMS`, the sparse closed forms.
+the spec grammar, in `FORMS` the sparse closed forms, and every price.
 
 `eta_quotients` expands several specs at one precision and shares their
-work.  It runs them by increasing sum of their net exponents
-(`plan.net_exponents`, which the plan nets too), ties in input order,
-so each spec runs after every spec it contains.  A spec contains an
-earlier one when the difference of their net exponents plans into
-multiplications only: no binomial, and every power, the seed included,
-to a k > 0.  Each such power, a JTP, a pentagonal (q^b;q^b) or a theta
-atom, has a positive sum of net exponents, so the container's sum is
-the larger and it runs later.  `plan._cost` prices that plan from a
-dense series in q (start step 1: no seed, every pass at full length),
-and the spec starts from the contained result whose difference is
-priced least, if that is below the price of its own plan.  The
-difference's seed is then an ordinary power, and the pass loop
-`_apply_powers`, which `eta_quotient` runs too, multiplies it all in.
-Any other spec goes to `eta_quotient`.  A result is kept only while a
-later spec still starts from it.  Four catalog cases start from an
-earlier case: (q;q)^9/(q^3;q^3)^k for k = 12 and 11 from k + 1 by one
-pass of (q^3;q^3), k = 9 from k = 12 by one pass of (q^3;q^3)^3, and
-(q;q)^4/((q^2;q^2)^2 (q^4;q^4)) from (q;q)^2/((q^2;q^2)(q^4;q^4)) by
-one pass of phi(-q).
+work, in the run order `plan._schedule` picks.  A spec either goes to
+`eta_quotient` or starts from an earlier result times the powers of a
+plan that only multiplies; that plan's seed is then an ordinary power,
+and the pass loop `_apply_powers`, which `eta_quotient` runs too,
+multiplies it all in.  A result is kept only while a later spec still
+starts from it.
 
 The Borweins' cubic theta functions a(q) and c~(q) = (q^3;q^3)^3/(q;q)
 are one lattice sum, sum_{(m,n) in Z^2} q^{m^2+mn+n^2+s(m+n)} at s = 0
-and (a third of it) at s = 1, which `_lattice` walks row by row.
+and (a third of it) at s = 1, which `_lattice` walks row by row, and
+b(q) = (q;q)^3/(q^3;q^3) is a(q^3) - c(q^3).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import Counter
 from collections.abc import Iterable, Iterator
@@ -60,8 +47,7 @@ from .plan import (
     PochhammerFactor,
     _as_spec,
     _check_quintuple,
-    _cost,
-    net_exponents,
+    _schedule,
     quintuple_terms,
     theta_terms,
 )
@@ -174,7 +160,7 @@ def eta_quotients(specs: "Iterable[EtaQuotientSpec | str]", precision: int) -> I
 
     Each series equals `eta_quotient(specs[index], precision)`.  A spec
     that is an earlier one times sparse series may start from that one's
-    result instead; the module docstring says when.
+    result instead; `plan._schedule` says when.
     """
     _check_precision(precision)
     specs = tuple(map(_as_spec, specs))
@@ -193,64 +179,6 @@ def eta_quotients(specs: "Iterable[EtaQuotientSpec | str]", precision: int) -> I
         if uses[i]:
             kept[i] = series
         yield i, series
-
-
-@functools.lru_cache(maxsize=64)
-def _schedule(specs: tuple) -> tuple:
-    """(index, index of its start or None, the powers that multiply the start) for each spec, in run order.
-
-    Specs run by the sum of their net exponents, ties in input order.  A
-    spec starts from the earlier result whose difference to it costs
-    least, if that is below its own plan and the difference's plan only
-    multiplies: no binomial, and every power to a k > 0.  Every such
-    power has a positive net-exponent sum, so each container runs after
-    what it contains.
-    """
-    nets = [{key: d for key, d in net_exponents(spec).items() if d} for spec in specs]
-    order = sorted(range(len(specs)), key=lambda i: sum(nets[i].values()))
-    steps = []
-    for pos, i in enumerate(order):
-        best = _cost(_plan_powers(ExpansionPlan.of(specs[i])))[0], None, ()
-        for j in order[:pos]:
-            diff = {key: d for key in sorted(nets[i].keys() | nets[j].keys())
-                    if (d := nets[i].get(key, 0) - nets[j].get(key, 0))}
-            if not _may_only_multiply(diff):
-                continue
-            factors = tuple(PochhammerFactor(a, b, d) for (a, b), d in diff.items())
-            plan = ExpansionPlan.of(EtaQuotientSpec(factors)) if factors else ExpansionPlan(None, (), ())
-            powers = _plan_powers(plan)
-            if plan.binomials or any(k < 1 for *_, k in powers):
-                continue
-            cost = _cost(powers, 1)[0]
-            if cost < best[0]:
-                best = cost, j, powers
-        steps.append((i, *best[1:]))
-    return tuple(steps)
-
-
-def _may_only_multiply(net: dict) -> bool:
-    """False when no plan of these net exponents only multiplies, by a test far cheaper than planning.
-
-    A JTP, euler or theta atom to a k > 0 has no negative exponent off
-    the diagonal a = b, and on each chain b = c, 2c, 4c, ... of the
-    diagonal (c odd) its sums of d*b and of d/b are not negative:
-    (q^s;q^s) gives s and 1/s, psi(q^s) 3s and 0, phi(-q^s) 0 and
-    3/(2s), phi(q^s) 0 and 0.  Both sums add under products, so net
-    exponents that fail them plan with a division or a binomial.
-    Planning runs the theta-atom search, about 0.7 ms for the difference
-    of two catalog specs (Python 3.11, 2 vCPUs); 112 of the catalog's
-    120 pairs fail this test instead.
-    """
-    diagonal = [(b // (b & -b), b, d) for (a, b), d in net.items() if a == b]
-    top = math.lcm(*(b for _, b, _ in diagonal))
-    chains = [[(b, d) for o, b, d in diagonal if o == c] for c in {o for o, _, _ in diagonal}]
-    return all(d > 0 for (a, b), d in net.items() if a != b) and all(
-        sum(d * b for b, d in chain) >= 0 and sum(d * top // b for b, d in chain) >= 0 for chain in chains)
-
-
-def _plan_powers(plan: ExpansionPlan) -> tuple:
-    """The plan's seed, if any, and its powers: what `_cost` prices."""
-    return (plan.seed, *plan.powers) if plan.seed else plan.powers
 
 
 def _spread(cur: list, r: int, m: int) -> list:
@@ -347,8 +275,12 @@ def borwein_a(precision: int) -> Series:
 
 
 def borwein_b(precision: int) -> Series:
-    """(q;q)^3 / (q^3;q^3)."""
-    return eta_quotient("1^3 3^-1", precision)
+    """b(q) = (q;q)^3 / (q^3;q^3) = a(q^3) - c(q^3), the Borweins' second cubic theta function.
+
+    The difference is their identity (J. M. and P. B. Borwein, Trans. AMS
+    323, 1991), so b(q) comes from the lattice sum, with no expansion.
+    """
+    return lambert_cubic(precision) - borwein_c3(precision)
 
 
 def borwein_c3(precision: int) -> Series:

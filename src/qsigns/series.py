@@ -228,10 +228,7 @@ class Series:
             prec = min(prec, cap)
         _check_precision(prec, "dilated precision")
         out = [0] * (prec + 1)
-        for i, c in enumerate(self._coeffs):
-            if i * m > prec:
-                break
-            out[i * m] = c
+        out[::m] = self._coeffs[:prec // m + 1]
         return Series(out)
 
     def slice(self, r: int, m: int) -> "Series":

@@ -32,7 +32,7 @@ from qsigns import (
     theta_triangular,
     theta_weighted,
 )
-from qsigns import products
+from qsigns import pattern_catalog, plan, products
 from qsigns.plan import FORMS, THETA_ATOMS, net_exponents
 from qsigns.series import MAX_PRECISION
 
@@ -176,7 +176,7 @@ def test_eta_quotients_match_lone_expansions(monkeypatch):
         assert sorted(i for i, _ in yielded) == list(range(len(specs)))
         for i, series in yielded:
             assert series == lone(specs[i], T), (specs[i], T)
-        multipliers = {i: powers for i, _, powers in products._schedule(tuple(specs))}
+        multipliers = {i: powers for i, _, powers in plan._schedule(tuple(specs))}
         for i in range(len(specs)):
             if not any(spec is specs[i] for spec in fresh):
                 assert all(k > 0 for *_, k in multipliers[i]), "a derived start divides"
@@ -188,6 +188,20 @@ def test_eta_quotients_match_lone_expansions(monkeypatch):
         seen["T = 0"] += T == 0
         seen["T = 1"] += T == 1
     assert all(seen.values()), seen
+
+
+def test_catalog_schedule_derives_four_cases():
+    """Four catalog cases start from another case times one sparse power; every other case is expanded fresh."""
+    specs = tuple(case.spec for case in pattern_catalog())
+    starts = {str(specs[i]): (None if j is None else str(specs[j]), powers)
+              for i, j, powers in plan._schedule(specs)}
+    derived = {
+        "1^9 3^-12": ("1^9 3^-13", (("euler", (3,), 1),)),
+        "1^9 3^-11": ("1^9 3^-12", (("euler", (3,), 1),)),
+        "1^9 3^-9": ("1^9 3^-12", (("J", (3,), 1),)),
+        "1^4 2^-2 4^-1": ("1^2 2^-1 4^-1", (("phi(-q)", (1,), 1),)),
+    }
+    assert starts == {str(spec): derived.get(str(spec), (None, ())) for spec in specs}
 
 
 def test_start_prefilter_passes_every_product_that_only_multiplies():
@@ -211,7 +225,7 @@ def test_start_prefilter_passes_every_product_that_only_multiplies():
             else:
                 factors += [PochhammerFactor(s * b, s * b, k * x) for b, x in THETA_ATOMS[kind].items()]
         net = {key: d for key, d in net_exponents(EtaQuotientSpec(tuple(factors))).items() if d}
-        assert products._may_only_multiply(net), factors
+        assert plan._may_only_multiply(net), factors
 
 
 def test_spec_parse_shorthand_and_pairs():
@@ -336,6 +350,7 @@ def test_cubic_thetas_match_their_oracles_at_every_precision(top):
     assert threevar == eta_quotient("3^3 1^-1", top)
     pairs = (
         (borwein_a, box_borwein_a(top)),
+        (borwein_b, binomial_expansion(EtaQuotientSpec.parse("1^3 3^-1"), top)),
         (lambert_cubic, lambert_series(top)),
         (theta_threevar, threevar),
         (borwein_c3, binomial_borwein_c3(top)),
@@ -359,7 +374,7 @@ def test_cubic_thetas_expand_nothing(monkeypatch):
 
     for name in ("eta_quotient", "mul_sparse", "div_sparse", "pow_sparse"):
         monkeypatch.setattr(products, name, refuse)
-    for build in (borwein_a, borwein_c3, lambert_cubic, theta_threevar):
+    for build in (borwein_a, borwein_b, borwein_c3, lambert_cubic, theta_threevar):
         assert build(300).precision == 300
 
 
