@@ -24,15 +24,15 @@ a single pass each; the package uses no other kernel.
   `_PARTITIONS_KEPT`: every quotient of the paper divides by some
   (q^p;q^p), which is (y;y) in y = q^p.  Dividing 1 by (y;y) reads the
   table, with no recurrence.
-  Otherwise each residue class of the dividend mod d is a series in y.
-  When few classes are nonzero, each of those is divided on its own.
-  When most are, and d is at most `_PACK_MAX`, all d classes are packed
-  as the slots of one integer per power of y, read from contiguous
-  slices, so one pass of the recurrence at n/d coefficients divides
-  them all; the slot width comes from an exact bound that needs the
-  largest coefficient of 1/divisor below y^(n/d), for (y;y) the last
-  partition number in the table.  Past `_PACK_MAX` a dividend with
-  `_PACK_MIN` or more nonzero classes is divided in q.  The recurrence
+  Otherwise each residue class of the dividend mod d is a series in y,
+  and the route follows from how many of them are nonzero.  One class
+  is divided in y on its own.  When several are, and d is at most
+  `_PACK_MAX`, all d classes are packed as the slots of one integer per
+  power of y, read from contiguous slices, so one pass of the recurrence
+  at n/d coefficients divides them all; the slot width comes from an
+  exact bound that needs the largest coefficient of 1/divisor below
+  y^(n/d), for (y;y) the last partition number in the table.  Past
+  `_PACK_MAX` such a dividend is divided in q.  The recurrence
   runs one block of coefficients at a time.  Only the terms below the
   block length run per coefficient; each farther term carries a final
   block into the right side of later coefficients with one C-level
@@ -207,20 +207,22 @@ def _bias(w: int, k: int) -> int:
 # the block length of the division recurrence; 128 ran fastest of 32, 64, 128 and 256
 _BLOCK = 128
 
-# when div_sparse packs the residue classes mod d into one pass: from
-# _PACK_MIN nonzero classes, when more than half of the d classes are
-# nonzero and d is at most _PACK_MAX.  Measured by dividing (q;q)^k at
-# 14,000 coefficients by (q^d;q^d), k = 5, 1 and -2, medians of 7 to 9
-# alternating runs.  With every class nonzero, the packed pass took 1.28-
-# 1.74 times as long as d divisions one class at a time at d = 2, 0.78-
-# 1.20 at d = 3, 0.80-0.96 at d = 4 and 0.47-1.04 at d = 5-13.  Against
-# the plain division in q it took 0.40-0.95 times as long at d = 13-32,
-# 0.31-1.18 at d = 50-64 and 0.36-2.73 at d = 100-500, the highest for
-# k = -2, whose wide coefficients widen every slot.  With only 4 of 8,
-# 4 of 13 or 4 of 50 classes nonzero, packing all d took 0.91-1.32,
-# 1.34-1.50 and 4.1-5.3 times as long as the nonzero classes one at a
-# time; with 7 of 13, 0.73-1.15.
-_PACK_MIN = 4
+# the largest d at which div_sparse packs the residue classes mod d of a
+# dividend with several nonzero ones.  Measured by dividing (q;q)^k by
+# (q^d;q^d), k = 5, 1 and -2, at 3,000 and 14,000 coefficients, best of 5
+# to 9 (Python 3.11, 2 vCPUs on a shared host).  With every class
+# nonzero, one packed pass took 0.46-1.18 times as long as the d classes
+# divided one at a time at d = 2 and 3, and 0.18-1.12 at d = 4-100: the
+# slot arithmetic is C-level and the recurrence runs once, at n/d
+# coefficients.  Against the division in q it took 0.23-1.25 times as
+# long for d <= 32.  The shapes with only some classes nonzero that the
+# package makes, 2 of 3, 3 of 5 and 3 of 7, took 0.59-1.24 times as long
+# packed as one class at a time; 2 of 32 would take 3.4-8.5 times as
+# long.  Past d of about 50 the slot width decides, and d does not: at
+# 14,000 coefficients and d = 50-1000, packing (q;q)^10, 33-bit
+# coefficients, took 0.37-1.01 times as long as the division in q, and
+# (q;q)^-24, 2052-bit ones, 1.53-5.44 times.  So d stays capped here
+# until a cost model reads the slot width.
 _PACK_MAX = 32
 
 
@@ -231,18 +233,17 @@ def div_sparse(xs: list, exps: list, cofs: list, n: int) -> list:
     cofs[0] in (1, -1), so the quotient recurrence stays integral.  Let d
     be the gcd of its exponents below n (1 if there are none but 0), so
     that the divisor is a series in y = q^d, known to m = ceil(n/d)
-    coefficients.  When the divisor is Euler's function (y;y) there and
-    xs is 1, the quotient is the partition numbers p(0..m-1) spread onto
-    q^d, read from the table `_partition_numbers` keeps; no recurrence
-    runs.  Otherwise residue class r of xs mod d, the series
-    sum_k xs[r + d*k] y^k, has quotient out[r::d].  Fewer than _PACK_MIN
-    nonzero classes are divided in y one after the other, and the
-    all-zero ones skipped.  With more, xs is divided in q if
-    d > _PACK_MAX; else, if more than half of the d classes are nonzero,
-    all d are packed as the slots of one integer per power of y and
-    divided in one pass (`_divide_packed`), and if not, the nonzero ones
-    are divided one after the other.  For d = 1 xs is divided in q.  Each
-    division is `_divide`, the block recurrence.
+    coefficients.  Residue class r of xs mod d, the series
+    sum_k xs[r + d*k] y^k, has quotient out[r::d], and the route follows
+    from how many classes are nonzero.  None: the quotient is 0.  One, as
+    always for a nonzero xs when d = 1: that class is divided in y by
+    `_divide`, the block recurrence, or, when it is 1 and the divisor is
+    Euler's function (y;y) there, its quotient is the partition numbers
+    p(0..m-1), read from the table `_partition_numbers` keeps, and no
+    recurrence runs.  Several, with d at most `_PACK_MAX`: all d classes
+    are packed as the slots of one integer per power of y and divided in
+    one pass (`_divide_packed`).  Several past `_PACK_MAX`: xs is divided
+    in q.
     """
     c0 = cofs[0] if exps and exps[0] == 0 else 0
     if c0 == 0:
@@ -253,29 +254,24 @@ def div_sparse(xs: list, exps: list, cofs: list, n: int) -> list:
     d = math.gcd(*(e for e, _ in live)) or 1
     terms = [(e // d, c) for e, c in live[1:]]
     m = -(-n // d)
-    if xs[:1] == [1] and not any(islice(xs, 1, n)) and _is_euler(terms, c0, m):
-        out = [0] * n
-        out[::d] = _partition_numbers(m)[:m]
-        return out
     out = xs[:n]
     out += [0] * (n - len(out))
-    if d > 1:
-        # the nonzero classes; past _PACK_MAX only whether there are _PACK_MIN
-        nonzero = (r for r in range(d) if any(out[r::d]))
-        classes = list(nonzero if d <= _PACK_MAX else islice(nonzero, _PACK_MIN))
-        many = len(classes) >= _PACK_MIN
-    if d == 1 or many and d > _PACK_MAX:
-        _divide(out, live[1:], c0)
-        return out
-    if many and 2 * len(classes) > d:
+    # the nonzero classes, as far as the second
+    classes = list(islice((r for r in range(d) if any(out[r::d])), 2))
+    if len(classes) == 1:
+        r = classes[0]
+        row = out[r::d]
+        if r == 0 and row[0] == 1 and not any(islice(row, 1, None)) and _is_euler(terms, c0, m):
+            row = _partition_numbers(m)[:m]
+        else:
+            _divide(row, terms, c0)
+        out[r::d] = row
+    elif classes and d <= _PACK_MAX:
         out += [0] * (-n % d)
         _divide_packed(out, d, terms, c0)
         del out[n:]
-    else:
-        for r in classes:
-            row = out[r::d]
-            _divide(row, terms, c0)
-            out[r::d] = row
+    elif classes:
+        _divide(out, live[1:], c0)
     return out
 
 

@@ -9,12 +9,12 @@ from pathlib import Path
 import pytest
 from _propcheck import _power_oracle, binomial_expansion, check_plan_matches_binomial_oracle
 
-from qsigns import EtaQuotientSpec, Series, corpus, eta_quotient, pattern_catalog, theta_weighted
+from qsigns import EtaQuotientSpec, Series, corpus, eta_quotient, pattern_catalog, theta_alt_squares, theta_weighted
 from qsigns import quintuple_components
 from qsigns import quintuple_product
 from qsigns import products, ramanujan5, three_dissection_qq
-from qsigns import _backend
-from qsigns._backend import _BLOCK, _PACK_MAX, _PACK_MIN, div_sparse, invert_dense, mul_dense, mul_sparse, pow_sparse
+from qsigns import _backend, cli
+from qsigns._backend import _BLOCK, _PACK_MAX, div_sparse, invert_dense, mul_dense, mul_sparse, pow_sparse
 from qsigns.dissect import assemble
 from qsigns.plan import (
     FORMS,
@@ -342,11 +342,11 @@ def _lattice_divisions(rng, d):
     """div_sparse calls whose divisor lives in q^d: n below d, a multiple of d or
     not; xs shorter or longer than n, all zero, in one residue class mod d, in
     some or in all; c0 = +-1, non-unit terms, terms at and past n; xs up to 10^40.
-    The first call at d = _PACK_MIN packs every class at more than 2 * _BLOCK
+    The first call at d = 2 packs every class at more than 2 * _BLOCK
     coefficients in y, so that the packed recurrence has far terms and the
     quotient is decoded in more than one block."""
     for i in range(12):
-        first = d == _PACK_MIN and i == 0
+        first = d == 2 and i == 0
         m = 2 * _BLOCK + 1 if first else rng.choice((1, 2, rng.randint(3, 24), 12))
         n = d * m - rng.choice((0, rng.randint(0, d - 1)))
         if rng.random() < 0.15 and not first:
@@ -376,7 +376,7 @@ def _slot_edge_divisions(rng):
     """
     for width in (8, 16, 32, 64, 72):
         for bound in (2 ** (width - 1) - 1, 2 ** (width - 1)):
-            d, m = rng.randint(_PACK_MIN, 13), rng.randint(3, min(40, width))
+            d, m = rng.randint(2, 13), rng.randint(3, min(40, width))
             n = d * (m - 1) + rng.randint(1, d)
             c0 = rng.choice((1, -1))
             if bound % 2:
@@ -401,61 +401,125 @@ def _slot_edge_divisions(rng):
 def test_div_sparse_in_q_d_matches_mul_dense_by_invert_dense(seed, monkeypatch):
     """div_sparse by divisors in q^d, d = 2..13, each residue class on its own or all
     packed in one pass, against the schoolbook product of xs and the divisor's inverse."""
-    packed = _count_packed(monkeypatch)
+    routes = _count_routes(monkeypatch)
     rng = random.Random(seed)
     for d in range(2, 14):
         for xs, exps, cofs, n in _lattice_divisions(rng, d):
             assert div_sparse(xs, exps, cofs, n) == _dense_quotient(xs, exps, cofs, n), (d, n)
-    assert len(packed) >= 20 and min(packed)[0] == _PACK_MIN and max(m for _, m in packed) > 2 * _BLOCK
-    packed.clear()
+    packed = [route[1:] for route in routes if route[0] == "packed"]
+    assert len(packed) >= 20 and min(packed)[0] == 2 and max(m for _, m in packed) > 2 * _BLOCK
+    routes.clear()
     for xs, exps, cofs, n, bound in _slot_edge_divisions(rng):
         out = div_sparse(xs, exps, cofs, n)
         assert out == _dense_quotient(xs, exps, cofs, n), (n, bound)
         assert max(map(abs, out)) == bound, (n, bound)
-    assert len(packed) == 10
+    assert [route[0] for route in routes] == ["packed"] * 10
 
 
-def _count_packed(monkeypatch):
-    """Record (d, m) for each call of _backend._divide_packed, m the length in y."""
-    packed = []
-    divide_packed = _backend._divide_packed
+def _count_routes(monkeypatch):
+    """Record the route of each division: ("packed", d, m) for a call of
+    _backend._divide_packed, m the length in y, and ("divide", length) for a call
+    of _backend._divide that neither _divide_packed nor _partition_numbers makes."""
+    routes = []
+    depth = [0]
 
-    def count(out, d, terms, c0):
-        packed.append((d, len(out) // d))
-        return divide_packed(out, d, terms, c0)
+    def wrap(name, route):
+        kernel = getattr(_backend, name)
 
-    monkeypatch.setattr(_backend, "_divide_packed", count)
-    return packed
+        def run(*args):
+            if not depth[0] and route:
+                routes.append(route(*args))
+            depth[0] += 1
+            try:
+                return kernel(*args)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(_backend, name, run)
+
+    wrap("_divide", lambda out, terms, c0: ("divide", len(out)))
+    wrap("_divide_packed", lambda out, d, terms, c0: ("packed", d, len(out) // d))
+    wrap("_partition_numbers", None)
+    return routes
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_div_sparse_route_follows_the_nonzero_classes(seed, monkeypatch):
+    """A dividend on one residue class r mod d, r = 0 or not, is divided in y at
+    len(range(r, n, d)) coefficients, at any d; one on several classes is packed in
+    one pass at d <= _PACK_MAX and divided in q past it.  Every quotient matches the
+    dense oracle."""
+    routes = _count_routes(monkeypatch)
+    rng = random.Random(seed)
+    for d in (2, 3, 7, _PACK_MAX, _PACK_MAX + 1, 50):
+        m = rng.randint(3, 12)
+        n = d * (m - 1) + rng.randint(1, d)
+        exps = [0, d, *sorted(rng.sample(range(2 * d, (m + 2) * d, d), 3))]
+        cofs = [rng.choice((1, -1))] + [rng.choice((1, -1, rng.randint(-9, 9) or 2)) for _ in exps[1:]]
+        xs = [rng.randint(-(10**20), 10**20) or 1 for _ in range(n)]
+        some = set(rng.sample(range(d), rng.randint(2, d)))
+        for classes in ({0}, {rng.randrange(1, d)}, {0, rng.randrange(1, d)}, some, set(range(d))):
+            kept = [x if i % d in classes else 0 for i, x in enumerate(xs)]
+            assert div_sparse(kept, exps, cofs, n) == _dense_quotient(kept, exps, cofs, n), (d, n, classes)
+            if len(classes) == 1:
+                expected = [("divide", len(range(min(classes), n, d)))]
+            else:
+                expected = [("packed", d, m)] if d <= _PACK_MAX else [("divide", n)]
+            assert routes == expected, (d, n, classes)
+            routes.clear()
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_div_sparse_with_thousands_of_classes(seed, monkeypatch):
     """div_sparse by divisors in q^d, d in the thousands, at two to four coefficients in y.
 
-    Every residue class nonzero is divided in q, and packed in one pass over d slots
-    when _PACK_MAX is raised past d; three classes, or _PACK_MIN up to half of the d,
-    are divided one at a time.  Each quotient times the divisor, by mul_sparse, is xs.
+    A dividend on one residue class is divided in y.  One on three classes, on two
+    up to half of the d, or on all of them is divided in q, and packed in one pass
+    over d slots when _PACK_MAX is raised past d.  Each quotient times the divisor,
+    by mul_sparse, is xs.
     """
-    packed = _count_packed(monkeypatch)
+    routes = _count_routes(monkeypatch)
     rng = random.Random(seed)
     for pack_max in (_PACK_MAX, 10**9):
         monkeypatch.setattr(_backend, "_PACK_MAX", pack_max)
-        dense = []
-        for kept in ("all", "three", "half", "all"):
+        for kept in ("all", "one", "three", "half", "all"):
             d, m = rng.randint(1000, 5000), rng.randint(2, 4)
             n = d * (m - 1) + rng.randint(1, d)
             exps = [0, d, *sorted(rng.sample(range(2 * d, (m + 2) * d, d), rng.randint(0, m)))]
             cofs = [rng.choice((1, -1))] + [rng.choice((1, -1, rng.randint(-9, 9) or 2)) for _ in exps[1:]]
             xs = [rng.randint(-(10**40), 10**40) or 1 for _ in range(rng.randint(d, n + d))]
-            if kept == "all":
-                dense.append((d, m))
-            else:
-                classes = set(rng.sample(range(d), 3 if kept == "three" else rng.randint(_PACK_MIN, d // 2)))
+            if kept != "all":
+                count = {"one": 1, "three": 3}.get(kept) or rng.randint(2, d // 2)
+                classes = set(rng.sample(range(d), count))
                 xs = [x if i % d in classes else 0 for i, x in enumerate(xs)]
             out = div_sparse(xs, exps, cofs, n)
             assert mul_sparse(out, exps, cofs, n) == xs[:n] + [0] * (n - len(xs)), (d, n, kept)
-        assert packed == (dense if pack_max > _PACK_MAX else [])
-        packed.clear()
+            if kept == "one":
+                expected = [("divide", len(range(min(classes), n, d)))]
+            else:
+                expected = [("packed", d, m)] if pack_max > _PACK_MAX else [("divide", n)]
+            assert routes == expected, (d, n, kept)
+            routes.clear()
+
+
+def test_benchmark_divisions_take_their_routes(monkeypatch, capsys):
+    """With the partition table grown, the census of 2^5 7^-1 at K = 60 packs once at
+    (d, m) = (7, 60), verify --p 7 --i 2 divides only by reading the table, and
+    inverting phi(-q) at 1001 coefficients runs one recurrence in q."""
+    monkeypatch.delenv("QSIGNS_PRECISION", raising=False)
+    monkeypatch.setattr(_backend, "_partitions", [1])
+    _backend._partition_numbers(_backend._PARTITIONS_KEPT)
+    reads = _count_table(monkeypatch)
+    routes = _count_routes(monkeypatch)
+    assert cli.main(["census", "--spec", "2^5 7^-1", "--m", "7", "--K", "60"]) == 0
+    assert routes == [("packed", 7, 60)]
+    routes.clear()
+    reads.clear()
+    assert cli.main(["verify", "--p", "7", "--i", "2"]) == 0
+    assert routes == [] and reads
+    assert theta_alt_squares(1000).invert().coefficients[:4] == (1, 2, 4, 8)
+    assert routes == [("divide", 1001)]
+    capsys.readouterr()
 
 
 # -- the partition-number table -------------------------------------------------------
@@ -492,13 +556,15 @@ def _count_table(monkeypatch):
 
 def test_only_one_over_euler_reads_the_partition_table(monkeypatch):
     """-(y;y), (y;y) with one term changed or one added below y^m, and dividends
-    other than 1 are divided by the recurrence, and match the dense oracle."""
+    other than 1 are divided by a recurrence, and match the dense oracle."""
     calls = _count_table(monkeypatch)
+    routes = _count_routes(monkeypatch)
     n = 80
     for d in (1, 3, 5):
         exps, cofs = pentagonal_terms(d, n - 1)
         m = -(-n // d)
         assert div_sparse([1], exps, cofs, n) == _dense_quotient([1], exps, cofs, n) and calls == [m]
+        assert routes == []
         calls.clear()
         divisors = [(exps, [-c for c in cofs]), (exps, [-1] + cofs[1:])]
         for i in range(1, len(exps)):
@@ -511,7 +577,8 @@ def test_only_one_over_euler_reads_the_partition_table(monkeypatch):
         cases += [(xs, exps, cofs) for xs in ([2], [-1], [1, 0, 0, 1], [0, 1], [1] + [0] * (d - 1) + [1])]
         for xs, dexps, dcofs in cases:
             assert div_sparse(xs, dexps, dcofs, n) == _dense_quotient(xs, dexps, dcofs, n), (d, xs, dcofs)
-        assert calls == []
+            assert len(routes) == 1, (d, xs, dcofs)
+            routes.clear()
 
 
 def _partitions_dense(m):
@@ -527,7 +594,7 @@ def test_packed_division_by_euler_reaches_the_table_bound(monkeypatch):
     ||x_0||_1 * p(m-1) is at most 2^(W-1) - 1 or just past 2^(W-1), W = 64 and 72:
     class 0 is X * q^0, so its quotient X * p(k) reaches the bound at k = m - 1.
     A bound at most 2^(W-1) - 1 puts the quotient in the top bit of a W-bit slot."""
-    packed = _count_packed(monkeypatch)
+    routes = _count_routes(monkeypatch)
     rng = random.Random(7)
     d, m = 7, 300
     n = d * (m - 1) + 3
@@ -546,8 +613,8 @@ def test_packed_division_by_euler_reaches_the_table_bound(monkeypatch):
         assert mul_sparse(out, exps, cofs, n) == xs
         assert max(map(abs, out)) == bound and _backend._slot_bytes(bound.bit_length()) == w + past
         assert bound.bit_length() == 8 * w - 1 + past
-        assert packed == [(d, m)] and len(_backend._partitions) == m
-        packed.clear()
+        assert routes == [("packed", d, m)] and len(_backend._partitions) == m
+        routes.clear()
 
 
 def test_dividing_one_by_euler_runs_no_recurrence_once_the_table_is_long(monkeypatch):
@@ -625,6 +692,25 @@ def test_binomial_factors_match_dense_oracle(seed):
         before = list(cur)
         assert products._apply_factor(cur, a, b, delta, n) == expected, (a, b, delta, n)
         assert cur == before
+
+
+@pytest.mark.parametrize("delta, series", [(-8, False), (-9, True), (20, False), (21, True)])
+def test_binomial_power_takes_the_series_past_its_switch(monkeypatch, delta, series):
+    """(1 - q^10)^delta below q^201, with m = 20 multiples of 10 below q^201: a division
+    is multiplied in as the binomial series when |delta| * m.bit_length() > 2m, so at
+    delta = -9 and not at -8, and a multiplication when delta > m.  Each route matches
+    the dense oracle."""
+    combs = []
+    comb = math.comb
+    monkeypatch.setattr(math, "comb", lambda *args: combs.append(args) or comb(*args))
+    n = 201
+    cur = [random.Random(delta).randint(-9, 9) for _ in range(n)]
+    binomial = [1] + [0] * 9 + [-1]
+    expected = cur
+    for _ in range(abs(delta)):
+        expected = mul_dense(expected, invert_dense(binomial, n) if delta < 0 else binomial, n)
+    assert products._apply_factor(cur, 10, n, delta, n) == expected
+    assert len(combs) == (20 if series else 0)
 
 
 @pytest.mark.parametrize("delta", [-13, -5, -1, 1, 5, 13, 10**9, -(10**9)])
