@@ -257,15 +257,15 @@ def div_sparse(xs: list, exps: list, cofs: list, n: int) -> list:
     out = xs[:n]
     out += [0] * (n - len(out))
     # the nonzero classes, as far as the second
-    classes = list(islice((r for r in range(d) if any(out[r::d])), 2))
+    classes = list(islice((r for r in range(d) if any(xs[r:n:d])), 2))
     if len(classes) == 1:
         r = classes[0]
-        row = out[r::d]
-        if r == 0 and row[0] == 1 and not any(islice(row, 1, None)) and _is_euler(terms, c0, m):
-            row = _partition_numbers(m)[:m]
+        if xs[:1] == [1] and not any(islice(xs, 1, n)) and _is_euler(terms, c0, m):
+            out[::d] = _partition_numbers(m)[:m]
         else:
+            row = out[r::d]
             _divide(row, terms, c0)
-        out[r::d] = row
+            out[r::d] = row
     elif classes and d <= _PACK_MAX:
         out += [0] * (-n % d)
         _divide_packed(out, d, terms, c0)

@@ -57,8 +57,8 @@ raised to a power, and names the one to raise outright:
   binomials, multiplied or divided in one binomial 1-q^e, e = a+kb, at
   a time by slice arithmetic, with no kernel pass
   (`products._apply_factor`), which also serves the tests as the
-  reference expansion of any spec.  A binomial to a power high enough
-  for its slice loop to cost more is multiplied in as its series.
+  reference expansion of any spec.  A binomial to a power above T/e is
+  multiplied in as its truncated binomial series instead.
 
 `_schedule` orders the specs that `products.eta_quotients` expands at
 one precision, and names the earlier result each may start from.  Specs

@@ -82,30 +82,20 @@ def _apply_factor(cur: list, a: int, b: int, delta: int, n: int) -> list:
 
     Each binomial 1 - q^e is one slice subtraction per unit of delta, and
     its inverse 1/(1 - q^e) = prod_{j>=0} (1 + q^(e*2^j)) one slice
-    addition per factor below q^n, m.bit_length() of them for m = (n-1)//e,
-    the number of multiples of e below q^n.  A binomial is multiplied in
+    addition per factor below q^n.  To a power |delta| above (n-1)//e,
+    the number of multiples of e below q^n, a binomial is multiplied in
     as its truncated binomial series instead, one slice multiply-add per
-    term, m in all, when delta > m, or when delta < 0 and
-    |delta| * m.bit_length() > 2m, so that the work does not grow with
-    delta.
+    term, so that the work does not grow with delta.
     """
     if delta == 0:
         return cur
     cur = list(cur)
     for e in range(a, n, b):
-        m = (n - 1) // e
-        # for delta < 0 a unit is m.bit_length() slice additions, and the
-        # series m multiply-adds of about two additions each.  Measured on
-        # one factor 1/(1 - q^e)^|delta| times 1 and times (q;q), n = 2001
-        # and 5001, e = 3-100, |delta| = 5-300, best of 3 (Python 3.11,
-        # 2 vCPUs on a shared host): this rule took the faster route in 27
-        # of 32 cases, |delta| > m in 9; in its 5 misses it kept the unit
-        # loop where the series took 0.57-0.90 times as long.
-        if (-delta * m.bit_length() > 2 * m) if delta < 0 else delta > m:
+        if abs(delta) > (n - 1) // e:
             # (1 - q^e)^delta = sum_j (-1)^j C(delta, j) q^(e*j), and for
             # delta < 0, (-1)^j C(delta, j) = C(j - delta - 1, j)
             out = list(cur)
-            for j in range(1, m + 1):
+            for j in range(1, (n - 1) // e + 1):
                 c = (-1) ** j * math.comb(delta, j) if delta > 0 else math.comb(j - delta - 1, j)
                 out[e * j:] = map(add, out[e * j:], map(c.__mul__, cur[:n - e * j]))
             cur = out

@@ -694,25 +694,6 @@ def test_binomial_factors_match_dense_oracle(seed):
         assert cur == before
 
 
-@pytest.mark.parametrize("delta, series", [(-8, False), (-9, True), (20, False), (21, True)])
-def test_binomial_power_takes_the_series_past_its_switch(monkeypatch, delta, series):
-    """(1 - q^10)^delta below q^201, with m = 20 multiples of 10 below q^201: a division
-    is multiplied in as the binomial series when |delta| * m.bit_length() > 2m, so at
-    delta = -9 and not at -8, and a multiplication when delta > m.  Each route matches
-    the dense oracle."""
-    combs = []
-    comb = math.comb
-    monkeypatch.setattr(math, "comb", lambda *args: combs.append(args) or comb(*args))
-    n = 201
-    cur = [random.Random(delta).randint(-9, 9) for _ in range(n)]
-    binomial = [1] + [0] * 9 + [-1]
-    expected = cur
-    for _ in range(abs(delta)):
-        expected = mul_dense(expected, invert_dense(binomial, n) if delta < 0 else binomial, n)
-    assert products._apply_factor(cur, 10, n, delta, n) == expected
-    assert len(combs) == (20 if series else 0)
-
-
 @pytest.mark.parametrize("delta", [-13, -5, -1, 1, 5, 13, 10**9, -(10**9)])
 def test_binomial_powers_match_series_power(delta):
     """(q^2;q^5)^delta to q^10 is ((1 - q^2)(1 - q^7))^delta, by Miller's recurrence."""
