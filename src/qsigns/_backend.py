@@ -9,15 +9,21 @@ nothing here may introduce floats or rounding.
 The sparse kernels take the nonzero terms of one operand as sorted
 exponent and coefficient lists, so their cost is O(n) per term rather
 than O(n) per coefficient: `mul_sparse` multiplies by a sparse series,
-`pow_sparse` raises one to any power and `div_sparse` divides by one, in
-a single pass each; the package uses no other kernel.
+`mul_sparse_run` by several in turn, `pow_sparse` raises one to any
+power and `div_sparse` divides by one, in a single pass each; the
+package uses no other kernel.
 
 * `mul_sparse` takes its dense operand as a series in q^stride and packs
   it once, high-first above one guard slot, into one integer of
   fixed-width slots (Kronecker substitution), so each term is one
-  big-integer right shift and one add done in C; the sum is unpacked
-  with ``array``, or with ``int.from_bytes`` mapped over
-  ``struct.iter_unpack`` for slots wider than 8 bytes.
+  big-integer right shift and one add done in C.  `mul_sparse_run`
+  makes the same passes, all in q, on one packed integer: it packs once,
+  at the width of the largest bound of any of its passes, drops each
+  pass's guard slot with one shift, and unpacks once.  Slots of at most
+  8 bytes are converted to and from lists by one signed ``array`` call
+  each way and one XOR with the bias on the whole integer; wider slots
+  take one ``int.to_bytes`` per coefficient to pack, and
+  ``int.from_bytes`` mapped over ``struct.iter_unpack`` to unpack.
 * `div_sparse` divides in the divisor's own variable y = q^d.  The
   module keeps one table across calls, the partition numbers p(i), the
   coefficients of 1/(y;y), grown to the longest length asked for up to
@@ -28,11 +34,12 @@ a single pass each; the package uses no other kernel.
   and the route follows from how many of them are nonzero.  One class
   is divided in y on its own.  When several are, and d is at most
   `_PACK_MAX`, all d classes are packed as the slots of one integer per
-  power of y, read from contiguous slices, so one pass of the recurrence
-  at n/d coefficients divides them all; the slot width comes from an
-  exact bound that needs the largest coefficient of 1/divisor below
-  y^(n/d), for (y;y) the last partition number in the table.  Past
-  `_PACK_MAX` such a dividend is divided in q.  The recurrence
+  power of y, built from the classes by shifts and adds and read back by
+  shift and mask, so one pass of the recurrence at n/d coefficients
+  divides them all; the slot width, to the bit, comes from an exact
+  bound that needs the largest coefficient of 1/divisor below y^(n/d),
+  for (y;y) the last partition number in the table.  Past `_PACK_MAX`
+  such a dividend is divided in q.  The recurrence
   runs one block of coefficients at a time.  Only the terms below the
   block length run per coefficient; each farther term carries a final
   block into the right side of later coefficients with one C-level
@@ -55,7 +62,7 @@ import struct
 import sys
 from array import array
 from itertools import islice, repeat
-from operator import add, itemgetter, mul, sub
+from operator import add, and_, itemgetter, lshift, mul, rshift, sub
 
 
 def mul_dense(xs: list, ys: list, n: int) -> list:
@@ -108,9 +115,7 @@ def mul_sparse(xs: list, exps: list, cofs: list, n: int, stride: int = 1) -> lis
     class of out, and a zero guard slot at the bottom.  Each residue r of
     the exponents mod stride is the integer sum of c * (R >> W*(s + off))
     over its terms e = r + stride*s, off the slots its class is shorter
-    than width, unpacked into out[r::stride]: each term is one right
-    shift and one add, taken by decreasing s, so each add is only as long
-    as its term.
+    than width (`_shift_add`), unpacked into out[r::stride].
     """
     out = [0] * n
     width = -(-n // stride)
@@ -120,78 +125,141 @@ def mul_sparse(xs: list, exps: list, cofs: list, n: int, stride: int = 1) -> lis
     weight = sum(abs(c) for _, c in live)
     if not top * weight:
         return out
-    bound = top * weight + weight
-    # Why every slot is exact.  R = sum_i xs[i] * 2^(W*(width - i)) is read
-    # exactly from the packed biased slots less the bias.  Let n_r be the
-    # length of out[r::stride] and off = width - n_r.  For a term c*q^e
-    # with e = r + stride*s, shifting R right by sigma = s + off slots
-    # puts xs[i] in slot n_r - i - s, which is slot n_r - j for
-    # out[r + stride*j], j = i + s, and drops the slots below sigma.  Their
-    # sum L has |L| < 2^(W*sigma), since every |xs[i]| <= top <
-    # 2^(W-1), so the floor of the right shift adds L // 2^(W*sigma),
-    # 0 or -1, to slot 0, the guard: slot 0 of the shifted R holds the
-    # value of the slot it came from plus that, at most top + 1 in
-    # absolute value.  So the residue's sum Y is sum_k v_k * 2^(W*k) over
-    # k = 0..n_r, where v_{n_r - j} = out[r + stride*j] for j < n_r, a sum
-    # of c*xs[i] over distinct live terms, and v_0 the guard's sum of
-    # c*(xs[i] + floor); |v_k| <= top * weight + weight = bound for all
-    # k.  W is the least of 8, 16, 32 and 64 bits, or else the least
-    # multiple of 8, with bound < 2^(W-1), so v_k + 2^(W-1) lies in
-    # [0, 2^W): Y plus 2^(W-1) in each of its n_r + 1 slots is the number
-    # whose slots are the biased v_k, with no carry between them.  Python
-    # ints keep every intermediate sum exact.
-    w = _slot_bytes(bound.bit_length())
+    # Why every slot is exact.  R = sum_i xs[i] * 2^(W*(width - i)) is
+    # what `_pack` returns, exactly.  Let n_r be the length of
+    # out[r::stride] and off = width - n_r.  For a term c*q^e with e = r +
+    # stride*s, shifting R right by sigma = s + off slots puts xs[i] in
+    # slot n_r - i - s, which is slot n_r - j for out[r + stride*j], j = i
+    # + s, and drops the slots below sigma.  Their sum L has |L| <
+    # 2^(W*sigma), since every |xs[i]| <= top < 2^(W-1), so the floor of
+    # the right shift adds L // 2^(W*sigma), 0 or -1, to slot 0, the
+    # guard: slot 0 of the shifted R holds the value of the slot it came
+    # from plus that, at most top + 1 in absolute value.  So the residue's
+    # sum Y is sum_k v_k * 2^(W*k) over k = 0..n_r, where v_{n_r - j} =
+    # out[r + stride*j] for j < n_r, a sum of c*xs[i] over distinct live
+    # terms, and v_0 the guard's sum of c*(xs[i] + floor); |v_k| <=
+    # weight * (top + 1) = bound for all k.  W is the least of 8, 16, 32
+    # and 64 bits, or else the least multiple of 8, with bound < 2^(W-1),
+    # so every v_k lies in [-2^(W-1), 2^(W-1)): `_unpack` reads the n_r + 1
+    # slots of Y with no carry between them, and the guard is dropped.
+    # Python ints keep every intermediate sum exact.
+    w = _slot_bytes((weight * (top + 1)).bit_length())
     bits = 8 * w
-    R = int.from_bytes(_pack([0] * (width + 1 - len(xs)) + xs[::-1], w), "little") - _bias(w, width + 1)
+    R = _pack([0] * (width + 1 - len(xs)) + xs[::-1], w)
+    offs = [width - len(range(r, n, stride)) for r in range(stride)]
     by_residue: list = [[] for _ in range(stride)]
     for e, c in reversed(live):
-        by_residue[e % stride].append((e // stride, c))
+        s, r = divmod(e, stride)
+        by_residue[r].append((s + offs[r], c))
     for r, terms in enumerate(by_residue):
-        if not terms:
-            continue
-        n_r = len(range(r, n, stride))
-        off = width - n_r
-        Y = 0
-        for s, c in terms:
-            t = R >> bits * (s + off)
-            if c == 1:
-                Y += t
-            elif c == -1:
-                Y -= t
-            else:
-                Y += c * t
-        out[r::stride] = _unpack((Y + _bias(w, n_r + 1)).to_bytes(w * (n_r + 1), "little"), w)[:0:-1]
+        if terms:
+            out[r::stride] = _unpack(_shift_add(R, terms, bits, 0), w, width - offs[r] + 1)[:0:-1]
     return out
 
 
-# the slot widths in bytes that array packs, narrowest first, and a typecode of each
-_TYPECODES = {array(code).itemsize: code for code in "BHILQ"}
+def mul_sparse_run(xs: list, factors: list, n: int) -> list:
+    """Multiply xs, a series in q, by each sparse polynomial (exps, cofs) of factors in turn, truncated to n.
+
+    It equals one stride-1 `mul_sparse` pass per factor, but xs is packed
+    once, at the slot width of the largest bound of any of its passes,
+    the accumulator stays one packed integer from pass to pass, and the
+    result is unpacked once.
+    """
+    xs = xs[:n]
+    top = max(map(abs, xs), default=0)
+    bound = top
+    passes = []
+    for exps, cofs in factors:
+        live = [(e, c) for e, c in zip(exps, cofs) if e < n]
+        weight = sum(abs(c) for _, c in live)
+        bound = max(bound, weight * (top + 1))
+        top *= weight
+        passes.append(live[::-1])
+    if not top:
+        return [0] * n
+    # Why every slot is exact.  Before pass i the accumulator is A =
+    # sum_j x_j * 2^(W*(n-1-j)), x the product so far, and pass i reads R =
+    # A << W, which is the packed R of a stride-1 `mul_sparse` call: x_j in
+    # slot n - j above a zero guard slot.  With top_i bounding |x_j| and
+    # weight_i the sum of |c| over the factor's live terms, that call's
+    # argument shows that its sum is sum_k v_k * 2^(W*k) over k = 0..n,
+    # v_(n-j) the product's x'_j and v_0 the guard, with every |v_k| <=
+    # weight_i * (top_i + 1) <= bound < 2^(W-1); a wider W than the pass
+    # needs only gives each slot more room.  `_shift_add` starts from
+    # 2^(W-1), so the guard slot holds v_0 + 2^(W-1), which lies in [0,
+    # 2^W): shifting right by W drops it with no borrow and leaves the next
+    # A exactly, with |x'_j| <= weight_i * top_i = top_(i+1).  By induction
+    # the last A is exact, and `_unpack` reads its n slots.  xs itself
+    # needs top < 2^(W-1), which bound covers.
+    w = _slot_bytes(bound.bit_length())
+    bits = 8 * w
+    A = _pack([0] * (n - len(xs)) + xs[::-1], w)
+    for terms in passes:
+        A = _shift_add(A << bits, terms, bits, 1 << bits - 1) >> bits
+    return _unpack(A, w, n)[::-1]
+
+
+def _shift_add(R: int, terms: list, bits: int, Y: int) -> int:
+    """Y plus the sum of c * (R >> bits*s) over terms (s, c) by decreasing s.
+
+    Each term is one right shift and one add, taken by decreasing s, so
+    each add is only as long as its term.
+    """
+    for s, c in terms:
+        t = R >> bits * s
+        if c == 1:
+            Y += t
+        elif c == -1:
+            Y -= t
+        else:
+            Y += c * t
+    return Y
+
+
+# the slot widths in bytes that array packs, narrowest first, and a signed typecode of each
+_TYPECODES = {array(code).itemsize: code for code in "bhilq"}
 _SWAP = sys.byteorder == "big"
 
 
-def _pack(xs: list, w: int) -> bytes:
-    """The slots x + 2^(8w-1) of xs as w-byte little-endian unsigned ints, x[0] first."""
-    half = 1 << (8 * w - 1)
+def _pack(xs: list, w: int) -> int:
+    """sum_i xs[i] * 2^(8w*i), for every -2^(8w-1) <= xs[i] < 2^(8w-1).
+
+    Each x goes into a w-byte slot as x + 2^(8w-1).  When w is 1, 2, 4 or
+    8, one signed ``array`` call writes every x in two's complement, and
+    a two's-complement slot with its top bit flipped is the biased slot,
+    so one XOR with the bias, 2^(8w-1) in each slot, biases them all; a
+    wider slot takes one ``int.to_bytes`` of x + 2^(8w-1).  The biased
+    slots read as one integer, less the bias, are the sum.
+    """
+    bias = _bias(w, len(xs))
     code = _TYPECODES.get(w)
     if code is None:
-        return b"".join([(x + half).to_bytes(w, "little") for x in xs])
-    slots = array(code, map(add, xs, repeat(half, len(xs))))
+        half = 1 << 8 * w - 1
+        return int.from_bytes(b"".join([(x + half).to_bytes(w, "little") for x in xs]), "little") - bias
+    slots = array(code, xs)
     if _SWAP:
         slots.byteswap()
-    return slots.tobytes()
+    return (int.from_bytes(slots.tobytes(), "little") ^ bias) - bias
 
 
-def _unpack(data: bytes, w: int) -> list:
-    """The inverse of `_pack`: each w-byte slot of data, less 2^(8w-1)."""
-    half = 1 << (8 * w - 1)
+def _unpack(P: int, w: int, k: int) -> list:
+    """The inverse of `_pack`: the k values v_i of P = sum_i v_i * 2^(8w*i), every -2^(8w-1) <= v_i < 2^(8w-1).
+
+    P plus the bias has the biased slots v_i + 2^(8w-1) as its base-2^(8w)
+    digits.  Slots of at most 8 bytes are flipped back to two's complement
+    with one XOR and read by one signed ``array`` call; wider ones are
+    read by ``int.from_bytes`` mapped over ``struct.iter_unpack``, less
+    2^(8w-1) each.
+    """
+    bias = _bias(w, k)
     code = _TYPECODES.get(w)
     if code is None:
-        return list(map(sub, _read(data, w), repeat(half)))
+        return list(map(sub, _read((P + bias).to_bytes(w * k, "little"), w), repeat(1 << 8 * w - 1)))
     slots = array(code)
-    slots.frombytes(data)
+    slots.frombytes(((P + bias) ^ bias).to_bytes(w * k, "little"))
     if _SWAP:
         slots.byteswap()
-    return list(map(sub, slots, repeat(half, len(slots))))
+    return slots.tolist()
 
 
 def _read(data: bytes, w: int):
@@ -254,23 +322,28 @@ def div_sparse(xs: list, exps: list, cofs: list, n: int) -> list:
     d = math.gcd(*(e for e, _ in live)) or 1
     terms = [(e // d, c) for e, c in live[1:]]
     m = -(-n // d)
-    out = xs[:n]
-    out += [0] * (n - len(out))
     # the nonzero classes, as far as the second
     classes = list(islice((r for r in range(d) if any(xs[r:n:d])), 2))
-    if len(classes) == 1:
+    if len(classes) < 2:
+        out = [0] * n
+        if not classes:
+            return out
         r = classes[0]
         if xs[:1] == [1] and not any(islice(xs, 1, n)) and _is_euler(terms, c0, m):
             out[::d] = _partition_numbers(m)[:m]
         else:
-            row = out[r::d]
+            row = xs[r:n:d]
+            row += [0] * (len(range(r, n, d)) - len(row))
             _divide(row, terms, c0)
             out[r::d] = row
-    elif classes and d <= _PACK_MAX:
-        out += [0] * (-n % d)
+        return out
+    out = xs[:n]
+    if d <= _PACK_MAX:
+        out += [0] * (m * d - len(out))
         _divide_packed(out, d, terms, c0)
         del out[n:]
-    elif classes:
+    else:
+        out += [0] * (n - len(out))
         _divide(out, live[1:], c0)
     return out
 
@@ -373,13 +446,16 @@ def _divide(out: list, terms: list, c0: int) -> None:
 def _divide_packed(out: list, d: int, terms: list, c0: int) -> None:
     """Divide each residue class out[r::d], a series in y = q^d, in place and in one packed pass.
 
-    len(out) is a multiple m of d, and terms a divisor in y.  All d
-    classes are packed, the zero ones too, so the packed value P[k], with
-    out[d*k + r] in slot r, is read from the contiguous slice
-    out[d*k:d*(k+1)], and its quotient is written back there.  The work
-    is linear in len(out) for any d.  The quotient is decoded one block
-    of _BLOCK packed values at a time from the end, each block freed once
-    decoded.
+    len(out) is a multiple m of d, and terms a divisor in y.  The packed
+    value P[k] holds out[d*k + r] in slot r of W bits, W one more than
+    the bit length of the slot bound.  Each nonzero class is shifted to
+    its slot and added in, one C-level ``map`` each; after one pass of
+    the recurrence on the m packed values, each nonzero class of the
+    quotient is read back by shift and mask, and a zero class has a zero
+    quotient.  Both run one block of _BLOCK packed values at a time, the
+    reading from the end, each block freed once read, so no second list
+    of packed values is ever whole.  The work is linear in len(out) for
+    any d.
     """
     m = len(out) // d
     if _is_euler(terms, c0, m):
@@ -389,7 +465,8 @@ def _divide_packed(out: list, d: int, terms: list, c0: int) -> None:
         _divide(inverse, terms, c0)
         top = max(map(abs, inverse))
         del inverse
-    bound = max(sum(map(abs, out[r::d])) for r in range(d)) * top
+    norms = [sum(map(abs, out[r::d])) for r in range(d)]
+    bound = max(norms) * top
     # Why every slot is exact.  Let D = c0 + sum c*y^e be the divisor,
     # g = 1/D = sum g_i y^i, and let x_r = out[r::d] and q_r = x_r * g,
     # whose first m coefficients are the quotient of x_r.  Then |q_r[k]|
@@ -399,29 +476,37 @@ def _divide_packed(out: list, d: int, terms: list, c0: int) -> None:
     # numbers p(i), and p(i+1) >= p(i), since adding a part 1 maps the
     # partitions of i one-to-one into those of i+1, so the maximum is
     # p(m-1), read from the table; for any other D it is read off the
-    # g_i that `_divide` computes.  W is the least of 8, 16, 32 and 64
-    # bits, or else the least multiple of 8, with bound < 2^(W-1), so
-    # x_r[k] + 2^(W-1) and q_r[k] + 2^(W-1) lie in [0, 2^W): one slot
-    # each.  Reading the biased slots that `_pack` makes of
-    # out[d*k:d*(k+1)] as one integer and subtracting the bias, 2^(W-1)
-    # in each of the d slots, gives P[k] = sum_r x_r[k] * 2^(W*r)
-    # exactly.  `_divide` computes Q[k] = c0 * (P[k] - sum c * Q[k-e])
-    # over the terms with e <= k, and each q_r obeys the same recurrence
-    # with x_r for P; it is linear over the integers, so by induction on
-    # k, Q[k] = sum_r q_r[k] * 2^(W*r) exactly.  Adding the bias gives the
+    # g_i that `_divide` computes.  W = bound.bit_length() + 1 is the
+    # least width with bound < 2^(W-1), so q_r[k] + 2^(W-1) lies in [0,
+    # 2^W).  The shifts and adds make P[k] = sum_r x_r[k] * 2^(W*r)
+    # exactly, Python ints being exact.  `_divide` computes Q[k] = c0 *
+    # (P[k] - sum c * Q[k-e]) over the terms with e <= k, and each q_r
+    # obeys the same recurrence with x_r for P; it is linear over the
+    # integers, so by induction on k, Q[k] = sum_r q_r[k] * 2^(W*r)
+    # exactly.  Adding the bias, 2^(W-1) in each of the d slots, gives the
     # number whose base-2^W digits are the biased quotient coefficients
-    # q_r[k] + 2^(W-1), with no carry between them.
-    w = _slot_bytes(bound.bit_length())
-    step = w * d
-    bias = _bias(w, d)
+    # q_r[k] + 2^(W-1), with no carry between them: shifting it right by
+    # W*r and keeping the low W bits reads digit r, and less 2^(W-1) that
+    # is q_r[k].  A zero x_r has q_r = 0, which is what out[r::d] holds.
+    bits = bound.bit_length() + 1
+    classes = [r for r in range(d) if norms[r]]
     packed = []
     for k0 in range(0, m, _BLOCK):
-        packed += map(sub, _read(_pack(out[d * k0:d * (k0 + _BLOCK)], w), step), repeat(bias))
+        block = out[d * k0:d * (k0 + _BLOCK)]
+        values = [0] * (len(block) // d)
+        for r in classes:
+            values[:] = map(add, values, map(lshift, block[r::d], repeat(bits * r)))
+        packed += values
     _divide(packed, terms, c0)
+    half = 1 << bits - 1
+    bias = sum(half << bits * r for r in range(d))
+    mask = (1 << bits) - 1
     for k0 in reversed(range(0, m, _BLOCK)):
-        data = b"".join([(v + bias).to_bytes(step, "little") for v in packed[k0:]])
-        out[d * k0:d * len(packed)] = _unpack(data, w)
+        block = list(map(add, packed[k0:], repeat(bias)))
         del packed[k0:]
+        for r in classes:
+            digits = map(and_, map(rshift, block, repeat(bits * r)), repeat(mask))
+            out[d * k0 + r:d * (k0 + len(block)):d] = map(sub, digits, repeat(half))
 
 
 def _slot_bytes(bits: int) -> int:
@@ -486,8 +571,8 @@ def _power_packed(live: list, k: int, n: int, bound: int) -> list:
     # 1 <= j <= k and every m, |[q^m] f^j| = |sum_i [q^i] f^(j-1) * c_(m-i)|
     # <= ||f^(j-1)||_1 * top <= norm^(j-1) * top <= bound, as ||g*h||_1 <=
     # ||g||_1 * ||h||_1 and norm >= 1.  W is the least of 8, 16, 32 and 64
-    # bits, or else the least multiple of 8, with bound < 2^(W-1).  The
-    # packed biased f less the bias is F = sum_e c * 2^(W*e) exactly.
+    # bits, or else the least multiple of 8, with bound < 2^(W-1).
+    # `_pack` makes F = sum_e c * 2^(W*e) exactly.
     # Suppose A and B are sum_(i<n) a_i * 2^(W*i) and sum_(i<n) b_i *
     # 2^(W*i), with a_i and b_i the coefficients of f^a and f^b below q^n,
     # a + b <= k.  Then A*B = sum_m p_m * 2^(W*m) with p_m = sum_i a_i *
@@ -497,7 +582,7 @@ def _power_packed(live: list, k: int, n: int, bound: int) -> list:
     # so that sum is less than 2^(W*n) and is what the mask keeps; less
     # the bias it is the packed f^(a+b) below q^n.  By induction each
     # square and each product by F is exact, and so is the result, whose
-    # biased slots unpack with no carry between them.
+    # slots `_unpack` reads.
     w = _slot_bytes(bound.bit_length())
     bits = 8 * w
     bias = _bias(w, n)
@@ -505,13 +590,13 @@ def _power_packed(live: list, k: int, n: int, bound: int) -> list:
     dense = [0] * n
     for e, c in live:
         dense[e] = c
-    F = int.from_bytes(_pack(dense, w), "little") - bias
+    F = _pack(dense, w)
     G = F
     for bit in bin(k)[3:]:
         G = ((G * G + bias) & mask) - bias
         if bit == "1":
             G = ((G * F + bias) & mask) - bias
-    return _unpack((G + bias).to_bytes(w * n, "little"), w)
+    return _unpack(G, w, n)
 
 
 def pow_sparse(exps: list, cofs: list, k: int, n: int) -> list:

@@ -429,14 +429,17 @@ def vanishing_predicate(n: int) -> bool:
     """Arithmetic test for forced zero coefficients of a catalogued family.
 
     True iff n = 2 (mod 3) and some prime p = 3 (mod 4) divides n to an
-    odd power (trial division; inputs are desk-scale).
+    odd power (trial division by odd d once the factors 2, which is not
+    3 mod 4, are stripped; inputs are desk-scale).
     """
     if n < 1:
         raise InvalidParameter(f"need n >= 1, got {n}")
     if n % 3 != 2:
         return False
     m = n
-    d = 2
+    while m % 2 == 0:
+        m //= 2
+    d = 3
     while d * d <= m:
         if m % d == 0:
             e = 0
@@ -445,5 +448,5 @@ def vanishing_predicate(n: int) -> bool:
                 e += 1
             if d % 4 == 3 and e % 2 == 1:
                 return True
-        d += 1
+        d += 2
     return m > 1 and m % 4 == 3

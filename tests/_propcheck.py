@@ -23,6 +23,7 @@ from qsigns import (
     detect_pattern,
     eta_quotient,
     predict_quotient_pattern,
+    vanishing_predicate,
 )
 from qsigns import products
 from qsigns._backend import invert_dense, mul_dense
@@ -193,6 +194,34 @@ def scan_detect_pattern(series: Series, modulus: int, horizon: int) -> SignPatte
             if not cls.matches(s):
                 onset = max(onset, n)
     return SignPattern(modulus, tuple(classes), onset)
+
+
+def check_vanishing_predicate(seed: int, rounds: int = 3000, limit: int = 200_000) -> list[str]:
+    """vanishing_predicate against its definition, at every n below 600, at seeded
+    n below limit, and at n = 2^a times a prime or a square of one.
+
+    The oracle reads each n's factorisation off a sieve of least prime
+    factors up to limit, so it shares no trial division with the predicate.
+    """
+    rng = random.Random(seed)
+    least = list(range(limit))
+    for p in range(2, math.isqrt(limit - 1) + 1):
+        if least[p] == p:
+            for multiple in range(p * p, limit, p):
+                if least[multiple] == multiple:
+                    least[multiple] = p
+
+    def oracle(n: int) -> bool:
+        exponents: dict = {}
+        while n > 1:
+            exponents[least[n]] = exponents.get(least[n], 0) + 1
+            n //= least[n]
+        return any(p % 4 == 3 and e % 2 for p, e in exponents.items())
+
+    primes = [p for p in range(3, 400) if least[p] == p]
+    ns = list(range(1, 600)) + [rng.randrange(1, limit) for _ in range(rounds)]
+    ns += [2 ** rng.randint(1, 8) * rng.choice(primes) ** rng.randint(1, 2) for _ in range(rounds // 10)]
+    return [f"n={n}" for n in ns if n < limit and vanishing_predicate(n) is not (n % 3 == 2 and oracle(n))]
 
 
 def check_detect_matches_scan(seed: int, rounds: int = 40) -> list[str]:
@@ -377,25 +406,31 @@ def _order_features(plan: ExpansionPlan) -> set[str]:
 
 @contextlib.contextmanager
 def _lattice_log(seen: set, T: int):
-    """Note, while it lasts, each strided scatter and each division eta_quotient runs
-    in q^d with d > 1, that is at fewer than T + 1 coefficients."""
-    mul, div = products.mul_sparse, products.div_sparse
+    """Note, while it lasts, each strided scatter, each run of several passes on one
+    packed integer, and each division eta_quotient runs in q^d with d > 1, that
+    is at fewer than T + 1 coefficients."""
+    mul, run, div = products.mul_sparse, products.mul_sparse_run, products.div_sparse
 
     def strided(xs, exps, cofs, n, stride=1):
         if stride > 1:
             seen.add("strided scatter")
         return mul(xs, exps, cofs, n, stride)
 
+    def packed(xs, factors, n):
+        if len(factors) > 1:
+            seen.add("run of passes")
+        return run(xs, factors, n)
+
     def coarse(xs, exps, cofs, n):
         if n <= T:
             seen.add("division in a coarse lattice")
         return div(xs, exps, cofs, n)
 
-    products.mul_sparse, products.div_sparse = strided, coarse
+    products.mul_sparse, products.mul_sparse_run, products.div_sparse = strided, packed, coarse
     try:
         yield
     finally:
-        products.mul_sparse, products.div_sparse = mul, div
+        products.mul_sparse, products.mul_sparse_run, products.div_sparse = mul, run, div
 
 
 def _spec_features(spec: EtaQuotientSpec) -> set[str]:
@@ -448,7 +483,7 @@ def check_plan_matches_binomial_oracle(seed: int, rounds: int = 1000,
          "cancelling repeats", "T = 0", "full quintuple product", "partial quintuple overlap",
          "positive quintuple thetas", "negative quintuple thetas",
          "quintuple thetas of opposite signs", "seed by scatter", "seed by Miller", "no seed",
-         "strided scatter", "division in a coarse lattice", "reordered plan",
+         "strided scatter", "run of passes", "division in a coarse lattice", "reordered plan",
          *(f"{name} atom, {how}" for name in THETA_ATOMS
            for how in ("positive", "negative", "dilated", "partial"))), 0)
     for k in range(rounds):

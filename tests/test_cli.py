@@ -246,6 +246,7 @@ def test_dissect_runs_no_kernel_pass(capsys, monkeypatch):
     for module in ("products", "series"):
         for kernel in ("mul_sparse", "div_sparse", "pow_sparse"):
             monkeypatch.setattr(f"qsigns.{module}.{kernel}", no_kernel_pass)
+    monkeypatch.setattr(products, "mul_sparse_run", no_kernel_pass)
     monkeypatch.setattr(products, "eta_quotient", no_kernel_pass)
     for T in (0, 1, 500):
         assert len(three_dissection_qq(T)) == 3

@@ -14,7 +14,16 @@ from qsigns import quintuple_components
 from qsigns import quintuple_product
 from qsigns import products, ramanujan5, three_dissection_qq
 from qsigns import _backend, cli
-from qsigns._backend import _BLOCK, _PACK_MAX, div_sparse, invert_dense, mul_dense, mul_sparse, pow_sparse
+from qsigns._backend import (
+    _BLOCK,
+    _PACK_MAX,
+    div_sparse,
+    invert_dense,
+    mul_dense,
+    mul_sparse,
+    mul_sparse_run,
+    pow_sparse,
+)
 from qsigns.dissect import assemble
 from qsigns.plan import (
     FORMS,
@@ -219,10 +228,10 @@ def test_packing_is_priced_at_the_exact_slot_width(monkeypatch):
     assert packed == [(2000, 6)]
 
 
-def _slot_edge_calls(rng):
+def _slot_edge_calls(rng, max_stride=5):
     """mul_sparse calls whose bound max|xs| * sum|c| over the live terms is
     2^(W-1) - 1 or 2^(W-1), for the slot widths W = 8, 16, 32, 64 and 72,
-    and whose output reaches +-bound.
+    and whose output reaches +-bound; strides up to max_stride.
 
     The live terms share one residue mod the stride, and xs is a run of
     +X then a run of -X, longer than the terms' span, so every live term
@@ -237,7 +246,7 @@ def _slot_edge_calls(rng):
             total = bound // X
             cuts = sorted({rng.randint(1, total - 1) for _ in range(3)}) if total > 1 else []
             weights = [b - a for a, b in zip([0, *cuts], [*cuts, total])]
-            stride, r, sign = rng.randint(1, 5), rng.randint(0, 4), rng.choice((1, -1))
+            stride, r, sign = rng.randint(1, max_stride), rng.randint(0, 4), rng.choice((1, -1))
             r %= stride
             length = rng.randint(12, 40)
             exps = sorted(r + stride * s for s in rng.sample(range(length // 3), len(weights)))
@@ -277,9 +286,9 @@ def test_strided_mul_sparse_matches_mul_dense(seed):
         assert (max(out), min(out)) == (bound, -bound), (stride, n, bound)
 
 
-def _guard_edge_calls(rng):
+def _guard_edge_calls(rng, max_stride=5):
     """mul_sparse calls whose guard slot reaches its bound (max|xs| + 1) * sum|c|,
-    2^(W-1) - 1 or 2^(W-1), for W = 8, 16, 32, 64 and 72.
+    2^(W-1) - 1 or 2^(W-1), for W = 8, 16, 32, 64 and 72; strides up to max_stride.
 
     xs is -X throughout, shorter or longer than the width, and every live term
     has a negative coefficient and drops a tail of -X slots, whose floor is -1:
@@ -292,7 +301,7 @@ def _guard_edge_calls(rng):
             X = bound // weight - 1
             cuts = sorted(rng.sample(range(1, weight), min(weight - 1, 2)))
             weights = [b - a for a, b in zip([0, *cuts], [*cuts, weight])]
-            stride, m = rng.randint(1, 5), rng.randint(8, 30)
+            stride, m = rng.randint(1, max_stride), rng.randint(8, 30)
             n = stride * m - rng.randrange(stride)
             r = rng.randrange(stride)
             n_r, wide = len(range(r, n, stride)), -(-n // stride)
@@ -312,6 +321,62 @@ def test_mul_sparse_guard_slot_at_its_edge():
         assert mul_sparse(xs, exps, cofs, n, stride) == _dense_product(xs, exps, cofs, n, stride), (stride, n, bound)
     assert mul_sparse([0] * 9, [0, 2], [1, -5], 20, 2) == [0] * 20
     assert mul_sparse([3, -4], [20, 21], [1, -5], 20, 2) == [0] * 20
+
+
+def _passes(xs, factors, n):
+    """One stride-1 mul_sparse pass per factor, and mul_dense by each factor's dense form."""
+    out, dense = xs, xs
+    for exps, cofs in factors:
+        out = mul_sparse(out, exps, cofs, n)
+        dense = _dense_product(dense, exps, cofs, n, 1)
+    assert out == dense
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_mul_sparse_run_matches_one_pass_at_a_time(seed):
+    """mul_sparse_run against one mul_sparse pass per factor and against mul_dense, for
+    seeded runs of 0 to 4 factors: pentagonal and triple-product series, random sparse
+    polynomials with terms past n, a factor with no live term, and xs up to 10^40,
+    shorter or longer than n, or all zero."""
+    rng = random.Random(seed)
+    for _ in range(150):
+        n = rng.randint(1, 120)
+        big = rng.choice((1, 9, 10**40))
+        xs = [rng.randint(-big, big) for _ in range(rng.randint(1, n + 5))]
+        if rng.random() < 0.1:
+            xs = [0] * len(xs)
+        factors = []
+        for _ in range(rng.randint(0, 4)):
+            kind = rng.random()
+            if kind < 0.3:
+                factors.append(pentagonal_terms(rng.randint(1, 3), n + 9))
+            elif kind < 0.5:
+                b = rng.randint(2, 7)
+                factors.append(jacobi_triple_terms(rng.randint(1, b - 1), b, n + 9))
+            elif kind < 0.55:
+                factors.append(([n + rng.randint(0, 9)], [rng.randint(2, 9)]))
+            else:
+                exps = sorted(rng.sample(range(n + 20), rng.randint(1, 8)))
+                factors.append((exps, [rng.choice((1, -1, rng.randint(-big - 2, big + 2) or 1)) for _ in exps]))
+        assert mul_sparse_run(xs, factors, n) == _passes(xs[:n] + [0] * (n - len(xs)), factors, n), (n, len(factors))
+
+
+def test_mul_sparse_run_at_slot_and_guard_edges():
+    """Runs around one pass whose output, or whose guard slot, reaches 2^(W-1) - 1 or
+    2^(W-1), W = 8, 16, 32, 64 and 72, so that the run packs at that pass's width:
+    after a negation, so that it comes last; before two negations, so that a guard
+    at its edge is dropped between passes; and before a shift and a negation."""
+    rng = random.Random(4)
+    neg, shift = ([0], [-1]), ([1], [1])
+    for calls in (_slot_edge_calls(rng, max_stride=1), _guard_edge_calls(rng, max_stride=1)):
+        for xs, exps, cofs, n, _, bound in calls:
+            edge = (exps, cofs)
+            expected = mul_sparse(xs, exps, cofs, n)
+            assert mul_sparse_run([-x for x in xs], [neg, edge], n) == expected, (n, bound)
+            assert mul_sparse_run(xs, [edge, neg, neg], n) == expected, (n, bound)
+            padded = xs[:n] + [0] * (n - len(xs))
+            assert mul_sparse_run(xs, [edge, shift, neg], n) == _passes(padded, [edge, shift, neg], n), (n, bound)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -364,17 +429,21 @@ def _lattice_divisions(rng, d):
         yield xs, exps, cofs, n
 
 
+# the slot widths in bits the packed division is checked at: it packs at any width
+DIVISION_EDGES = (3, 8, 13, 16, 32, 33, 64, 71, 72)
+
+
 def _slot_edge_divisions(rng):
     """div_sparse calls by c0 * (1 - c*q^d), every residue class mod d nonzero, whose slot
-    bound max_r ||x_r||_1 * max_i |g_i| is 2^(W-1) - 1 or 2^(W-1) for W = 8, 16, 32, 64
-    and 72, where g = 1/(c0 - c0*c*y), and whose quotient reaches +-bound.
+    bound max_r ||x_r||_1 * max_i |g_i| is 2^(W-1) - 1 or 2^(W-1) for W in
+    DIVISION_EDGES, where g = 1/(c0 - c0*c*y), and whose quotient reaches +-bound.
 
     With c = 2, |g_i| = 2^i and class 0 is X * q^0, so its quotient reaches
     X * 2^(m-1) = bound at its last coefficient; with c = 1, g_i = c0 and class 0
     is positive, so its quotient's last coefficient is c0 times its sum, the bound.
     Every other class is a single +-1.
     """
-    for width in (8, 16, 32, 64, 72):
+    for width in DIVISION_EDGES:
         for bound in (2 ** (width - 1) - 1, 2 ** (width - 1)):
             d, m = rng.randint(2, 13), rng.randint(3, min(40, width))
             n = d * (m - 1) + rng.randint(1, d)
@@ -413,7 +482,7 @@ def test_div_sparse_in_q_d_matches_mul_dense_by_invert_dense(seed, monkeypatch):
         out = div_sparse(xs, exps, cofs, n)
         assert out == _dense_quotient(xs, exps, cofs, n), (n, bound)
         assert max(map(abs, out)) == bound, (n, bound)
-    assert [route[0] for route in routes] == ["packed"] * 10
+    assert [route[0] for route in routes] == ["packed"] * 2 * len(DIVISION_EDGES)
 
 
 def _count_routes(monkeypatch):
@@ -664,14 +733,18 @@ def test_partition_table_keeps_at_most_its_cap(monkeypatch):
 
 
 def test_pack_round_trips_wide_slots():
-    """_unpack inverts _pack at every slot width past the ones array packs."""
+    """_pack is sum xs[i] * 2^(8w*i) and _unpack inverts it, at every slot width
+    from 1 byte, through those array packs, to 40 bytes, with slots at
+    +-(2^(8w-1) - 1) and -2^(8w-1)."""
     rng = random.Random(0)
-    for w in range(9, 41):
+    for w in range(1, 41):
         half = 1 << (8 * w - 1)
         xs = [half - 1, -(half - 1), -half, 0, 1, -1] + [rng.randint(-half, half - 1) for _ in range(20)]
-        data = _backend._pack(xs, w)
-        assert len(data) == w * len(xs) and _backend._unpack(data, w) == xs, w
-        assert _backend._unpack(_backend._pack([], w), w) == [], w
+        rng.shuffle(xs)
+        packed = _backend._pack(xs, w)
+        assert packed == sum(x << 8 * w * i for i, x in enumerate(xs)), w
+        assert _backend._unpack(packed, w, len(xs)) == xs, w
+        assert _backend._pack([], w) == 0 and _backend._unpack(0, w, 0) == [], w
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -704,17 +777,19 @@ def test_binomial_powers_match_series_power(delta):
 @pytest.mark.parametrize("k", [18, -18, 10**9, -(10**9)])
 def test_powers_longer_than_their_pass_are_raised_once(monkeypatch, k):
     """(q;q)^k (q^2;q^2)^k to q^4: each power above the 5 coefficients of its
-    pass is raised once and multiplied in by one pass, whatever k is."""
+    pass is raised once and multiplied in by one pass, whatever k is; a run
+    counts one pass per factor."""
     expected = eta_quotient("1 2", 4).power(k)
     passes = []
 
-    def recording(kernel):
-        return lambda *args: passes.append(kernel.__name__) or kernel(*args)
+    def recording(kernel, count=lambda *args: 1):
+        return lambda *args: passes.extend([kernel.__name__] * count(*args)) or kernel(*args)
 
     monkeypatch.setattr(products, "mul_sparse", recording(mul_sparse))
+    monkeypatch.setattr(products, "mul_sparse_run", recording(mul_sparse_run, lambda xs, factors, n: len(factors)))
     monkeypatch.setattr(products, "div_sparse", recording(div_sparse))
     assert eta_quotient(f"1^{k} 2^{k}", 4) == expected
-    assert len(passes) <= 2, passes
+    assert 1 <= len(passes) <= 2, passes
 
 
 def test_div_sparse_rejects_a_divisor_without_a_unit_constant_term():

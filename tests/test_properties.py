@@ -7,6 +7,7 @@ from _propcheck import (
     check_power_additivity,
     check_ring_laws,
     check_unit_lower_bound,
+    check_vanishing_predicate,
 )
 
 from qsigns import pochhammer
@@ -34,6 +35,10 @@ def test_inverse_products_are_nonnegative():
 
 def test_unit_lower_bound_on_multiples():
     assert check_unit_lower_bound(seed=106) == []
+
+
+def test_vanishing_predicate_matches_its_definition():
+    assert check_vanishing_predicate(seed=107) == []
 
 
 def test_pentagonal_sparsity():
