@@ -26,11 +26,11 @@ import functools
 import os
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass, field
 
 from . import __version__
 from ._backend import backend_name
 from ._jsonfmt import render, render_object, render_rows
+from ._record import Record
 from .dissect import assemble, check_quintuple, quintuple_components
 from .products import EtaQuotientSpec, eta_quotient, eta_quotients, quintuple_product
 from .series import MAX_PRECISION, QSignsError, _check_precision
@@ -69,26 +69,36 @@ def _check_positive(*named: tuple[str, int]) -> None:
             raise QSignsError(f"{name} must be at least 1, got {value}")
 
 
-@dataclass
-class Report:
+class Report(Record):
     """What a command found, before it is rendered in any format.
 
     csv prints ``columns`` and every row; json prints the request echo,
-    ``fields`` and, under ``key``, at most ``cap`` rows as objects; text
-    prints the lines that ``lines()`` builds, which no other format calls.
-    ``passed`` decides the exit status.
+    ``fields`` (a fresh {} by default) and, under ``key``, at most ``cap``
+    rows as objects; text prints the lines that ``lines()`` builds, which
+    no other format calls.  ``passed`` decides the exit status.  Unlike
+    the other records, a report is mutable and so unhashable.
     """
 
-    spec: str | None
-    parameters: dict
-    horizon: int | None
-    columns: tuple[str, ...]
-    rows: list[tuple]
-    lines: Callable[[], list[str]]
-    passed: bool = True
-    fields: dict = field(default_factory=dict)
-    key: str | None = None
-    cap: int | None = None
+    __slots__ = ("spec", "parameters", "horizon", "columns", "rows", "lines", "passed",
+                 "fields", "key", "cap")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, spec: str | None, parameters: dict, horizon: int | None,
+                 columns: tuple[str, ...], rows: list[tuple], lines: Callable[[], list[str]],
+                 passed: bool = True, fields: dict | None = None, key: str | None = None,
+                 cap: int | None = None) -> None:
+        self.spec = spec
+        self.parameters = parameters
+        self.horizon = horizon
+        self.columns = columns
+        self.rows = rows
+        self.lines = lines
+        self.passed = passed
+        self.fields = {} if fields is None else fields
+        self.key = key
+        self.cap = cap
 
 
 def _verdict(ok: bool) -> str:

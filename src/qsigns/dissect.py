@@ -48,8 +48,8 @@ planned or expanded.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 
+from ._record import Record, setfield
 from .plan import _check_quintuple, jacobi_cube_terms, jacobi_triple_terms, quintuple_terms
 from .series import InvalidParameter, QSignsError, Series, _check_precision
 
@@ -65,34 +65,34 @@ __all__ = [
     "ramanujan5",
 ]
 
-@dataclass(frozen=True)
-class DissectionComponent:
+class DissectionComponent(Record):
     """One residue-class term of an m-dissection."""
 
-    r: int
-    sign_exp: int
-    offset: int
-    t1: int
-    t2: int
-    period1: int
-    period2: int
+    __slots__ = ("r", "sign_exp", "offset", "t1", "t2", "period1", "period2")
 
-    def __post_init__(self) -> None:
-        if self.sign_exp not in (0, 1, 2):
-            raise InvalidParameter(f"sign exponent must be 0, 1 or 2, got {self.sign_exp}")
-        if self.offset < 0:
-            raise InvalidParameter(f"offset must be nonnegative, got {self.offset}")
+    def __init__(self, r: int, sign_exp: int, offset: int, t1: int, t2: int,
+                 period1: int, period2: int) -> None:
+        setfield(self, "r", r)
+        setfield(self, "sign_exp", sign_exp)
+        setfield(self, "offset", offset)
+        setfield(self, "t1", t1)
+        setfield(self, "t2", t2)
+        setfield(self, "period1", period1)
+        setfield(self, "period2", period2)
+        if sign_exp not in (0, 1, 2):
+            raise InvalidParameter(f"sign exponent must be 0, 1 or 2, got {sign_exp}")
+        if offset < 0:
+            raise InvalidParameter(f"offset must be nonnegative, got {offset}")
         # reduction never lands on the boundary for valid parameters; a zero
         # t would degenerate a factor to (1;.) = 0
-        if not 0 < self.t1 < self.period1:
-            raise InvalidParameter(f"t1={self.t1} outside (0, {self.period1})")
-        if not 0 < self.t2 < self.period2:
-            raise InvalidParameter(f"t2={self.t2} outside (0, {self.period2})")
+        if not 0 < t1 < period1:
+            raise InvalidParameter(f"t1={t1} outside (0, {period1})")
+        if not 0 < t2 < period2:
+            raise InvalidParameter(f"t2={t2} outside (0, {period2})")
         # the five factors are the quintuple product (period1, j), j below
-        if self.period2 != 2 * self.period1 or abs(self.t2 - self.period1) != 2 * self.j:
+        if period2 != 2 * period1 or abs(t2 - period1) != 2 * self.j:
             raise InvalidParameter(
-                f"(t1={self.t1}, t2={self.t2}; {self.period1}, {self.period2}) "
-                "is not a quintuple product"
+                f"(t1={t1}, t2={t2}; {period1}, {period2}) is not a quintuple product"
             )
 
     @property

@@ -94,8 +94,8 @@ import functools
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass
 
+from ._record import Record, setfield
 from .series import InvalidParameter
 
 __all__ = [
@@ -114,32 +114,32 @@ __all__ = [
 _TOKEN_RE = re.compile(r"^(\d+)(?:\.(\d+))?(?:\^(-?\d+))?$")
 
 
-@dataclass(frozen=True, slots=True)
-class PochhammerFactor:
+class PochhammerFactor(Record):
     """One factor (q^a; q^b)^delta of a product."""
 
-    a: int
-    b: int
-    delta: int = 1
+    __slots__ = ("a", "b", "delta")
 
-    def __post_init__(self) -> None:
-        if self.a < 1 or self.b < 1:
-            raise InvalidParameter(f"factor offsets must be >= 1, got ({self.a}, {self.b})")
+    def __init__(self, a: int, b: int, delta: int = 1) -> None:
+        if a < 1 or b < 1:
+            raise InvalidParameter(f"factor offsets must be >= 1, got ({a}, {b})")
+        setfield(self, "a", a)
+        setfield(self, "b", b)
+        setfield(self, "delta", delta)
 
     def __str__(self) -> str:
         base = str(self.a) if self.a == self.b else f"{self.a}.{self.b}"
         return f"{base}^{self.delta}"
 
 
-@dataclass(frozen=True, slots=True)
-class EtaQuotientSpec:
+class EtaQuotientSpec(Record):
     """A finite product of Pochhammer factors, prod (q^a;q^b)^delta."""
 
-    factors: tuple[PochhammerFactor, ...]
+    __slots__ = ("factors",)
 
-    def __post_init__(self) -> None:
-        if not self.factors:
+    def __init__(self, factors: tuple[PochhammerFactor, ...]) -> None:
+        if not factors:
             raise InvalidParameter("product spec needs at least one factor")
+        setfield(self, "factors", factors)
 
     @classmethod
     def parse(cls, text: str) -> "EtaQuotientSpec":
@@ -276,8 +276,7 @@ THETA_ATOMS = {
 Power = tuple[str, tuple[int, ...], int]
 
 
-@dataclass(frozen=True, slots=True)
-class ExpansionPlan:
+class ExpansionPlan(Record):
     """A spec rewritten as the recipe `eta_quotient` follows: seed times powers times binomials.
 
     The seed (or None) and each of powers is (form, params, k), the series
@@ -290,9 +289,13 @@ class ExpansionPlan:
     binomial at a time.
     """
 
-    seed: "Power | None"
-    powers: tuple[Power, ...]
-    binomials: tuple[tuple[int, int, int], ...]
+    __slots__ = ("seed", "powers", "binomials")
+
+    def __init__(self, seed: "Power | None", powers: tuple[Power, ...],
+                 binomials: tuple[tuple[int, int, int], ...]) -> None:
+        setfield(self, "seed", seed)
+        setfield(self, "powers", powers)
+        setfield(self, "binomials", binomials)
 
     @classmethod
     def of(cls, spec: "EtaQuotientSpec | str") -> "ExpansionPlan":

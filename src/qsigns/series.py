@@ -22,7 +22,7 @@ on this module, raises `InvalidParameter` before anything is allocated.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 from ._backend import div_sparse, mul_sparse, pow_sparse
 

@@ -30,10 +30,10 @@ per residue class.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from itertools import repeat
 from operator import gt, not_, sub
 
+from ._record import Record, setfield
 from .dissect import _residues
 from .plan import EtaQuotientSpec
 from .series import MAX_PRECISION, BeyondPrecision, InvalidParameter, QSignsError, Series
@@ -80,23 +80,21 @@ class SignClass(enum.Enum):
         return True
 
 
-@dataclass(frozen=True)
-class SignPattern:
+class SignPattern(Record):
     """Per-residue sign classes mod ``modulus``, asserted for all n > onset."""
 
-    modulus: int
-    classes: tuple[SignClass, ...]
-    onset: int
+    __slots__ = ("modulus", "classes", "onset")
 
-    def __post_init__(self) -> None:
-        if self.modulus < 1:
-            raise InvalidParameter(f"modulus must be positive, got {self.modulus}")
-        if len(self.classes) != self.modulus:
-            raise InvalidParameter(
-                f"need {self.modulus} classes, got {len(self.classes)}"
-            )
-        if self.onset < -1:
-            raise InvalidParameter(f"onset must be >= -1, got {self.onset}")
+    def __init__(self, modulus: int, classes: tuple[SignClass, ...], onset: int) -> None:
+        if modulus < 1:
+            raise InvalidParameter(f"modulus must be positive, got {modulus}")
+        if len(classes) != modulus:
+            raise InvalidParameter(f"need {modulus} classes, got {len(classes)}")
+        if onset < -1:
+            raise InvalidParameter(f"onset must be >= -1, got {onset}")
+        setfield(self, "modulus", modulus)
+        setfield(self, "classes", classes)
+        setfield(self, "onset", onset)
 
     @classmethod
     def from_string(cls, classes: str, onset: int = -1) -> "SignPattern":
@@ -107,13 +105,16 @@ class SignPattern:
         return "".join(c.value for c in self.classes)
 
 
-@dataclass(frozen=True)
-class PatternReport:
+class PatternReport(Record):
     """Outcome of checking a pattern against an exact expansion."""
 
-    pattern: SignPattern
-    horizon: int
-    violations: tuple[tuple[int, SignClass, int], ...]
+    __slots__ = ("pattern", "horizon", "violations")
+
+    def __init__(self, pattern: SignPattern, horizon: int,
+                 violations: tuple[tuple[int, SignClass, int], ...]) -> None:
+        setfield(self, "pattern", pattern)
+        setfield(self, "horizon", horizon)
+        setfield(self, "violations", violations)
 
     @property
     def passed(self) -> bool:
@@ -124,8 +125,7 @@ class PatternReport:
         return self.violations[0] if self.violations else None
 
 
-@dataclass(frozen=True)
-class SignCertificate:
+class SignCertificate(Record):
     """Everything behind a predicted quotient pattern for (q^i;q^i)/(q^p;q^p).
 
     ``offsets`` and ``sign_exponents`` are the dissection data per
@@ -133,13 +133,17 @@ class SignCertificate:
     is the raw bound (it may go below -1; the attached pattern clamps it).
     """
 
-    p: int
-    i: int
-    offsets: tuple[int, ...]
-    sign_exponents: tuple[int, ...]
-    residue_map: tuple[int, ...]
-    onset: int
-    pattern: SignPattern
+    __slots__ = ("p", "i", "offsets", "sign_exponents", "residue_map", "onset", "pattern")
+
+    def __init__(self, p: int, i: int, offsets: tuple[int, ...], sign_exponents: tuple[int, ...],
+                 residue_map: tuple[int, ...], onset: int, pattern: SignPattern) -> None:
+        setfield(self, "p", p)
+        setfield(self, "i", i)
+        setfield(self, "offsets", offsets)
+        setfield(self, "sign_exponents", sign_exponents)
+        setfield(self, "residue_map", residue_map)
+        setfield(self, "onset", onset)
+        setfield(self, "pattern", pattern)
 
 
 def _is_prime(n: int) -> bool:
@@ -329,14 +333,17 @@ def sign_census(
 # Catalog of fixed quotients with proven patterns
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CatalogCase:
-    """A quotient with a known pattern: spec, pattern, and raw parameters."""
+class CatalogCase(Record):
+    """A quotient with a known pattern: spec, pattern, and raw parameters (a fresh {} by default)."""
 
-    case_id: str
-    spec: EtaQuotientSpec
-    pattern: SignPattern
-    params: dict = field(default_factory=dict)
+    __slots__ = ("case_id", "spec", "pattern", "params")
+
+    def __init__(self, case_id: str, spec: EtaQuotientSpec, pattern: SignPattern,
+                 params: dict | None = None) -> None:
+        setfield(self, "case_id", case_id)
+        setfield(self, "spec", spec)
+        setfield(self, "pattern", pattern)
+        setfield(self, "params", {} if params is None else params)
 
 
 def _family_case(family: str, p: int, spec: str, modulus: int, pieces) -> CatalogCase:
@@ -392,14 +399,16 @@ def pattern_catalog() -> list[CatalogCase]:
 # Empirical corpus
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CorpusEntry:
+class CorpusEntry(Record):
     """A named product with an empirically verified pattern and horizon."""
 
-    name: str
-    spec: EtaQuotientSpec
-    pattern: SignPattern
-    horizon: int
+    __slots__ = ("name", "spec", "pattern", "horizon")
+
+    def __init__(self, name: str, spec: EtaQuotientSpec, pattern: SignPattern, horizon: int) -> None:
+        setfield(self, "name", name)
+        setfield(self, "spec", spec)
+        setfield(self, "pattern", pattern)
+        setfield(self, "horizon", horizon)
 
 
 # (name, spec, classes, onset, horizon).  Onsets below were read off the

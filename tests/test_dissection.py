@@ -1,7 +1,6 @@
 """Dissection components, reassembly oracles and the special 3- and 5-dissections."""
 
 import random
-from dataclasses import replace
 
 import pytest
 from _propcheck import closed_form_components, closed_form_offset, closed_form_sign_exp
@@ -244,8 +243,11 @@ def test_dissection_caps_the_modulus_before_the_first_component(monkeypatch):
 @pytest.mark.parametrize("field,delta", [("t2", 1), ("t2", -2), ("period2", 2)])
 def test_component_rejects_a_non_quintuple_shape(field, delta):
     comp = qq_components(5)[1]
+    values = {name: getattr(comp, name)
+              for name in ("r", "sign_exp", "offset", "t1", "t2", "period1", "period2")}
+    values[field] += delta
     with pytest.raises(InvalidParameter, match="not a quintuple product"):
-        replace(comp, **{field: getattr(comp, field) + delta})
+        dissect.DissectionComponent(**values)
 
 
 def test_rejects_bad_quintuple_parameters():
