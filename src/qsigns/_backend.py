@@ -39,9 +39,16 @@ package uses no other kernel.
   divides them all; the slot width, to the bit, comes from an exact
   bound that needs the largest coefficient of 1/divisor below y^(n/d),
   for (y;y) the last partition number in the table.  Past `_PACK_MAX`
-  such a dividend is divided in q.  The recurrence
-  runs one block of coefficients at a time.  Only the terms below the
-  block length run per coefficient; each farther term carries a final
+  such a dividend is divided in q.  The recurrence runs one block of
+  `_BLOCK` coefficients at a time.  The terms below the block length run
+  per coefficient, in straight-line code generated from the divisor's
+  exponents and compiled once per divisor: 0.1-0.4 ms for the 19 to 31
+  such terms of the package's theta-type divisors, 1.1 ms for the
+  longest step, 383 terms.  The last `_STEPS_KEPT` steps are kept, by
+  the divisor's terms below the block length and c0, not by n, so
+  divisions by one divisor at any length share one step.  The quotient
+  starts with as many zeros as the largest such exponent, so every
+  coefficient runs the same step.  Each farther term carries a final
   block into the right side of later coefficients with one C-level
   ``map``.
 * `pow_sparse` runs Miller's recurrence, one interpreted loop per
@@ -272,8 +279,24 @@ def _bias(w: int, k: int) -> int:
     return int.from_bytes((1 << (8 * w - 1)).to_bytes(w, "little") * k, "little")
 
 
-# the block length of the division recurrence; 128 ran fastest of 32, 64, 128 and 256
-_BLOCK = 128
+# the block length of the division recurrence.  Measured by replaying the
+# divisions of one seed-1 pass of the pentagonal, binomial and dense
+# benchmark workloads (best of 25, interleaved, two runs, Python 3.11,
+# 2 vCPUs on a shared host): against the interpreted loop over the near
+# terms at 128, the compiled step took 0.80-0.84, 0.69-0.72 and 0.67
+# times as long at 128, 0.76-0.78, 0.64-0.68 and 0.59 at 256, 0.73-0.75,
+# 0.64-0.65 and 0.55 at 384, and 0.72-0.75, 0.63-0.66 and 0.52-0.54 at
+# 512.  A step has up to _BLOCK - 1 terms, and a longer step costs more
+# to compile, so 512, no faster on the first two, is not taken.  CPython
+# 3.11 compiles a chain of 1000 terms but raises RecursionError on one of
+# 3000, so _BLOCK stays below 1000.
+_BLOCK = 384
+
+# the compiled division steps, by the divisor's terms below _BLOCK and c0;
+# `_step` adds them and drops the oldest past _STEPS_KEPT.  A step of the
+# package's divisors takes about 3 kB, one of 383 terms about 90 kB.
+_steps: dict = {}
+_STEPS_KEPT = 32
 
 # the largest d at which div_sparse packs the residue classes mod d of a
 # dividend with several nonzero ones.  Measured by dividing (q;q)^k by
@@ -402,34 +425,26 @@ def _divide(out: list, terms: list, c0: int) -> None:
     out holds the dividend on entry and the quotient, to as many terms,
     on exit; the right side of each coefficient lives in it until the
     recurrence makes it final.  The quotient is found one block of
-    _BLOCK coefficients at a time: terms with exponent below _BLOCK run
-    in the per-coefficient recurrence, and once a block is final every
-    farther term subtracts c times the block from the right side of later
-    blocks, one C-level map per term.  The coefficients may be any
-    integers, packed ones too: the recurrence only adds, subtracts and
-    multiplies by the terms' coefficients.
+    _BLOCK coefficients at a time.  The terms with exponent below _BLOCK
+    run in the divisor's compiled step (`_step`), which appends each
+    coefficient of the block to a quotient list that starts with as many
+    zeros as their largest exponent, so the first coefficients run the
+    same code as the rest.  Once a block is final it is copied back into
+    out, and every farther term subtracts c times it from the right side
+    of later blocks, one C-level map per term.  The coefficients may be
+    any integers, packed ones too: the recurrence only adds, subtracts
+    and multiplies by the terms' coefficients.
     """
     n = len(out)
-    near = [(e, c) for e, c in terms if e < _BLOCK]
+    near = tuple([(e, c) for e, c in terms if e < _BLOCK])
     far = [(e, c) for e, c in terms if _BLOCK <= e < n]
-    pos = c0 == 1
+    step = _steps.get((near, c0)) or _step(near, c0)
+    pad = near[-1][0] if near else 0
+    quotient = [0] * pad
     for b0 in range(0, n, _BLOCK):
         b1 = min(b0 + _BLOCK, n)
-        for k in range(b0, b1):
-            acc = out[k]
-            for e, c in near:
-                if e > k:
-                    break
-                ye = out[k - e]
-                if ye:
-                    if c == 1:
-                        acc -= ye
-                    elif c == -1:
-                        acc += ye
-                    else:
-                        acc -= c * ye
-            out[k] = acc if pos else -acc
-        block = out[b0:b1]
+        step(quotient, out[b0:b1])
+        out[b0:b1] = block = quotient[pad + b0:]
         for e, c in far:
             lo = b0 + e
             if lo >= n:
@@ -441,6 +456,36 @@ def _divide(out: list, terms: list, c0: int) -> None:
                 out[lo:hi] = map(add, out[lo:hi], block)
             else:
                 out[lo:hi] = map(sub, out[lo:hi], map(mul, repeat(c, b1 - b0), block))
+
+
+def _step(near: tuple, c0: int):
+    """The step of the divisor c0 + sum(c * q^e) over near, e by increasing e, compiled and kept in `_steps`.
+
+    step(q, xs) appends to the quotient q, for each right side x of xs in
+    turn, its next coefficient c0 * (x - sum(c * q[-e])), written out
+    term by term.  The terms of one |c| > 1 share one product by |c|,
+    bound to a name m<i>, so the source holds only signs and the
+    exponents, each checked to be an int.
+    """
+    groups: dict = {}
+    for e, c in near:
+        groups.setdefault(abs(c), []).append((int.__index__(e), c > 0))
+    rhs = "x"
+    names = {}
+    for a, group in groups.items():
+        if a == 1:
+            rhs += "".join(f" {'+-'[pos]} q[-{e}]" for e, pos in group)
+        else:
+            names[m := f"m{len(names)}"] = a
+            first = group[0][1]
+            chain = "".join(f" {'-+'[pos == first]} q[-{e}]" for e, pos in group)
+            rhs += f" {'+-'[first]} {m} * ({chain[3:]})"
+    source = f"def step(q, xs):\n    for x in xs:\n        q.append({rhs if c0 == 1 else f'-({rhs})'})\n"
+    exec(compile(source, "<division step>", "exec"), names)
+    if len(_steps) >= _STEPS_KEPT:
+        _steps.pop(next(iter(_steps)), None)
+    _steps[near, c0] = step = names["step"]
+    return step
 
 
 def _divide_packed(out: list, d: int, terms: list, c0: int) -> None:

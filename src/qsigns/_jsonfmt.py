@@ -5,7 +5,9 @@ and non-str keys raise `TypeError`.  ``pad`` is a newline and the indent
 of the value's line.
 """
 
-from json.encoder import encode_basestring_ascii
+# the C encoder that json.encoder itself uses; importing it from there
+# would load the whole json package
+from _json import encode_basestring_ascii
 
 _SCALARS = {
     str: encode_basestring_ascii,

@@ -382,7 +382,8 @@ def test_mul_sparse_run_at_slot_and_guard_edges():
 @pytest.mark.parametrize("seed", [0, 1])
 def test_div_sparse_matches_mul_dense_by_invert_dense(seed):
     """div_sparse against the schoolbook product of xs and the inverse of the divisor,
-    at output lengths around the block length and with terms on both sides of it."""
+    at output lengths around the block length and with terms on both sides of it,
+    and at the edges of the compiled step (`_step_edges`)."""
     rng = random.Random(seed)
     B = _BLOCK
     for n in (B - 1, B, B + 1, 2 * B + 1):
@@ -393,6 +394,48 @@ def test_div_sparse_matches_mul_dense_by_invert_dense(seed):
             cofs += [rng.choice((1, -1, rng.choice((-1, 1)) * rng.randint(2, big))) for _ in exps[1:]]
             xs = [rng.randint(-big, big) for _ in range(rng.randint(1, n + 5))]
             assert div_sparse(xs, exps, cofs, n) == _dense_quotient(xs, exps, cofs, n), n
+    for exps, cofs, n in _step_edges(rng):
+        xs = [rng.randint(-10**40, 10**40) for _ in range(rng.randint(1, n + 5))]
+        assert div_sparse(xs, exps, cofs, n) == _dense_quotient(xs, exps, cofs, n), (n, exps[:9], cofs[:9])
+
+
+def _step_edges(rng):
+    """Divisors (exps, cofs) and lengths n at the edges of the compiled division step:
+    only far terms, so an empty step, with c0 = -1; only near terms; a term at every
+    exponent below _BLOCK, the longest step; |c| = 2 and 3 of both signs, each |c|
+    one shared product, with c0 = -1; n below the largest near exponent; and
+    coefficients of 10^40.  Every divisor has gcd 1, so it divides in q."""
+    B = _BLOCK
+    signs = lambda k: [rng.choice((1, -1)) for _ in range(k)]
+    far = sorted({B, B + 1, *rng.sample(range(B + 2, 3 * B), 6)})
+    yield [0, *far], [-1, *signs(len(far))], 2 * B + 7
+    near = sorted({1, *rng.sample(range(2, B), 8)})
+    yield [0, *near], [1, *signs(len(near))], 2 * B + 7
+    yield list(range(B)), signs(B), B + 5
+    yield [*range(8), B + 4], [-1, 2, -2, 3, -3, 2, 1, -3, 2], B + 9
+    for n in (1, 2, 7):
+        yield [0, 1, 3, B - 1, B], [1, -1, 2, 1, -1], n
+    big = 10**40
+    yield [0, 1, 5, 200, B - 1, B + 3], [1, 1, -3, big, -big, big], 2 * B + 1
+
+
+def test_division_steps_are_kept_per_divisor(monkeypatch):
+    """Divisors of equal exponents but other coefficients or another c0 each get
+    their own compiled step, and each matches the oracle when divided after the
+    others; one divisor at two lengths, both past _BLOCK, reuses its step."""
+    compiled = []
+    step = _backend._step
+    monkeypatch.setattr(_backend, "_steps", {})
+    monkeypatch.setattr(_backend, "_step", lambda near, c0: compiled.append((near, c0)) or step(near, c0))
+    rng = random.Random(7)
+    B = _BLOCK
+    exps = [0, 1, 2, 5, 7, B - 1, B + 2]
+    divisors = ([1, -1, -1, 1, 1, -1, 1], [1, -1, 2, 1, 1, -1, 1], [-1, -1, -1, 1, 1, -1, 1], [-1, 1, 1, -1, -1, 1, -1])
+    for n in (2 * B + 1, B + 1):
+        for cofs in divisors:
+            xs = [rng.randint(-9, 9) for _ in range(n)]
+            assert div_sparse(xs, exps, cofs, n) == _dense_quotient(xs, exps, cofs, n), (n, cofs)
+    assert len(compiled) == len(set(compiled)) == len(_backend._steps) == len(divisors)
 
 
 def _dense_quotient(xs, exps, cofs, n):
