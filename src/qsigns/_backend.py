@@ -8,22 +8,24 @@ nothing here may introduce floats or rounding.
 
 The sparse kernels take the nonzero terms of one operand as sorted
 exponent and coefficient lists, so their cost is O(n) per term rather
-than O(n) per coefficient: `mul_sparse` multiplies by a sparse series,
-`mul_sparse_run` by several in turn, `pow_sparse` raises one to any
-power and `div_sparse` divides by one, in a single pass each; the
-package uses no other kernel.
+than O(n) per coefficient: `mul_sparse` multiplies by a sparse series
+any number of times, `pow_sparse` raises one to any power and
+`div_sparse` divides by one, each in a single call; the package uses
+no other kernel.
 
-* `mul_sparse` takes its dense operand as a series in q^stride and packs
-  it once, high-first above one guard slot, into one integer of
-  fixed-width slots (Kronecker substitution), so each term is one
-  big-integer right shift and one add done in C.  `mul_sparse_run`
-  makes the same passes, all in q, on one packed integer: it packs once,
-  at the width of the largest bound of any of its passes, drops each
-  pass's guard slot with one shift, and unpacks once.  Slots of at most
-  8 bytes are converted to and from lists by one signed ``array`` call
-  each way and one XOR with the bias on the whole integer; wider slots
-  take one ``int.to_bytes`` per coefficient to pack, and
-  ``int.from_bytes`` mapped over ``struct.iter_unpack`` to unpack.
+* `mul_sparse` makes every pass of a power k >= 1 of a sparse series,
+  so a power is one call.  Its dense operand is a series in q^stride,
+  packed high-first above a guard slot into one integer of fixed-width
+  slots (Kronecker substitution), so each term is one big-integer right
+  shift and one add done in C.  With a stride, the first pass writes
+  each residue class of the output from its own terms; the other passes
+  run in q on one packed integer, packed once at the width of the
+  largest bound of any of them, its guard cleared by two shifts between
+  passes, and unpacked once.  Slots of at most 8 bytes are converted to
+  and from lists by one signed ``array`` call each way and one XOR with
+  the bias on the whole integer; wider slots take one ``int.to_bytes``
+  per coefficient to pack, and ``int.from_bytes`` mapped over
+  ``struct.iter_unpack`` to unpack.
 * `div_sparse` divides in the divisor's own variable y = q^d.  The
   module keeps one table across calls, the partition numbers p(i), the
   coefficients of 1/(y;y), grown to the longest length asked for up to
@@ -113,97 +115,67 @@ def invert_dense(xs: list, n: int) -> list:
     return out
 
 
-def mul_sparse(xs: list, exps: list, cofs: list, n: int, stride: int = 1) -> list:
-    """Multiply xs, a series in q^stride, by the sparse polynomial sum(c*q^e), truncated.
+def mul_sparse(xs: list, exps: list, cofs: list, n: int, stride: int = 1, k: int = 1) -> list:
+    """Multiply xs, a series in q^stride, k >= 1 times by the sparse polynomial f = sum(c*q^e), truncated to n.
 
-    The output is a dense list in q: out[e + stride*i] gets c*xs[i].  xs
-    is packed once, high-first, into one integer R of W-bit slots: xs[i]
-    in slot width - i, where width is the length of the longest residue
-    class of out, and a zero guard slot at the bottom.  Each residue r of
-    the exponents mod stride is the integer sum of c * (R >> W*(s + off))
-    over its terms e = r + stride*s, off the slots its class is shorter
-    than width (`_shift_add`), unpacked into out[r::stride].
+    The output is a dense list in q.  A pass multiplies by f: with stride
+    > 1 the first pass makes out[e + stride*i] from c*xs[i], and each
+    residue r of the exponents mod stride writes out[r::stride] from its
+    own terms.  The other passes, all k when stride is 1, run in q on one
+    packed integer, packed once at the slot width of the largest bound of
+    any of them and unpacked once.  A pass packs its operand high-first
+    into one integer of W-bit slots above a guard slot, and sums
+    c * (R >> W*sigma) over its terms (`_shift_add`).
     """
-    out = [0] * n
     width = -(-n // stride)
     xs = xs[:width]
     live = [(e, c) for e, c in zip(exps, cofs) if e < n]
     top = max(map(abs, xs), default=0)
     weight = sum(abs(c) for _, c in live)
     if not top * weight:
-        return out
-    # Why every slot is exact.  R = sum_i xs[i] * 2^(W*(width - i)) is
-    # what `_pack` returns, exactly.  Let n_r be the length of
-    # out[r::stride] and off = width - n_r.  For a term c*q^e with e = r +
-    # stride*s, shifting R right by sigma = s + off slots puts xs[i] in
-    # slot n_r - i - s, which is slot n_r - j for out[r + stride*j], j = i
-    # + s, and drops the slots below sigma.  Their sum L has |L| <
-    # 2^(W*sigma), since every |xs[i]| <= top < 2^(W-1), so the floor of
-    # the right shift adds L // 2^(W*sigma), 0 or -1, to slot 0, the
-    # guard: slot 0 of the shifted R holds the value of the slot it came
-    # from plus that, at most top + 1 in absolute value.  So the residue's
-    # sum Y is sum_k v_k * 2^(W*k) over k = 0..n_r, where v_{n_r - j} =
-    # out[r + stride*j] for j < n_r, a sum of c*xs[i] over distinct live
-    # terms, and v_0 the guard's sum of c*(xs[i] + floor); |v_k| <=
-    # weight * (top + 1) = bound for all k.  W is the least of 8, 16, 32
-    # and 64 bits, or else the least multiple of 8, with bound < 2^(W-1),
-    # so every v_k lies in [-2^(W-1), 2^(W-1)): `_unpack` reads the n_r + 1
-    # slots of Y with no carry between them, and the guard is dropped.
-    # Python ints keep every intermediate sum exact.
-    w = _slot_bytes((weight * (top + 1)).bit_length())
-    bits = 8 * w
-    R = _pack([0] * (width + 1 - len(xs)) + xs[::-1], w)
-    offs = [width - len(range(r, n, stride)) for r in range(stride)]
-    by_residue: list = [[] for _ in range(stride)]
-    for e, c in reversed(live):
-        s, r = divmod(e, stride)
-        by_residue[r].append((s + offs[r], c))
-    for r, terms in enumerate(by_residue):
-        if terms:
-            out[r::stride] = _unpack(_shift_add(R, terms, bits, 0), w, width - offs[r] + 1)[:0:-1]
-    return out
-
-
-def mul_sparse_run(xs: list, factors: list, n: int) -> list:
-    """Multiply xs, a series in q, by each sparse polynomial (exps, cofs) of factors in turn, truncated to n.
-
-    It equals one stride-1 `mul_sparse` pass per factor, but xs is packed
-    once, at the slot width of the largest bound of any of its passes,
-    the accumulator stays one packed integer from pass to pass, and the
-    result is unpacked once.
-    """
-    xs = xs[:n]
-    top = max(map(abs, xs), default=0)
-    bound = top
-    passes = []
-    for exps, cofs in factors:
-        live = [(e, c) for e, c in zip(exps, cofs) if e < n]
-        weight = sum(abs(c) for _, c in live)
-        bound = max(bound, weight * (top + 1))
-        top *= weight
-        passes.append(live[::-1])
-    if not top:
         return [0] * n
-    # Why every slot is exact.  Before pass i the accumulator is A =
-    # sum_j x_j * 2^(W*(n-1-j)), x the product so far, and pass i reads R =
-    # A << W, which is the packed R of a stride-1 `mul_sparse` call: x_j in
-    # slot n - j above a zero guard slot.  With top_i bounding |x_j| and
-    # weight_i the sum of |c| over the factor's live terms, that call's
-    # argument shows that its sum is sum_k v_k * 2^(W*k) over k = 0..n,
-    # v_(n-j) the product's x'_j and v_0 the guard, with every |v_k| <=
-    # weight_i * (top_i + 1) <= bound < 2^(W-1); a wider W than the pass
-    # needs only gives each slot more room.  `_shift_add` starts from
-    # 2^(W-1), so the guard slot holds v_0 + 2^(W-1), which lies in [0,
-    # 2^W): shifting right by W drops it with no borrow and leaves the next
-    # A exactly, with |x'_j| <= weight_i * top_i = top_(i+1).  By induction
-    # the last A is exact, and `_unpack` reads its n slots.  xs itself
-    # needs top < 2^(W-1), which bound covers.
-    w = _slot_bytes(bound.bit_length())
+    # Why every slot is exact.  A pass packs the m coefficients x_i of its
+    # operand, every |x_i| <= top, as R = sum_i x_i * 2^(W*(m-i)) (`_pack`):
+    # x_i in slot m - i above a zero guard slot 0.  It writes n_r
+    # coefficients out[r::stride], n_r = m = n in q.  For a term c*q^e, e =
+    # r + stride*s, shifting R right by sigma = s + m - n_r slots puts x_i in
+    # slot n_r - j for out[r + stride*j], j = i + s, and drops the slots
+    # below sigma; their sum L has |L| < 2^(W*sigma), so the floor adds L //
+    # 2^(W*sigma), 0 or -1, to slot 0.  So the sum of the residue's terms is
+    # sum_l v_l * 2^(W*l) over l = 0..n_r, where v_(n_r-j) = out[r +
+    # stride*j], a sum of c*x_i over distinct live terms, and v_0 the guard's
+    # sum of c*(x_i + floor); every |v_l| <= weight * (top + 1).  W is the
+    # least of 8, 16, 32 and 64 bits, or else the least multiple of 8, with
+    # that bound, or a larger one, below 2^(W-1), which covers |x_i| <= top
+    # too.  So `_unpack` reads the n_r + 1 slots with no carry between them,
+    # and the guard is dropped.  A pass in q that another follows starts
+    # `_shift_add` from 2^(W-1) instead, so its guard slot holds v_0 +
+    # 2^(W-1), in [0, 2^W): shifting right and back left by W clears it with
+    # no borrow and leaves the next pass's R exactly, with top * weight for
+    # top.  That bound never falls from pass to pass, so the passes in q all
+    # take the W of the last one's, and by induction each is exact.
+    if stride > 1:
+        w = _slot_bytes((weight * (top + 1)).bit_length())
+        bits = 8 * w
+        R = _pack([0] * (width + 1 - len(xs)) + xs[::-1], w)
+        by_residue: list = [[] for _ in range(stride)]
+        for e, c in reversed(live):
+            s, r = divmod(e, stride)
+            by_residue[r].append((s + width - len(range(r, n, stride)), c))
+        xs = [0] * n
+        for r, terms in enumerate(by_residue):
+            if terms:
+                xs[r::stride] = _unpack(_shift_add(R, terms, bits, 0), w, len(range(r, n, stride)) + 1)[:0:-1]
+        if k == 1:
+            return xs
+        top, k = max(map(abs, xs)), k - 1
+    w = _slot_bytes((weight * (top * weight ** (k - 1) + 1)).bit_length())
     bits = 8 * w
-    A = _pack([0] * (n - len(xs)) + xs[::-1], w)
-    for terms in passes:
-        A = _shift_add(A << bits, terms, bits, 1 << bits - 1) >> bits
-    return _unpack(A, w, n)[::-1]
+    R = _pack([0] * (n + 1 - len(xs)) + xs[::-1], w)
+    terms = live[::-1]
+    for _ in range(k - 1):
+        R = _shift_add(R, terms, bits, 1 << bits - 1) >> bits << bits
+    return _unpack(_shift_add(R, terms, bits, 0), w, n + 1)[:0:-1]
 
 
 def _shift_add(R: int, terms: list, bits: int, Y: int) -> int:

@@ -41,7 +41,8 @@ raised to a power, and names the one to raise outright:
   expansion runs in the coarsest variable q^d it can: d is the gcd of
   the steps of the series applied so far, so (q^i;q^i)/(q^p;q^p) divides
   by (q^p;q^p) at T/p coefficients and then multiplies by (q^i;q^i)
-  straight into every p-th coefficient (`mul_sparse` with a stride).
+  straight into every p-th coefficient, in the one `mul_sparse` call
+  that makes every pass of the power, its first with a stride.
   Every order gives the same coefficients, since truncated
   series over Z form a commutative ring, but not the same work: the
   estimate charges each pass |k| * work * n/d, at the step d the

@@ -9,17 +9,16 @@ packed squaring where that is estimated cheaper) in the seed's own
 step, or else starts from 1 in the step of the first power.  It then
 multiplies or divides in each power once per unit, in the plan's
 order; a power |k| above the length of its pass is instead raised once
-with `pow_sparse` and multiplied in as one sparse series.  The passes
-of a positive power in the accumulator's own lattice are one
-`mul_sparse_run`, which keeps the accumulator packed from pass to pass.
-A power in a coarser q^{d'} runs at T/d + 1 coefficients, a
-multiplication into a finer lattice writes its first pass straight into
-it (`mul_sparse` with a stride), and a division into one spreads the
-accumulator onto it; `div_sparse` then divides in the divisor's own
-q^{d'}.  At the end it spreads the result onto q and applies the
-binomials one at a time by slice arithmetic (`_apply_factor`), with no
-kernel.  `qsigns.plan` holds the spec grammar, in `FORMS` the sparse
-closed forms, and every price.
+with `pow_sparse` and multiplied in as one sparse series.  All the
+passes of a positive power are one `mul_sparse` call, which keeps the
+accumulator packed from pass to pass; into a finer lattice its first
+pass writes straight into it, with a stride.  A power in a coarser
+q^{d'} runs at T/d + 1 coefficients, and a division into a finer
+lattice spreads the accumulator onto it; `div_sparse` then divides in
+the divisor's own q^{d'}.  At the end it spreads the result onto q and
+applies the binomials one at a time by slice arithmetic
+(`_apply_factor`), with no kernel.  `qsigns.plan` holds the spec
+grammar, in `FORMS` the sparse closed forms, and every price.
 
 `eta_quotients` expands several specs at one precision and shares their
 work, in the run order `plan._schedule` picks.  A spec either goes to
@@ -42,7 +41,7 @@ from collections import Counter
 from collections.abc import Iterable, Iterator
 from operator import add, sub
 
-from ._backend import div_sparse, mul_sparse, mul_sparse_run, pow_sparse
+from ._backend import div_sparse, mul_sparse, pow_sparse
 from .plan import (
     FORMS,
     EtaQuotientSpec,
@@ -155,11 +154,7 @@ def _apply_powers(cur: list, d: int, powers: list, T: int) -> list:
             for _ in range(-k):
                 cur = div_sparse(cur, exps, cofs, m)
         else:
-            if d > g:
-                # a first pass into the finer lattice q^g
-                cur, k = mul_sparse(cur, exps, cofs, m, d // g), k - 1
-            if k:
-                cur = mul_sparse_run(cur, [(exps, cofs)] * k, m)
+            cur = mul_sparse(cur, exps, cofs, m, d // g, k)
         d = g
     return _spread(cur, d, T + 1)
 

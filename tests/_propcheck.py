@@ -409,28 +409,26 @@ def _lattice_log(seen: set, T: int):
     """Note, while it lasts, each strided scatter, each run of several passes on one
     packed integer, and each division eta_quotient runs in q^d with d > 1, that
     is at fewer than T + 1 coefficients."""
-    mul, run, div = products.mul_sparse, products.mul_sparse_run, products.div_sparse
+    mul, div = products.mul_sparse, products.div_sparse
 
-    def strided(xs, exps, cofs, n, stride=1):
+    def strided(xs, exps, cofs, n, stride=1, k=1):
         if stride > 1:
             seen.add("strided scatter")
-        return mul(xs, exps, cofs, n, stride)
-
-    def packed(xs, factors, n):
-        if len(factors) > 1:
+        # a strided first pass is not on the packed integer of the passes in q
+        if k - (stride > 1) > 1:
             seen.add("run of passes")
-        return run(xs, factors, n)
+        return mul(xs, exps, cofs, n, stride, k)
 
     def coarse(xs, exps, cofs, n):
         if n <= T:
             seen.add("division in a coarse lattice")
         return div(xs, exps, cofs, n)
 
-    products.mul_sparse, products.mul_sparse_run, products.div_sparse = strided, packed, coarse
+    products.mul_sparse, products.div_sparse = strided, coarse
     try:
         yield
     finally:
-        products.mul_sparse, products.mul_sparse_run, products.div_sparse = mul, run, div
+        products.mul_sparse, products.div_sparse = mul, div
 
 
 def _spec_features(spec: EtaQuotientSpec) -> set[str]:

@@ -21,7 +21,6 @@ from qsigns._backend import (
     invert_dense,
     mul_dense,
     mul_sparse,
-    mul_sparse_run,
     pow_sparse,
 )
 from qsigns.dissect import assemble
@@ -323,60 +322,115 @@ def test_mul_sparse_guard_slot_at_its_edge():
     assert mul_sparse([3, -4], [20, 21], [1, -5], 20, 2) == [0] * 20
 
 
-def _passes(xs, factors, n):
-    """One stride-1 mul_sparse pass per factor, and mul_dense by each factor's dense form."""
-    out, dense = xs, xs
-    for exps, cofs in factors:
-        out = mul_sparse(out, exps, cofs, n)
-        dense = _dense_product(dense, exps, cofs, n, 1)
-    assert out == dense
+def _powers(xs, exps, cofs, n, stride, k):
+    """mul_dense by the dense form of f, k times: first of xs spread onto q^stride, then in q."""
+    out = _dense_product(xs, exps, cofs, n, stride)
+    for _ in range(k - 1):
+        out = _dense_product(out, exps, cofs, n, 1)
     return out
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-def test_mul_sparse_run_matches_one_pass_at_a_time(seed):
-    """mul_sparse_run against one mul_sparse pass per factor and against mul_dense, for
-    seeded runs of 0 to 4 factors: pentagonal and triple-product series, random sparse
-    polynomials with terms past n, a factor with no live term, and xs up to 10^40,
-    shorter or longer than n, or all zero."""
+def test_mul_sparse_powers_match_mul_dense(seed):
+    """mul_sparse(xs, exps, cofs, n, stride, k) against k products by mul_dense, the
+    first of xs spread onto q^stride, for k = 1..4 and stride 1..5: pentagonal and
+    triple-product series, random sparse polynomials with terms past n, a factor with
+    no live term, and xs up to 10^40, shorter or longer than the width, or all zero."""
     rng = random.Random(seed)
-    for _ in range(150):
-        n = rng.randint(1, 120)
+    for _ in range(200):
+        stride, k, n = rng.randint(1, 5), rng.randint(1, 4), rng.randint(1, 120)
         big = rng.choice((1, 9, 10**40))
-        xs = [rng.randint(-big, big) for _ in range(rng.randint(1, n + 5))]
+        width = -(-n // stride)
+        xs = [rng.randint(-big, big) for _ in range(rng.randint(1, width + 5))]
         if rng.random() < 0.1:
             xs = [0] * len(xs)
-        factors = []
-        for _ in range(rng.randint(0, 4)):
-            kind = rng.random()
-            if kind < 0.3:
-                factors.append(pentagonal_terms(rng.randint(1, 3), n + 9))
-            elif kind < 0.5:
-                b = rng.randint(2, 7)
-                factors.append(jacobi_triple_terms(rng.randint(1, b - 1), b, n + 9))
-            elif kind < 0.55:
-                factors.append(([n + rng.randint(0, 9)], [rng.randint(2, 9)]))
-            else:
-                exps = sorted(rng.sample(range(n + 20), rng.randint(1, 8)))
-                factors.append((exps, [rng.choice((1, -1, rng.randint(-big - 2, big + 2) or 1)) for _ in exps]))
-        assert mul_sparse_run(xs, factors, n) == _passes(xs[:n] + [0] * (n - len(xs)), factors, n), (n, len(factors))
+        kind = rng.random()
+        if kind < 0.3:
+            exps, cofs = pentagonal_terms(rng.randint(1, 3), n + 9)
+        elif kind < 0.5:
+            b = rng.randint(2, 7)
+            exps, cofs = jacobi_triple_terms(rng.randint(1, b - 1), b, n + 9)
+        elif kind < 0.55:
+            exps, cofs = [n + rng.randint(0, 9)], [rng.randint(2, 9)]
+        else:
+            exps = sorted(rng.sample(range(n + 20), rng.randint(1, 8)))
+            cofs = [rng.choice((1, -1, rng.randint(-big - 2, big + 2) or 1)) for _ in exps]
+        out = mul_sparse(xs, exps, cofs, n, stride, k)
+        assert out == _powers(xs, exps, cofs, n, stride, k), (stride, k, n)
 
 
-def test_mul_sparse_run_at_slot_and_guard_edges():
-    """Runs around one pass whose output, or whose guard slot, reaches 2^(W-1) - 1 or
-    2^(W-1), W = 8, 16, 32, 64 and 72, so that the run packs at that pass's width:
-    after a negation, so that it comes last; before two negations, so that a guard
-    at its edge is dropped between passes; and before a shift and a negation."""
+def _last_pass_edges(rng):
+    """mul_sparse calls of k = 2..4 passes, the first strided or not, whose last
+    pass meets an edge of W-bit slots, W = 8, 16, 32, 64 and 72: its output
+    reaches +-bound, or its guard slot reaches -bound, the bound weight * (top +
+    1) that sizes the slots of the passes in q; bound is 2^(W-1) - 1 or 2^(W-1),
+    or, for a guard at weight 2 or 3, below 2^(W-1) by less than weight^k + weight.
+
+    Every live term of f has a positive coefficient and one residue r mod the
+    stride, so no product cancels: with |xs| <= X and weight the sum of the
+    coefficients, the last pass's operand reaches top = weight^(k-1) * X, and
+    its output weight^k * X.  For the output, xs is a run of +X then one of -X,
+    each longer than the span of f^k, and weight^k * X = bound.  For the guard,
+    xs is -X throughout and every live exponent exceeds the stride, so every
+    term drops a negative tail and adds weight * (top + 1) to the guard.  One
+    term lies past n.
+    """
+    for width in (8, 16, 32, 64, 72):
+        for past in (0, 1):
+            edge = 2 ** (width - 1) - 1 + past
+            for guard in (False, True):
+                for stride in (1, rng.randint(2, 5)):
+                    k, r, span = rng.randint(2, 4), rng.randrange(stride), rng.randint(1, 4)
+                    if guard:
+                        weight = 1 if past or rng.random() < 0.5 else rng.randint(2, 3)
+                        X = (edge // weight - 1) // weight ** (k - 1)
+                        bound, low = weight * (weight ** (k - 1) * X + 1), 1 if r else 2
+                    else:
+                        j = rng.randint(1, (width - 1) // k) if past else 0
+                        weight, X, bound, low = 2**j, edge >> j * k, edge, 0
+                    cuts = sorted(rng.sample(range(1, weight), min(weight - 1, span - 1)))
+                    weights = [b - a for a, b in zip([0, *cuts], [*cuts, weight])]
+                    us = sorted(rng.sample(range(low, low + span + 2), len(weights)))
+                    runs = k * (us[-1] - us[0]) + 1 + rng.randint(0, 3)
+                    if guard:
+                        n = k * r + stride * (k * us[-1] + runs)
+                        xs = [-X] * (-(-n // stride) + rng.randint(0, 3))
+                    else:
+                        n = k * r + stride * (runs + k * us[-1]) + 1 + rng.randrange(stride)
+                        xs = [X] * runs + [-X] * runs
+                    exps = [r + stride * u for u in us] + [n + rng.randint(0, 9)]
+                    cofs = weights + [rng.randint(-(10**30), 10**30)]
+                    yield xs, exps, cofs, n, stride, k, bound, width, past, guard
+
+
+def _guard_slot(xs, exps, cofs, n):
+    """The guard slot's value of one pass in q of f over xs, n coefficients: each live
+    term c*q^e adds c * (xs[n-e] + floor), floor -1 when the slots it drops, xs[n-e+1:],
+    are negative as one packed number, and xs[n] is the zero guard below them."""
+    guard = 0
+    for e, c in zip(exps, cofs):
+        if e < n:
+            tail = next((x for x in xs[n - e + 1:] if x), 0)
+            guard += c * ((xs + [0])[n - e] - (tail < 0))
+    return guard
+
+
+def test_mul_sparse_last_pass_at_slot_and_guard_edges():
+    """mul_sparse against mul_dense for k passes whose last one meets its slot or
+    guard edge (`_last_pass_edges`), with a strided first pass or without; a guard
+    bound below 2^(W-1) sizes W-bit slots for the passes in q."""
     rng = random.Random(4)
-    neg, shift = ([0], [-1]), ([1], [1])
-    for calls in (_slot_edge_calls(rng, max_stride=1), _guard_edge_calls(rng, max_stride=1)):
-        for xs, exps, cofs, n, _, bound in calls:
-            edge = (exps, cofs)
-            expected = mul_sparse(xs, exps, cofs, n)
-            assert mul_sparse_run([-x for x in xs], [neg, edge], n) == expected, (n, bound)
-            assert mul_sparse_run(xs, [edge, neg, neg], n) == expected, (n, bound)
-            padded = xs[:n] + [0] * (n - len(xs))
-            assert mul_sparse_run(xs, [edge, shift, neg], n) == _passes(padded, [edge, shift, neg], n), (n, bound)
+    for xs, exps, cofs, n, stride, k, bound, width, past, guard in _last_pass_edges(rng):
+        label = (width, past, guard, stride, k, n)
+        out = mul_sparse(xs, exps, cofs, n, stride, k)
+        assert out == _powers(xs, exps, cofs, n, stride, k), label
+        if guard:
+            operand = _powers(xs, exps, cofs, n, stride, k - 1)
+            assert _guard_slot(operand, exps, cofs, n) == -bound, label
+            assert past or 8 * _backend._slot_bytes(bound.bit_length()) == width, label
+        else:
+            assert (max(out), min(out)) == (bound, -bound), label
+        assert (bound >= 2 ** (width - 1)) == past, label
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -820,16 +874,15 @@ def test_binomial_powers_match_series_power(delta):
 @pytest.mark.parametrize("k", [18, -18, 10**9, -(10**9)])
 def test_powers_longer_than_their_pass_are_raised_once(monkeypatch, k):
     """(q;q)^k (q^2;q^2)^k to q^4: each power above the 5 coefficients of its
-    pass is raised once and multiplied in by one pass, whatever k is; a run
-    counts one pass per factor."""
+    pass is raised once and multiplied in by one pass, whatever k is; a
+    mul_sparse call counts its k passes."""
     expected = eta_quotient("1 2", 4).power(k)
     passes = []
 
     def recording(kernel, count=lambda *args: 1):
         return lambda *args: passes.extend([kernel.__name__] * count(*args)) or kernel(*args)
 
-    monkeypatch.setattr(products, "mul_sparse", recording(mul_sparse))
-    monkeypatch.setattr(products, "mul_sparse_run", recording(mul_sparse_run, lambda xs, factors, n: len(factors)))
+    monkeypatch.setattr(products, "mul_sparse", recording(mul_sparse, lambda xs, exps, cofs, n, stride=1, k=1: k))
     monkeypatch.setattr(products, "div_sparse", recording(div_sparse))
     assert eta_quotient(f"1^{k} 2^{k}", 4) == expected
     assert 1 <= len(passes) <= 2, passes

@@ -95,7 +95,7 @@ def test_constructors_reject_precision_above_the_limit(monkeypatch):
     def refuse(*args):
         raise AssertionError("expanded past MAX_PRECISION")
 
-    for name in ("mul_sparse", "mul_sparse_run", "div_sparse", "pow_sparse"):
+    for name in ("mul_sparse", "div_sparse", "pow_sparse"):
         monkeypatch.setattr(products, name, refuse)
     for form in FORMS:
         monkeypatch.setitem(FORMS, form, refuse)
@@ -372,7 +372,7 @@ def test_cubic_thetas_expand_nothing(monkeypatch):
     def refuse(*args):
         raise AssertionError("a cubic theta function ran an expansion")
 
-    for name in ("eta_quotient", "mul_sparse", "mul_sparse_run", "div_sparse", "pow_sparse"):
+    for name in ("eta_quotient", "mul_sparse", "div_sparse", "pow_sparse"):
         monkeypatch.setattr(products, name, refuse)
     for build in (borwein_a, borwein_b, borwein_c3, lambert_cubic, theta_threevar):
         assert build(300).precision == 300

@@ -3,7 +3,7 @@
 import importlib.util
 from pathlib import Path
 
-from qsigns import pochhammer
+from qsigns import eta_quotient, pochhammer
 from qsigns.series import Series
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -27,3 +27,14 @@ def test_tracer_wraps_and_restores_every_traced_name():
     assert tracer.calls["series.power"] == 1
     assert tracer.calls["series.invert"] == 1
     assert tracer.metrics()["kernels.sparse_calls"] >= 1
+
+
+def test_tracer_counts_every_pass_of_a_power_in_one_kernel_call():
+    """The census shape (q^2;q^2)^5/(q^7;q^7) plans a J(q^2) seed, two passes of
+    (q^2;q^2) and one division: one mul_sparse call makes both passes."""
+    tracing = load_tracing()
+    with tracing.Tracer() as tracer:
+        eta_quotient("2^5 7^-1", 2000)
+    assert tracer.calls["kernels.mul_sparse"] == 1
+    assert tracer.calls["kernels.div_sparse"] == 1
+    assert tracer.metrics()["kernels.sparse_calls"] == 2
