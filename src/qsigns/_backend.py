@@ -46,9 +46,11 @@ no other kernel.
   per coefficient, in straight-line code generated from the divisor's
   exponents and compiled once per divisor: 0.1-0.4 ms for the 19 to 31
   such terms of the package's theta-type divisors, 1.1 ms for the
-  longest step, 383 terms.  The last `_STEPS_KEPT` steps are kept, by
-  the divisor's terms below the block length and c0, not by n, so
-  divisions by one divisor at any length share one step.  The quotient
+  longest step, 383 terms.  `functools.lru_cache` keeps the
+  `_STEPS_KEPT` steps used last, by the divisor's terms below the block
+  length and c0, not by n, so divisions by one divisor at any length
+  share one step, and divisions from several threads at once may drop
+  and compile steps while others divide.  The quotient
   starts with as many zeros as the largest such exponent, so every
   coefficient runs the same step.  Each farther term carries a final
   block into the right side of later coefficients with one C-level
@@ -57,7 +59,14 @@ no other kernel.
   coefficient over the terms, or, for a power k >= 2 of a base dense
   enough that a size estimate prices it lower, square-and-multiply on
   one packed integer, each product one big-integer multiplication in C
-  truncated to n slots.
+  truncated to n slots.  A power k = -1 is one `div_sparse` of 1, so
+  there is one route to an inverse.
+
+`theta_terms`, the one generator of the sums
+sum_{n in Z} eps^n q^{(A n^2 + B n)/2 + C}, lives here, in the package's
+leaf module: `plan` makes every sparse closed form but Jacobi's cube
+from it, and `div_sparse` makes Euler's function (y;y) = JTP(1, 3) from
+it, to know a divisor that the partition table inverts.
 
 `mul_dense` and `invert_dense` are the schoolbook forms, kept as the slow
 references that the tests check `Series.__mul__`, `Series.power`,
@@ -66,6 +75,7 @@ references that the tests check `Series.__mul__`, `Series.power`,
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 import sys
@@ -264,10 +274,9 @@ def _bias(w: int, k: int) -> int:
 # 3000, so _BLOCK stays below 1000.
 _BLOCK = 384
 
-# the compiled division steps, by the divisor's terms below _BLOCK and c0;
-# `_step` adds them and drops the oldest past _STEPS_KEPT.  A step of the
-# package's divisors takes about 3 kB, one of 383 terms about 90 kB.
-_steps: dict = {}
+# how many compiled division steps `_step` keeps, by the divisor's terms
+# below _BLOCK and c0.  A step of the package's divisors takes about 3 kB,
+# one of 383 terms about 90 kB.
 _STEPS_KEPT = 32
 
 # the largest d at which div_sparse packs the residue classes mod d of a
@@ -358,9 +367,11 @@ def _partition_numbers(m: int) -> list:
     A kept table shorter than m is recomputed to m coefficients, one
     division of 1 by (y;y); so no request does more work than that
     division, and a request no longer than the kept table does none.  The
-    first _PARTITIONS_KEPT of them replace the kept table when it is
-    shorter; a longer table serves that request only.  A kept table is
-    never changed in place, so a list returned earlier stays valid.  Only
+    first _PARTITIONS_KEPT of them replace the kept table when they are
+    longer, so the kept table only grows, also when another thread has
+    grown it meanwhile; a longer table serves that request only.  A kept
+    table is never changed in place, so a list returned earlier stays
+    valid.  Only
     (y;y) is kept: every quotient of the paper divides by some (q^p;q^p),
     and other inverses would only be reused when the same job runs twice.
     """
@@ -368,27 +379,54 @@ def _partition_numbers(m: int) -> list:
     if len(_partitions) >= m:
         return _partitions
     table = [1] + [0] * (m - 1)
-    _divide(table, _euler_terms(m), 1)
-    if len(_partitions) < _PARTITIONS_KEPT:
+    # (y;y) = JTP(1, 3), its terms past the constant one
+    _divide(table, list(zip(*theta_terms(((3, -1, 0, -1, 1),), m - 1)))[1:], 1)
+    if len(_partitions) < min(m, _PARTITIONS_KEPT):
         _partitions = table if m <= _PARTITIONS_KEPT else table[:_PARTITIONS_KEPT]
     return table
 
 
-def _euler_terms(m: int) -> list:
-    """The terms (e, c) of (y;y) with 0 < e < m by increasing e: the generalized
-    pentagonal numbers k(3k-1)/2 and k(3k+1)/2, k >= 1, with sign (-1)^k."""
-    terms = []
-    k = 1
-    while (e := k * (3 * k - 1) // 2) < m:
-        c = -1 if k % 2 else 1
-        terms += [(e, c), (e + k, c)] if e + k < m else [(e, c)]
-        k += 1
-    return terms
+def theta_terms(sums, limit: int) -> tuple[list[int], list[int]]:
+    """The sum of c * sum_{n in Z} eps^n q^{(A n^2 + B n)/2 + C} over each (A, B, C, eps, c) in sums.
+
+    Every sparse closed form of `plan` but Jacobi's cube is such a sum
+    (eps = +-1), and so is Euler's function (y;y) here.  Terms up to
+    exponent limit, sorted, with colliding terms merged, so exponents are
+    distinct and coefficients nonzero.  A + B even makes every exponent
+    an integer.  Each side is walked outward, n = 0, 1, ... and then
+    n = -1, -2, ..., until the exponent passes limit, and no
+    later term of that side comes back below it: stepping n to n + 1 on
+    the first side adds A n + (A + B)/2 >= 0 when A > 0 and B >= -A, and
+    stepping n to n - 1 on the second adds A |n| + (A - B)/2 > 0 when
+    B < 3A, so both sides only climb.  Their lowest exponents are C and
+    C + (A - B)/2, which the caller keeps nonnegative.
+    """
+    pairs = []
+    for A, B, C, eps, c in sums:
+        # (first exponent, its step to the next, coefficient) of each side
+        for e, d, k in ((C, (A + B) // 2, c), (C + (A - B) // 2, (3 * A - B) // 2, c * eps)):
+            while e <= limit:
+                pairs.append((e, k))
+                e += d
+                d += A
+                k *= eps
+    # sorted, equal exponents are neighbours: merge each into the last
+    # term, and drop a term whose coefficient cancels
+    pairs.sort()
+    exps, cofs = [], []
+    for e, k in pairs:
+        if exps and exps[-1] == e:
+            exps.pop()
+            k += cofs.pop()
+        if k:
+            exps.append(e)
+            cofs.append(k)
+    return exps, cofs
 
 
 def _is_euler(terms: list, c0: int, m: int) -> bool:
     """Whether c0 + sum(c * y^e) over terms (e, c), all with e < m, is (y;y) below y^m."""
-    return c0 == 1 and terms == _euler_terms(m)
+    return c0 == 1 and [(0, 1), *terms] == list(zip(*theta_terms(((3, -1, 0, -1, 1),), m - 1)))
 
 
 def _divide(out: list, terms: list, c0: int) -> None:
@@ -410,7 +448,7 @@ def _divide(out: list, terms: list, c0: int) -> None:
     n = len(out)
     near = tuple([(e, c) for e, c in terms if e < _BLOCK])
     far = [(e, c) for e, c in terms if _BLOCK <= e < n]
-    step = _steps.get((near, c0)) or _step(near, c0)
+    step = _step(near, c0)
     pad = near[-1][0] if near else 0
     quotient = [0] * pad
     for b0 in range(0, n, _BLOCK):
@@ -430,8 +468,12 @@ def _divide(out: list, terms: list, c0: int) -> None:
                 out[lo:hi] = map(sub, out[lo:hi], map(mul, repeat(c, b1 - b0), block))
 
 
+@functools.lru_cache(maxsize=_STEPS_KEPT)
 def _step(near: tuple, c0: int):
-    """The step of the divisor c0 + sum(c * q^e) over near, e by increasing e, compiled and kept in `_steps`.
+    """The step of the divisor c0 + sum(c * q^e) over near, e by increasing e, compiled.
+
+    The cache keeps the _STEPS_KEPT steps used last; it stays whole when
+    several threads divide at once, which may compile one step twice.
 
     step(q, xs) appends to the quotient q, for each right side x of xs in
     turn, its next coefficient c0 * (x - sum(c * q[-e])), written out
@@ -454,10 +496,7 @@ def _step(near: tuple, c0: int):
             rhs += f" {'+-'[first]} {m} * ({chain[3:]})"
     source = f"def step(q, xs):\n    for x in xs:\n        q.append({rhs if c0 == 1 else f'-({rhs})'})\n"
     exec(compile(source, "<division step>", "exec"), names)
-    if len(_steps) >= _STEPS_KEPT:
-        _steps.pop(next(iter(_steps)), None)
-    _steps[near, c0] = step = names["step"]
-    return step
+    return names["step"]
 
 
 def _divide_packed(out: list, d: int, terms: list, c0: int) -> None:
@@ -630,13 +669,17 @@ def pow_sparse(exps: list, cofs: list, k: int, n: int) -> list:
     coefficients.  A base in q^d alone is raised in q and spread out again.
     For k >= 2, in that step, `_power_packed` raises the base by squaring
     on one packed integer instead, when `_packing_pays` estimates that to
-    cost less.
+    cost less.  k = -1 is one division of 1 by `div_sparse` instead, which
+    reads the partition table for (y;y) and runs the divisor's compiled
+    step otherwise.
     """
     c0 = cofs[0] if exps[0] == 0 else 0
     if c0 == 0:
         raise ValueError("pow_sparse needs a nonzero constant term")
     if k < 0 and c0 not in (1, -1):
         raise ValueError(f"pow_sparse cannot raise constant term {c0} to the power {k}")
+    if k == -1:
+        return div_sparse([1], exps, cofs, n)
     live = [(e, c) for e, c in zip(exps, cofs) if e < n]
     d = math.gcd(*(e for e, _ in live))
     if d > 1:

@@ -77,9 +77,11 @@ estimate that chose its own plan.  `_may_only_multiply` screens out most
 differences before they are planned.
 
 One generator, `theta_terms`, makes every sparse closed form but
-Jacobi's cube: each is a list of sums c * sum_{n in Z} eps^n
-q^{(A n^2 + B n)/2 + C}, given here as (A, B, C, eps), with c = 1 where
-no c is named.  JTP(a,b) is (b, 2a-b, 0, -1), and so the pentagonal
+Jacobi's cube.  It lives in `_backend`, the package's leaf module, whose
+division makes (y;y) with it to recognise the divisor that its
+partition table inverts.  Each form is a list of sums
+c * sum_{n in Z} eps^n q^{(A n^2 + B n)/2 + C}, given here as
+(A, B, C, eps), with c = 1 where no c is named.  JTP(a,b) is (b, 2a-b, 0, -1), and so the pentagonal
 (q^b;q^b) = JTP(b,3b) is (3b, -b, 0, -1); Q(M,j) is (3M, M-6j, 0, 1)
 plus (3M, M+6j, j, 1) with c = -1, Cooper's form; phi(+-q^s) is
 (2s, 0, 0, +-1); psi(q^s) is (4s, -2s, 0, 1), since
@@ -96,6 +98,7 @@ import math
 import re
 from collections import Counter
 
+from ._backend import theta_terms
 from ._record import Record, setfield
 from .series import InvalidParameter
 
@@ -167,43 +170,6 @@ def _as_spec(spec: "EtaQuotientSpec | str") -> EtaQuotientSpec:
 # ----------------------------------------------------------------------
 # Sparse closed forms
 # ----------------------------------------------------------------------
-
-def theta_terms(sums, limit: int) -> tuple[list[int], list[int]]:
-    """The sum of c * sum_{n in Z} eps^n q^{(A n^2 + B n)/2 + C} over each (A, B, C, eps, c) in sums.
-
-    Every sparse closed form below but Jacobi's cube is such a sum (eps =
-    +-1).  Terms up to exponent limit, sorted, with colliding terms merged,
-    so exponents are distinct and coefficients nonzero.  A + B even makes
-    every exponent an integer.  Each side is walked outward, n = 0, 1, ...
-    and then n = -1, -2, ..., until the exponent passes limit, and no
-    later term of that side comes back below it: stepping n to n + 1 on
-    the first side adds A n + (A + B)/2 >= 0 when A > 0 and B >= -A, and
-    stepping n to n - 1 on the second adds A |n| + (A - B)/2 > 0 when
-    B < 3A, so both sides only climb.  Their lowest exponents are C and
-    C + (A - B)/2, which the caller keeps nonnegative.
-    """
-    pairs = []
-    for A, B, C, eps, c in sums:
-        # (first exponent, its step to the next, coefficient) of each side
-        for e, d, k in ((C, (A + B) // 2, c), (C + (A - B) // 2, (3 * A - B) // 2, c * eps)):
-            while e <= limit:
-                pairs.append((e, k))
-                e += d
-                d += A
-                k *= eps
-    # sorted, equal exponents are neighbours: merge each into the last
-    # term, and drop a term whose coefficient cancels
-    pairs.sort()
-    exps, cofs = [], []
-    for e, k in pairs:
-        if exps and exps[-1] == e:
-            exps.pop()
-            k += cofs.pop()
-        if k:
-            exps.append(e)
-            cofs.append(k)
-    return exps, cofs
-
 
 def jacobi_triple_terms(a: int, b: int, limit: int) -> tuple[list[int], list[int]]:
     """JTP(a,b) = (q^a, q^{b-a}, q^b; q^b) = sum_k (-1)^k q^{b k(k-1)/2 + a k}: (A, B, C, eps) = (b, 2a-b, 0, -1)."""

@@ -41,7 +41,7 @@ from collections import Counter
 from collections.abc import Iterable, Iterator
 from operator import add, sub
 
-from ._backend import div_sparse, mul_sparse, pow_sparse
+from ._backend import div_sparse, mul_sparse, pow_sparse, theta_terms
 from .plan import (
     FORMS,
     EtaQuotientSpec,
@@ -51,7 +51,6 @@ from .plan import (
     _check_quintuple,
     _schedule,
     quintuple_terms,
-    theta_terms,
 )
 from .series import Series, _check_precision
 
@@ -237,7 +236,7 @@ def theta_squares(precision: int) -> Series:
 def theta_weighted(precision: int) -> Series:
     """sum over odd n >= 1 of w(n) q^{(n^2-1)/8} with w = 1, -2, 1 for n = 1, 3, 5 mod 6.
 
-    `plan.theta_terms` makes it from two sums over k in Z.  The sum
+    `theta_terms` makes it from two sums over k in Z.  The sum
     (9, 3, 0, 1) is n = 6k+1 with weight 1, which meets each odd n = +-1
     mod 6 once, as |n|; the sum (9, 9, 1, 1) with c = -1 is n = 6k+3 with
     weight -1, which meets each n = 3 mod 6 twice, once from each sign.

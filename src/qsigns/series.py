@@ -3,7 +3,9 @@
 A :class:`Series` stores the coefficients of q^0 .. q^T exactly, as
 arbitrary-precision Python ints; T is the inclusive truncation order.
 Binary operations truncate to the shorter operand and never extend
-precision.  Instances are immutable and safe to share across threads.
+precision.  Instances are immutable and safe to share across threads,
+and the kernels may run from several threads at once: the tests divide
+from four threads and compare each quotient with a serial one.
 
 Products, powers and inverses use only nonzero terms: `*` is one sparse
 multiplication (`mul_sparse`) by the operand with fewer nonzero terms,
@@ -12,9 +14,9 @@ base and `invert` one sparse division of 1 (`div_sparse`), so each costs
 O(T) per nonzero term, whatever the exponent.  A positive power of a
 dense base goes instead by squaring one packed integer, a few
 big-integer multiplications, when `pow_sparse` estimates that to cost
-less.  Inverting (q^p;q^p) costs less: its inverse is the partition
-numbers spread onto q^p, which `div_sparse` reads from the one table it
-keeps across calls.
+less.  `power(-1)` is the same one division as `invert`.  Inverting
+(q^p;q^p) costs less: its inverse is the partition numbers spread onto
+q^p, which `div_sparse` reads from the one table it keeps across calls.
 
 A precision above ``MAX_PRECISION``, here or in any constructor built
 on this module, raises `InvalidParameter` before anything is allocated.
@@ -188,10 +190,10 @@ class Series:
         """Integer power by `pow_sparse` over the nonzero terms.
 
         That is one pass of Miller's recurrence, or, for e >= 2 and a base
-        dense enough, square-and-multiply on one packed integer.  A
-        negative e needs constant term +-1.  The lowest term q^v of the
-        base is factored out, the rest is raised to precision T - v*e, and
-        the result is shifted back up by v*e.
+        dense enough, square-and-multiply on one packed integer, or, for
+        e = -1, one division of 1.  A negative e needs constant term +-1.
+        The lowest term q^v of the base is factored out, the rest is raised
+        to precision T - v*e, and the result is shifted back up by v*e.
         """
         if e == 0:
             return Series.one(self.precision)

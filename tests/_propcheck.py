@@ -10,6 +10,8 @@ from __future__ import annotations
 import contextlib
 import math
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 from qsigns import (
     DissectionComponent,
@@ -25,8 +27,8 @@ from qsigns import (
     predict_quotient_pattern,
     vanishing_predicate,
 )
-from qsigns import products
-from qsigns._backend import invert_dense, mul_dense
+from qsigns import _backend, products
+from qsigns._backend import div_sparse, invert_dense, mul_dense
 from qsigns.dissect import check_quintuple
 from qsigns.plan import THETA_ATOMS, ExpansionPlan
 from qsigns.products import _apply_factor
@@ -598,6 +600,39 @@ def check_mul_matches_dense_oracle(seed: int, rounds: int = 400) -> list[str]:
             failures.append(f"round {k}: {xs} * {ys}")
     failures += [f"no pair with {feature}" for feature, count in seen.items() if count == 0]
     return failures
+
+
+def check_divisions_from_threads(seed: int) -> list[str]:
+    """div_sparse from four threads at once, each quotient against a serial run.
+
+    Each thread makes 2000 divisions of one dividend by short divisors
+    drawn from a pool four times `_STEPS_KEPT` long, so compiled steps
+    are dropped and compiled again while the other threads divide; a
+    switch interval of 1 us makes the threads interleave inside the
+    kernel.
+    """
+    rng = random.Random(seed)
+    n = 16
+    pool = []
+    for _ in range(4 * _backend._STEPS_KEPT):
+        exps = [0, 1, *sorted(rng.sample(range(2, n), 3))]
+        pool.append((exps, [rng.choice((1, -1)) for _ in exps]))
+    xs = [rng.randint(-9, 9) for _ in range(n)]
+    serial = [div_sparse(xs, *divisor, n) for divisor in pool]
+    draws = [[rng.randrange(len(pool)) for _ in range(2000)] for _ in range(4)]
+
+    def divide(drawn: list[int]) -> list[int]:
+        return [i for i in drawn if div_sparse(xs, *pool[i], n) != serial[i]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(len(draws)) as executor:
+            futures = [executor.submit(divide, drawn) for drawn in draws]
+            wrong = [i for future in futures for i in future.result(timeout=120)]
+    finally:
+        sys.setswitchinterval(interval)
+    return [f"quotient by {pool[i]} differs from the serial one" for i in sorted(set(wrong))]
 
 
 # -- the cubic theta functions, term by term -----------------------------------

@@ -7,7 +7,12 @@ import sys
 from pathlib import Path
 
 import pytest
-from _propcheck import _power_oracle, binomial_expansion, check_plan_matches_binomial_oracle
+from _propcheck import (
+    _power_oracle,
+    binomial_expansion,
+    check_divisions_from_threads,
+    check_plan_matches_binomial_oracle,
+)
 
 from qsigns import EtaQuotientSpec, Series, corpus, eta_quotient, pattern_catalog, theta_alt_squares, theta_weighted
 from qsigns import quintuple_components
@@ -473,14 +478,11 @@ def _step_edges(rng):
     yield [0, 1, 5, 200, B - 1, B + 3], [1, 1, -3, big, -big, big], 2 * B + 1
 
 
-def test_division_steps_are_kept_per_divisor(monkeypatch):
+def test_division_steps_are_kept_per_divisor():
     """Divisors of equal exponents but other coefficients or another c0 each get
     their own compiled step, and each matches the oracle when divided after the
     others; one divisor at two lengths, both past _BLOCK, reuses its step."""
-    compiled = []
-    step = _backend._step
-    monkeypatch.setattr(_backend, "_steps", {})
-    monkeypatch.setattr(_backend, "_step", lambda near, c0: compiled.append((near, c0)) or step(near, c0))
+    _backend._step.cache_clear()
     rng = random.Random(7)
     B = _BLOCK
     exps = [0, 1, 2, 5, 7, B - 1, B + 2]
@@ -489,7 +491,29 @@ def test_division_steps_are_kept_per_divisor(monkeypatch):
         for cofs in divisors:
             xs = [rng.randint(-9, 9) for _ in range(n)]
             assert div_sparse(xs, exps, cofs, n) == _dense_quotient(xs, exps, cofs, n), (n, cofs)
-    assert len(compiled) == len(set(compiled)) == len(_backend._steps) == len(divisors)
+    info = _backend._step.cache_info()
+    assert info.misses == info.hits == info.currsize == len(divisors)
+
+
+def test_division_steps_drop_the_least_recently_used():
+    """A divisor divided before and after each of 40 other divisors, more than the
+    _STEPS_KEPT steps kept, compiles once: the step dropped is the least recently
+    used, not the oldest."""
+    _backend._step.cache_clear()
+    rng = random.Random(5)
+    n = 60
+    kept = ([0, 1, 4, 9], [1, -1, 2, -1])
+    others = [([0, 1, 10 + i], [1, 1, -1]) for i in range(40)]
+    assert len(others) > _backend._STEPS_KEPT
+    for divisor in [d for other in others for d in (kept, other)] + [kept]:
+        xs = [rng.randint(-9, 9) for _ in range(n)]
+        assert div_sparse(xs, *divisor, n) == _dense_quotient(xs, *divisor, n), divisor
+    info = _backend._step.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1 + len(others), len(others), _backend._STEPS_KEPT)
+
+
+def test_divisions_from_several_threads_match_serial():
+    assert check_divisions_from_threads(0) == []
 
 
 def _dense_quotient(xs, exps, cofs, n):
@@ -827,6 +851,22 @@ def test_partition_table_keeps_at_most_its_cap(monkeypatch):
         longest = max(longest, m)
         assert _backend._partition_numbers(m)[:m] == partitions[:m], m
         assert _backend._partitions == partitions[:min(100, longest)], m
+
+
+def test_partition_table_only_grows(monkeypatch):
+    """A kept table that grows past m while a table of m numbers is computed, as when
+    another thread grows it meanwhile, stays kept; the request gets its own table."""
+    monkeypatch.setattr(_backend, "_partitions", [1])
+    longer = _partitions_dense(300)
+    divide = _backend._divide
+
+    def grown_meanwhile(out, terms, c0):
+        _backend._partitions = longer
+        return divide(out, terms, c0)
+
+    monkeypatch.setattr(_backend, "_divide", grown_meanwhile)
+    assert _backend._partition_numbers(100) == longer[:100]
+    assert _backend._partitions is longer
 
 
 def test_pack_round_trips_wide_slots():

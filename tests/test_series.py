@@ -5,7 +5,7 @@ import random
 import pytest
 from _propcheck import _power_oracle, check_mul_matches_dense_oracle, check_power_and_inverse_match_oracle
 
-from qsigns import BeyondPrecision, InvalidParameter, NonUnitConstantTerm, Series, _backend
+from qsigns import BeyondPrecision, InvalidParameter, NonUnitConstantTerm, Series, _backend, pochhammer
 from qsigns.series import MAX_PRECISION
 
 
@@ -126,6 +126,28 @@ def test_power_binomial_square():
 def test_power_negative_one_is_geometric():
     assert Series([1, -1, 0, 0]).power(-1) == Series([1, 1, 1, 1])
     assert Series([1, -1, 0, 0]) ** -1 == Series([1, 1, 1, 1])
+
+
+def test_power_minus_one_is_one_division(monkeypatch):
+    """power(-1) equals invert() on seeded unit series: constant term +-1, bases in
+    q^d with d > 1, terms other than +-1, and (q^p;q^p), whose inverse is read from
+    the partition table.  Each power(-1) is one div_sparse call."""
+    calls = []
+    div_sparse = _backend.div_sparse
+    monkeypatch.setattr(_backend, "div_sparse", lambda *args: calls.append(args) or div_sparse(*args))
+    rng = random.Random(11)
+    bases = [pochhammer(p, p, 300) for p in (1, 2, 5)]
+    for _ in range(40):
+        d = rng.choice((1, 2, 3, 7))
+        cs = [0] * rng.randint(1, 60)
+        cs[0] = rng.choice((1, -1))
+        for i in range(d, len(cs), d):
+            cs[i] = rng.choice((0, 1, -1, rng.randint(-9, 9)))
+        bases.append(Series(cs))
+    for base in bases:
+        calls.clear()
+        assert base.power(-1) == base.invert(), base
+        assert len(calls) == 1, base
 
 
 def test_power_negative_rejects_non_unit():
