@@ -56,11 +56,10 @@ no other kernel.
   block into the right side of later coefficients with one C-level
   ``map``.
 * `pow_sparse` runs Miller's recurrence, one interpreted loop per
-  coefficient over the terms, or, for a power k >= 2 of a base dense
-  enough that a size estimate prices it lower, square-and-multiply on
-  one packed integer, each product one big-integer multiplication in C
-  truncated to n slots.  A power k = -1 is one `div_sparse` of 1, so
-  there is one route to an inverse.
+  coefficient over the terms, or, for a power k >= 2 whose passes'
+  slot width prices them lower, one `mul_sparse` call of k - 1 passes
+  onto the base, so powers pack only in `mul_sparse`.  A power k = -1
+  is one `div_sparse` of 1, so there is one route to an inverse.
 
 `theta_terms`, the one generator of the sums
 sum_{n in Z} eps^n q^{(A n^2 + B n)/2 + C}, lives here, in the package's
@@ -576,83 +575,31 @@ def _slot_bytes(bits: int) -> int:
     return next((size for size in _TYPECODES if size >= w), w)
 
 
-# The cost of a power k >= 2 below q^n of a base with t live terms, in
-# the time of one 30-bit digit product of a big-integer multiplication.
-# Miller's recurrence takes _MILLER_STEP per term and coefficient; packed
-# squaring takes one Karatsuba product per squaring and per set bit of k
-# below the top one, on n slots, plus _SLOT per slot to pack, truncate and
-# unpack.  Measured by raising (q;q) at 250-4000 coefficients to k = 2-12,
-# the cubic theta series a(q) and b(q) at 334 and 1001 to k = 2-5, and
-# JTP(1,5) at 500 and 2000 to k = 2, 3, 5 and 9 (best of 5, Python 3.11):
-# a Miller step took 50-170 ns, more for wider coefficients, and a
-# Karatsuba digit product 1.1-2.2 ns past 1000 digits, so a step is about
-# 60 digit products; packing, truncating and unpacking took 0.15-0.3 us
-# per slot.  Against Miller, packing took 0.03-0.65 times as long for
-# slots of 8 to 32 bits, and 0.54-1.35 for wider ones: (q;q)^7 at 1000
-# coefficients, 64-bit slots, took 8.1 ms packed against 6.7 ms by
-# Miller.  The estimate picked the faster way in 55 of these 63 cases;
-# in the other 8 it kept Miller where packing took 0.36-0.99 times as
-# long, 6 of them at k = 9 or 12.
+# The cost of a power k >= 2 below q^n, per live term of the base, in the
+# time of one shift and add of a 30-bit digit.  Miller's recurrence takes
+# _MILLER_STEP per coefficient; the k - 1 passes of `mul_sparse` onto the
+# base take one shift and one add of n slots of 8w bits each per pass, n *
+# 8w / 30 digits.  Measured by raising (q;q), JTP(1,5) and (q;q) with its
+# coefficients past the constant one times 10^12, at 1000 and 4000
+# coefficients, to k = 2, 3, 5, 8, 12, 20 and 32 (best of 3, Python 3.11,
+# 2 vCPUs on a shared host): a Miller step took 27-190 ns, more for wider
+# coefficients, and a pass 1.1-9.9 ns per term and digit, more for narrow
+# slots, whose packing counts.  The two routes took the same time, within
+# 5%, at (k - 1) * 8w = 1976 and 2128 bits, JTP(1,5) and (q;q) to k = 20 at
+# 1000 coefficients: a step is worth 66-71 digits.  At 60, the rule picked
+# the faster route in all 42 cases; where it took the passes, they took
+# 0.03-0.57 times as long as Miller.
 _MILLER_STEP = 60
-_SLOT = 120
-# the operand length in 30-bit digits above which CPython multiplies by Karatsuba
-_KARATSUBA_CUTOFF = 70
 
 
-def _packing_pays(n: int, terms: int, k: int, bits: int) -> bool:
-    """Whether `_power_packed` is estimated to raise a base with that many live
-    terms to the power k >= 2 below q^n faster than Miller's recurrence.
+def _passes_pay(k: int, bits: int) -> bool:
+    """Whether k - 1 passes of `mul_sparse` at the slot width of a bound
+    of that bit length cost less than Miller's recurrence.
 
-    bits is the bit length of the slot bound; the estimate reads only these
-    sizes, and it grows with bits, so a lower bound on bits that does not
-    pay rules packing out.
+    The price grows with bits, so a lower bound on bits that does not pay
+    rules the passes out.
     """
-    digits = -(-8 * _slot_bytes(bits) * n // 30)
-    product = 1
-    while digits > _KARATSUBA_CUTOFF:
-        digits = (digits + 1) // 2
-        product *= 3
-    product *= digits * digits
-    products = k.bit_length() + bin(k).count("1") - 2
-    return products * product + _SLOT * n < _MILLER_STEP * n * (terms - 1)
-
-
-def _power_packed(live: list, k: int, n: int, bound: int) -> list:
-    """f^k below q^n, k >= 2, for f the sum of c*q^e over live, all e < n, by
-    left-to-right square-and-multiply on one integer of n packed slots.
-
-    bound is norm^(k-1) * top, norm the sum and top the largest of the |c|.
-    """
-    # Why every slot is exact.  Let f^j be the untruncated power.  For
-    # 1 <= j <= k and every m, |[q^m] f^j| = |sum_i [q^i] f^(j-1) * c_(m-i)|
-    # <= ||f^(j-1)||_1 * top <= norm^(j-1) * top <= bound, as ||g*h||_1 <=
-    # ||g||_1 * ||h||_1 and norm >= 1.  W is the least of 8, 16, 32 and 64
-    # bits, or else the least multiple of 8, with bound < 2^(W-1).
-    # `_pack` makes F = sum_e c * 2^(W*e) exactly.
-    # Suppose A and B are sum_(i<n) a_i * 2^(W*i) and sum_(i<n) b_i *
-    # 2^(W*i), with a_i and b_i the coefficients of f^a and f^b below q^n,
-    # a + b <= k.  Then A*B = sum_m p_m * 2^(W*m) with p_m = sum_i a_i *
-    # b_(m-i), which for m < n is [q^m] f^(a+b), so |p_m| <= bound.  Mod
-    # 2^(W*n), A*B plus the bias, 2^(W-1) in each of n slots, is
-    # sum_(m<n) (p_m + 2^(W-1)) * 2^(W*m), whose digits lie in [0, 2^W),
-    # so that sum is less than 2^(W*n) and is what the mask keeps; less
-    # the bias it is the packed f^(a+b) below q^n.  By induction each
-    # square and each product by F is exact, and so is the result, whose
-    # slots `_unpack` reads.
-    w = _slot_bytes(bound.bit_length())
-    bits = 8 * w
-    bias = _bias(w, n)
-    mask = (1 << bits * n) - 1
-    dense = [0] * n
-    for e, c in live:
-        dense[e] = c
-    F = _pack(dense, w)
-    G = F
-    for bit in bin(k)[3:]:
-        G = ((G * G + bias) & mask) - bias
-        if bit == "1":
-            G = ((G * F + bias) & mask) - bias
-    return _unpack(G, w, n)
+    return (k - 1) * 8 * _slot_bytes(bits) < 30 * _MILLER_STEP
 
 
 def pow_sparse(exps: list, cofs: list, k: int, n: int) -> list:
@@ -667,11 +614,11 @@ def pow_sparse(exps: list, cofs: list, k: int, n: int) -> list:
 
     whose right side is an exact multiple of m * c0 because g has integer
     coefficients.  A base in q^d alone is raised in q and spread out again.
-    For k >= 2, in that step, `_power_packed` raises the base by squaring
-    on one packed integer instead, when `_packing_pays` estimates that to
-    cost less.  k = -1 is one division of 1 by `div_sparse` instead, which
-    reads the partition table for (y;y) and runs the divisor's compiled
-    step otherwise.
+    For k >= 2, in that step, one `mul_sparse` call makes k - 1 passes
+    onto the base instead, when `_passes_pay` prices them at the slot
+    width of their bound below Miller's recurrence.  k = -1 is one
+    division of 1 by `div_sparse` instead, which reads the partition table
+    for (y;y) and runs the divisor's compiled step otherwise.
     """
     c0 = cofs[0] if exps[0] == 0 else 0
     if c0 == 0:
@@ -689,13 +636,15 @@ def pow_sparse(exps: list, cofs: list, k: int, n: int) -> list:
         return out
     if k > 1:
         norm, top = sum(abs(c) for _, c in live), max(abs(c) for _, c in live)
-        # norm^(k-1) * top has at least this many bits; pricing it first
-        # spares computing a huge power when k is large
+        # the passes' slot bound norm * (top * norm^(k-2) + 1) has at least
+        # this many bits; pricing it first spares computing a huge power
+        # when k is large
         least = (k - 1) * (norm.bit_length() - 1) + top.bit_length()
-        if _packing_pays(n, len(live), k, least):
-            bound = norm ** (k - 1) * top
-            if _packing_pays(n, len(live), k, bound.bit_length()):
-                return _power_packed(live, k, n, bound)
+        if _passes_pay(k, least) and _passes_pay(k, (norm * (top * norm ** (k - 2) + 1)).bit_length()):
+            base = [0] * (live[-1][0] + 1)
+            for e, c in live:
+                base[e] = c
+            return mul_sparse(base, exps, cofs, n, 1, k - 1)
     out = [0] * n
     if k == 1:
         for e, c in live:

@@ -34,10 +34,11 @@ raised to a power, and names the one to raise outright:
 * **Sparse powers, the seed and the order.**  What is left of the
   (q^b;q^b) factors is the pentagonal series.  Each sparse series is a
   (form, params, k) entry; `FORMS` maps the form to its term generator.
-  The plan names one entry, the seed, to raise in one pass of Miller's
-  power recurrence (`pow_sparse`), and it orders the others, each
-  multiplied or divided in once per unit of k, or raised once and
-  multiplied in once when |k| exceeds the length of its pass.  The
+  The plan names one entry, the seed, to raise with `pow_sparse`, by
+  Miller's power recurrence or by passes of `mul_sparse` onto it, and it
+  orders the others, each multiplied or divided in once per unit of k,
+  or raised once and multiplied in once when |k| exceeds the length of
+  its pass.  The
   expansion runs in the coarsest variable q^d it can: d is the gcd of
   the steps of the series applied so far, so (q^i;q^i)/(q^p;q^p) divides
   by (q^p;q^p) at T/p coefficients and then multiplies by (q^i;q^i)

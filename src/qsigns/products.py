@@ -5,7 +5,7 @@ Everything here returns an exact truncated :class:`~qsigns.series.Series`.
 Its accumulator is a series in q^d, kept as its T/d + 1 coefficients,
 where d is the gcd of the steps of the series applied so far.  It raises
 the plan's seed to its power with `pow_sparse` (Miller's recurrence, or
-packed squaring where that is estimated cheaper) in the seed's own
+`mul_sparse` passes onto the seed where those are priced lower) in its own
 step, or else starts from 1 in the step of the first power.  It then
 multiplies or divides in each power once per unit, in the plan's
 order; a power |k| above the length of its pass is instead raised once

@@ -11,10 +11,10 @@ Products, powers and inverses use only nonzero terms: `*` is one sparse
 multiplication (`mul_sparse`) by the operand with fewer nonzero terms,
 `power` is one pass of Miller's power recurrence (`pow_sparse`) over the
 base and `invert` one sparse division of 1 (`div_sparse`), so each costs
-O(T) per nonzero term, whatever the exponent.  A positive power of a
-dense base goes instead by squaring one packed integer, a few
-big-integer multiplications, when `pow_sparse` estimates that to cost
-less.  `power(-1)` is the same one division as `invert`.  Inverting
+O(T) per nonzero term, whatever the exponent.  A power k >= 2 goes
+instead by k - 1 passes of `mul_sparse` onto the base, in one call,
+when `pow_sparse` prices them lower at the slot width they need.
+`power(-1)` is the same one division as `invert`.  Inverting
 (q^p;q^p) costs less: its inverse is the partition numbers spread onto
 q^p, which `div_sparse` reads from the one table it keeps across calls.
 
@@ -189,11 +189,12 @@ class Series:
     def power(self, e: int) -> "Series":
         """Integer power by `pow_sparse` over the nonzero terms.
 
-        That is one pass of Miller's recurrence, or, for e >= 2 and a base
-        dense enough, square-and-multiply on one packed integer, or, for
-        e = -1, one division of 1.  A negative e needs constant term +-1.
-        The lowest term q^v of the base is factored out, the rest is raised
-        to precision T - v*e, and the result is shifted back up by v*e.
+        That is one pass of Miller's recurrence, or, for e >= 2 with slots
+        narrow enough, one `mul_sparse` call of e - 1 passes onto the base,
+        or, for e = -1, one division of 1.  A negative e needs constant
+        term +-1.  The lowest term q^v of the base is factored out, the
+        rest is raised to precision T - v*e, and the result is shifted back
+        up by v*e.
         """
         if e == 0:
             return Series.one(self.precision)

@@ -98,16 +98,18 @@ def test_pow_sparse_short_and_degenerate():
         pow_sparse([0, 1], [3, 1], -1, 4)
 
 
-def _count_packed_powers(monkeypatch):
-    """Record (n, k) for each call of _backend._power_packed."""
+def _count_power_passes(monkeypatch):
+    """Record (n, k) for each power k that pow_sparse raises by one mul_sparse
+    call of k - 1 passes onto the base, below q^n."""
     calls = []
-    power_packed = _backend._power_packed
+    passes = _backend.mul_sparse
 
-    def count(live, k, n, bound):
-        calls.append((n, k))
-        return power_packed(live, k, n, bound)
+    def count(xs, exps, cofs, n, stride=1, k=1):
+        if sys._getframe(1).f_code is pow_sparse.__code__:
+            calls.append((n, k + 1))
+        return passes(xs, exps, cofs, n, stride, k)
 
-    monkeypatch.setattr(_backend, "_power_packed", count)
+    monkeypatch.setattr(_backend, "mul_sparse", count)
     return calls
 
 
@@ -121,17 +123,17 @@ def _repeated_mul_dense(exps, cofs, k, n):
 
 
 def _slot_edge_powers(rng):
-    """Bases c0 + c*X*y + 30 terms +-y^j, y = q^d, whose slot bound
-    (X + 31)^(k-1) * X is just below 2^(W-1), or reaches it, for W = 32, 64
-    and 72.  [y^k] f^k is (c*X)^k plus smaller terms, so the power reaches
-    into the top byte of a W-bit slot."""
+    """Bases c0 + c*X*y + 30 terms +-y^j, y = q^d, whose pass bound
+    (X + 31) * (X * (X + 31)^(k-2) + 1) is just below 2^(W-1), or reaches it,
+    for W = 32, 64 and 72.  [y^k] f^k is (c*X)^k plus smaller terms, so the
+    power reaches into the top byte of a W-bit slot."""
     for width in (32, 64, 72):
         for past in (0, 1):
             k, d, m = rng.randint(2, 5 if width == 32 else 9), rng.randint(1, 5), 40
             fill = sorted(rng.sample(range(2, m), 30))
 
             def bound(X):
-                return (X + 1 + len(fill)) ** (k - 1) * X
+                return (X + 1 + len(fill)) * (X * (X + 1 + len(fill)) ** (k - 2) + 1)
 
             lo, hi = 1, 2**width
             while hi - lo > 1:
@@ -146,11 +148,12 @@ def _slot_edge_powers(rng):
 @pytest.mark.parametrize("seed", [0, 1])
 def test_pow_sparse_matches_repeated_mul_dense(seed, monkeypatch):
     """pow_sparse to k = 2..9 of bases in q^d, d = 1..5, with +-1 or wide
-    coefficients, against k products by mul_dense.  Dense bases go by packed
-    squaring and sparse or wide ones by Miller's recurrence.  At the slot edges
-    the bound norm^(k-1) * max|c| is just below 2^(W-1), W = 32, 64 and 72, and
-    the power reaches the slot's top byte, or the bound reaches 2^(W-1)."""
-    packed = _count_packed_powers(monkeypatch)
+    coefficients, against k products by mul_dense.  Narrow bases go by k - 1
+    passes of mul_sparse and wide ones by Miller's recurrence.  At the slot
+    edges the passes' bound norm * (max|c| * norm^(k-2) + 1) is just below
+    2^(W-1), W = 32, 64 and 72, and the power reaches the slot's top byte, or
+    the bound reaches 2^(W-1)."""
+    packed = _count_power_passes(monkeypatch)
     rng = random.Random(seed)
     routes = set()
     for _ in range(80):
@@ -173,17 +176,20 @@ def test_pow_sparse_matches_repeated_mul_dense(seed, monkeypatch):
         assert past or max(map(abs, out)) >= 2 ** (width - 9), (width, k)
 
 
-def test_packed_power_reaches_the_bound_exactly():
-    """A constant c0 has c0^k = |c0|^(k-1) * |c0|, the slot bound itself: at
-    2^(W-1) - 1 or below, W = 32, 64 and 72, it fills its slot's top bit."""
+def test_packed_power_reaches_the_bound_exactly(monkeypatch):
+    """A constant c0 raised by k - 1 passes has the pass bound |c0|^k + |c0|:
+    below 2^(W-1), W = 32, 64 and 72, c0^k reaches its slot's top byte."""
+    packed = _count_power_passes(monkeypatch)
     for width in (32, 64, 72):
         for k in (2, 3, 5):
             c0 = math.isqrt(2 ** (width - 1) - 1) if k == 2 else 2 ** ((width - 2) // k)
+            bound = c0**k + c0
+            assert bound < 2 ** (width - 1) and _backend._slot_bytes(bound.bit_length()) * 8 == width
+            assert c0**k >= 2 ** (width - 8)
             for sign in (1, -1):
-                bound = c0**k
-                out = _backend._power_packed([(0, sign * c0)], k, 5, bound)
-                assert out == [(sign * c0) ** k, 0, 0, 0, 0], (width, k)
-                assert bound < 2 ** (width - 1) and _backend._slot_bytes(bound.bit_length()) * 8 == width
+                packed.clear()
+                assert pow_sparse([0], [sign * c0], k, 5) == [(sign * c0) ** k, 0, 0, 0, 0], (width, k)
+                assert packed == [(5, k)]
 
 
 def _load_workloads(monkeypatch):
@@ -197,11 +203,12 @@ def _load_workloads(monkeypatch):
 
 
 def test_benchmark_powers_take_the_estimated_route(monkeypatch):
-    """In seed-1 passes of the four benchmark workloads only the dense pass packs:
-    (q;q)^5 at 999 coefficients and the cubes of a(q^3), b(q^3) and c(q^3), each
-    in q^3.  Negative powers and every eta_quotient seed run Miller's recurrence,
-    and so does (q;q)^7 at 1000 coefficients, where packing measured slower."""
-    packed = _count_packed_powers(monkeypatch)
+    """In seed-1 passes of the four benchmark workloads only the dense pass
+    raises a power k >= 2: (q;q)^5 at 999 coefficients and the cubes of a(q^3),
+    b(q^3) and c(q^3), each in q^3, each one mul_sparse call of k - 1 passes.
+    (q;q)^7 at 1000 coefficients takes passes at 64-bit slots, 6 * 64 < 1800,
+    and (q;q)^24 Miller's recurrence, where 23 passes at 136-bit slots cost more."""
+    packed = _count_power_passes(monkeypatch)
     workloads = _load_workloads(monkeypatch)
     for name in ("pentagonal", "binomial", "dissection", "dense"):
         for job in workloads.plan(name, 1):
@@ -209,27 +216,33 @@ def test_benchmark_powers_take_the_estimated_route(monkeypatch):
         assert packed == ([(999, 5), (331, 3), (331, 3), (330, 3)] if name == "dense" else []), name
     exps, cofs = pentagonal_terms(1, 999)
     assert pow_sparse(exps, cofs, 7, 1000) == _repeated_mul_dense(exps, cofs, 7, 1000)
-    assert packed == [(999, 5), (331, 3), (331, 3), (330, 3)]
+    assert packed == [(999, 5), (331, 3), (331, 3), (330, 3), (1000, 7)]
+    assert pow_sparse(exps, cofs, 24, 1000) == _repeated_mul_dense(exps, cofs, 24, 1000)
+    assert packed == [(999, 5), (331, 3), (331, 3), (330, 3), (1000, 7)]
 
 
 def test_packing_is_priced_at_the_exact_slot_width(monkeypatch):
-    """(q;q)^6 at 2000 coefficients has 73 live terms and the slot bound
-    73^5 < 2^31, so it packs in 32-bit slots; 5 * bits(73) + 1 = 36 bits
-    would price 64-bit slots and keep Miller's recurrence.  (q;q) to
-    k = 10^6 at 50 coefficients, 11 live terms, is priced out by the lower
-    bound (10^6 - 1) * 3 + 1 bits before 11^(10^6 - 1) is computed."""
-    packed = _count_packed_powers(monkeypatch)
+    """k - 1 passes at w-byte slots pay while (k - 1) * 8w < 30 * _MILLER_STEP
+    = 1800.  1 + q + q^2 to k = 29 has the pass bound 3^28 + 3, 45 bits, so 28
+    passes at 64-bit slots, 1792; to k = 30 it has 29 passes at 64 bits, 1856,
+    and takes Miller's recurrence, though its lower bound, 30 bits, would price
+    32-bit slots.  1 + q + ... + q^5 to k = 25 has 24 passes at 64 bits, 1536,
+    and to k = 26 25 passes at 72 bits, 1800 exactly: Miller's recurrence.  On
+    both routes the power equals k schoolbook products.  (q;q) to k = 10^6 at
+    50 coefficients, 11 live terms, is priced out by the lower bound
+    (10^6 - 1) * 3 + 1 bits before 11^(10^6 - 1) is computed."""
+    assert 30 * _backend._MILLER_STEP == 1800
+    packed = _count_power_passes(monkeypatch)
+    for terms, k, bits, width in ((3, 29, 45, 64), (3, 30, 46, 64), (6, 25, 63, 64), (6, 26, 65, 72)):
+        exps, cofs = list(range(terms)), [1] * terms
+        assert (terms ** (k - 1) + terms).bit_length() == bits and _backend._slot_bytes(bits) * 8 == width
+        packed.clear()
+        assert pow_sparse(exps, cofs, k, 40) == _repeated_mul_dense(exps, cofs, k, 40), (terms, k)
+        assert packed == ([(40, k)] if (k - 1) * width < 1800 else []), (terms, k)
     k = 10**6
     out = pow_sparse(*pentagonal_terms(1, 49), k, 50)
     assert packed == []
     assert out[:3] == [1, -k, k * (k - 3) // 2]
-    exps, cofs = pentagonal_terms(1, 1999)
-    assert sum(map(abs, cofs)) ** 5 < 2**31
-    out = pow_sparse(exps, cofs, 6, 2000)
-    assert packed == [(2000, 6)]
-    monkeypatch.setattr(_backend, "_packing_pays", lambda *args: False)
-    assert out == pow_sparse(exps, cofs, 6, 2000)
-    assert packed == [(2000, 6)]
 
 
 def _slot_edge_calls(rng, max_stride=5):

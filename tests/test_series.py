@@ -1,6 +1,7 @@
 """Series core: exact truncated arithmetic."""
 
 import random
+import sys
 
 import pytest
 from _propcheck import _power_oracle, check_mul_matches_dense_oracle, check_power_and_inverse_match_oracle
@@ -170,25 +171,27 @@ def test_power_factors_out_the_lowest_term():
 
 def test_power_with_a_lowest_term_offset(monkeypatch):
     """q^v * f to the power k is q^(v*k) * f^k, f raised at T + 1 - v*k coefficients:
-    by packed squaring for a dense f, by Miller's recurrence for a sparse one."""
+    by k - 1 passes of mul_sparse for coefficients 1, -1 and 7, by Miller's
+    recurrence for ones of 1000 bits, whose passes would need slots too wide."""
     packed = []
-    power_packed = _backend._power_packed
+    mul_sparse = _backend.mul_sparse
 
-    def count(live, k, n, bound):
-        packed.append((n, k))
-        return power_packed(live, k, n, bound)
+    def count(xs, exps, cofs, n, stride=1, k=1):
+        if sys._getframe(1).f_code is _backend.pow_sparse.__code__:
+            packed.append((n, k + 1))
+        return mul_sparse(xs, exps, cofs, n, stride, k)
 
-    monkeypatch.setattr(_backend, "_power_packed", count)
+    monkeypatch.setattr(_backend, "mul_sparse", count)
     rng = random.Random(5)
     T = 60
     for v in (1, 2, 3):
         for k in (2, 3, 5):
-            for dense in (True, False):
-                f = [rng.choice((1, -1, 7)) if dense or i < 2 else 0 for i in range(T + 1 - v)]
+            for wide in (False, True):
+                f = [rng.choice((1, -1, 7)) << (1000 if wide else 0) for _ in range(T + 1 - v)]
                 cs = [0] * v + f
                 packed.clear()
-                assert list(Series(cs).power(k).coefficients) == _power_oracle(cs, k), (v, k, dense)
-                assert packed == ([(T + 1 - v * k, k)] if dense else []), (v, k, dense)
+                assert list(Series(cs).power(k).coefficients) == _power_oracle(cs, k), (v, k, wide)
+                assert packed == ([] if wide else [(T + 1 - v * k, k)]), (v, k, wide)
 
 
 @pytest.mark.parametrize("seed", [0, 1])

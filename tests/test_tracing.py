@@ -38,3 +38,11 @@ def test_tracer_counts_every_pass_of_a_power_in_one_kernel_call():
     assert tracer.calls["kernels.mul_sparse"] == 1
     assert tracer.calls["kernels.div_sparse"] == 1
     assert tracer.metrics()["kernels.sparse_calls"] == 2
+
+
+def test_tracer_counts_a_power_raised_by_passes():
+    """(q;q)^5 at T = 1000 is four passes of (q;q) onto the base, one mul_sparse call."""
+    tracing = load_tracing()
+    with tracing.Tracer() as tracer:
+        pochhammer(1, 1, 1000).power(5)
+    assert tracer.calls["kernels.mul_sparse"] == 1
