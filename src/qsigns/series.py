@@ -16,7 +16,8 @@ instead by k - 1 passes of `mul_sparse` onto the base, in one call,
 when `pow_sparse` prices them lower at the slot width they need.
 `power(-1)` is the same one division as `invert`.  Inverting
 (q^p;q^p) costs less: its inverse is the partition numbers spread onto
-q^p, which `div_sparse` reads from the one table it keeps across calls.
+q^p, which `div_sparse` reads from the one table it keeps across calls,
+and its powers -2 and -3 are that read and one or two more divisions.
 
 A precision above ``MAX_PRECISION``, here or in any constructor built
 on this module, raises `InvalidParameter` before anything is allocated.
@@ -191,8 +192,9 @@ class Series:
 
         That is one pass of Miller's recurrence, or, for e >= 2 with slots
         narrow enough, one `mul_sparse` call of e - 1 passes onto the base,
-        or, for e = -1, one division of 1.  A negative e needs constant
-        term +-1.  The lowest term q^v of the base is factored out, the
+        or, for e = -1, one division of 1, and for e = -2 and -3 of
+        (q^p;q^p) a read of the partition table and one or two divisions.
+        A negative e needs constant term +-1.  The lowest term q^v of the base is factored out, the
         rest is raised to precision T - v*e, and the result is shifted back
         up by v*e.
         """

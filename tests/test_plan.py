@@ -96,6 +96,15 @@ def test_pow_sparse_short_and_degenerate():
         pow_sparse([1, 2], [1, 1], 2, 4)
     with pytest.raises(ValueError):
         pow_sparse([0, 1], [3, 1], -1, 4)
+    with pytest.raises(ValueError, match="pow_sparse needs a nonzero constant term"):
+        pow_sparse([], [], 2, 4)
+
+
+@pytest.mark.parametrize("k", [-24, -3, -2, -1, 0, 1, 2, 40])
+@pytest.mark.parametrize("name", ["(q;q)", "JTP(1,5)"])
+def test_pow_sparse_of_no_coefficients_is_empty(name, k):
+    """Like mul_sparse and div_sparse, pow_sparse below q^0 is [], on every route."""
+    assert pow_sparse(*BASES[name], k, 0) == []
 
 
 def _count_power_passes(monkeypatch):
@@ -243,6 +252,82 @@ def test_packing_is_priced_at_the_exact_slot_width(monkeypatch):
     out = pow_sparse(*pentagonal_terms(1, 49), k, 50)
     assert packed == []
     assert out[:3] == [1, -k, k * (k - 3) // 2]
+
+
+def _count_miller(monkeypatch):
+    """Record (n, k) for each run of Miller's recurrence, below q^n."""
+    calls = []
+    miller = _backend._miller
+
+    def count(out, terms, k, c0, stop):
+        calls.append((len(out), k))
+        return miller(out, terms, k, c0, stop)
+
+    monkeypatch.setattr(_backend, "_miller", count)
+    return calls
+
+
+def _miller_bases(rng, n):
+    """(label, exps, cofs) of bases below q^n: (q;q) and phi(-q), whose
+    coefficients past the constant one are shared by many terms, J = (q;q)^3,
+    whose coefficients (-1)^j (2j+1) are all distinct, random bases with
+    coefficients of +-1, +-2 and 7, and 1 - q^5 - q^7 and 1 + q^5 - q^7, whose
+    powers are zero at 1, 2, 3, 4, 6, ..., 23 and, for k > 0, past q^(7k),
+    which n passes at k = 40."""
+    yield "(q;q)", *pentagonal_terms(1, n - 1)
+    yield "phi(-q)", *theta_terms(((2, 0, 0, -1, 1),), n - 1)
+    J = [j for j in range(n) if j * (j + 1) // 2 < n]
+    yield "J", [j * (j + 1) // 2 for j in J], [(-1) ** j * (2 * j + 1) for j in J]
+    for _ in range(3):
+        exps = [0, *sorted(rng.sample(range(1, n), rng.randint(3, 30)))]
+        yield "mixed", exps, [1, *(rng.choice((1, -1, 2, -2, 7)) for _ in exps[1:])]
+    yield "1 - q^5 - q^7", [0, 5, 7], [1, -1, -1]
+    yield "1 + q^5 - q^7", [0, 5, 7], [1, 1, -1]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_miller_matches_repeated_mul_dense(seed, monkeypatch):
+    """Miller's recurrence, against |k| schoolbook products by mul_dense, of the
+    base's inverse by invert_dense when k < 0: c0 = +-1 to k = -2..-30, and
+    c0 = 3 to k = 20..40, where the passes' slots are too wide to pay.  Only
+    (q;q) to k = -2 and -3 takes another route, the table and divisions."""
+    miller = _count_miller(monkeypatch)
+    passes = _count_power_passes(monkeypatch)
+    rng = random.Random(seed)
+    for label, exps, cofs in _miller_bases(rng, rng.randint(60, 120)):
+        n = rng.randint(7 * 40 + 2, 300) if label.startswith("1 ") else rng.randint(exps[-1] + 1, 130)
+        for c0, ks in ((rng.choice((1, -1)), range(-2, -31, -1)), (3, range(20, 41))):
+            for k in rng.sample(ks, 4):
+                base = [c0, *cofs[1:]]
+                if c0 == 3 and _backend._passes_pay(k, (k - 1) * (sum(map(abs, base)).bit_length() - 1)):
+                    continue
+                miller.clear()
+                assert pow_sparse(exps, base, k, n) == _repeated_mul_dense(exps, base, k, n), (label, c0, k, n)
+                table = label == "(q;q)" and k in (-2, -3) and c0 == 1
+                assert miller == ([] if table else [(n, k)]) and passes == [], (label, c0, k, n)
+
+
+def test_small_negative_powers_of_euler_divide(monkeypatch):
+    """(q^3;q^3)^-2 below q^1500 is one read of the partition table and one
+    division in q, once the base is taken in q; ^-3 divides twice.  ^-4, and
+    JTP(1,5)^-2, which the table does not invert, run Miller's recurrence."""
+    reads = _count_table(monkeypatch)
+    routes = _count_routes(monkeypatch)
+    miller = _count_miller(monkeypatch)
+    n, m = 1500, 500
+    euler = pentagonal_terms(3, n - 1)
+    for k, divisions in ((-2, 1), (-3, 2), (-4, 0)):
+        for calls in (reads, routes, miller):
+            calls.clear()
+        assert pow_sparse(*euler, k, n) == _repeated_mul_dense(*euler, k, n), k
+        assert reads == [m] * (divisions > 0), k
+        assert routes == [("divide", m)] * divisions, k
+        assert miller == ([] if divisions else [(m, k)]), k
+    for calls in (reads, routes, miller):
+        calls.clear()
+    jtp = jacobi_triple_terms(1, 5, 299)
+    assert pow_sparse(*jtp, -2, 300) == _repeated_mul_dense(*jtp, -2, 300)
+    assert reads == routes == [] and miller == [(300, -2)]
 
 
 def _slot_edge_calls(rng, max_stride=5):
