@@ -35,26 +35,32 @@ raised to a power, and names the one to raise outright:
   (q^b;q^b) factors is the pentagonal series.  Each sparse series is a
   (form, params, k) entry; `FORMS` maps the form to its term generator.
   The plan names one entry, the seed, to raise with `pow_sparse`, by
-  Miller's power recurrence or by passes of `mul_sparse` onto it, and it
-  orders the others, each multiplied or divided in once per unit of k,
-  or raised once and multiplied in once when |k| exceeds the length of
-  its pass.  The
+  the route that kernel prices lowest, and it orders the others, each
+  multiplied or divided in once per unit of k, or raised once and
+  multiplied in once when |k| exceeds the length of its pass.  The
   expansion runs in the coarsest variable q^d it can: d is the gcd of
   the steps of the series applied so far, so (q^i;q^i)/(q^p;q^p) divides
   by (q^p;q^p) at T/p coefficients and then multiplies by (q^i;q^i)
   straight into every p-th coefficient, in the one `mul_sparse` call
   that makes every pass of the power, its first with a stride.
   Every order gives the same coefficients, since truncated
-  series over Z form a commutative ring, but not the same work: the
-  estimate charges each pass |k| * work * n/d, at the step d the
-  accumulator has when the pass runs, and Miller's pass over a series in
-  q^s work * n/s, or 0 for a free scatter when k = 1.  It picks the seed
-  and the order together.  The work of a term is weighted
-  (`_MUL`, `_DIV`, `_MILLER`, set from measurements of per-update
-  kernels): a division costs twice a multiplication,
-  a term whose coefficient is not +-1 more again, and Miller's
-  recurrence, which multiplies at every term, three times, or 3.5 times
-  to a negative power.
+  series over Z form a commutative ring, but not the same work.  The
+  estimate (`_cost`, which runs `cost.search`) prices each pass with
+  `_backend.price`, for the route its kernel takes, at the length n/d
+  of the accumulator and at the width its coefficients have when the
+  pass runs, and picks the seed and the order together.
+* **Coefficient growth.** The width comes from `growth` (`cost`): the
+  coefficients of prod (q^a;q^b)^delta grow like exp(2 pi sqrt(X n)),
+  about 9.07 sqrt(X n) bits at q^n, where X is the largest order of the
+  product's pole at a cusp h/c of the modular curve, c | lcm of the b's,
+  gcd(h, c) = 1: -sum delta g^2 P2({h a/g}) / (b c^2), with
+  g = gcd(b, c) and P2(x) = x^2 - x + 1/6 (the orders of generalized
+  eta products at the cusps: S. Robins, "Generalized Dedekind
+  eta-products", Contemp. Math. 166, 1994).  1/(q;q) has X = 1/6, Hardy
+  and Ramanujan's exp(pi sqrt(2n/3)).  Where X <= 0 no cusp has a pole
+  and the coefficients stay small, so a division placed after the
+  multiplications that cancel its poles runs on one-digit coefficients.
+  The estimate is exact: integers, `Fraction` and `math.isqrt`.
 * **Binomial fallback.** Unpaired factors and factors with a > b stay
   binomials, multiplied or divided in one binomial 1-q^e, e = a+kb, at
   a time by slice arithmetic, with no kernel pass
@@ -71,10 +77,11 @@ multiplications only: no binomial, and every power, the seed included,
 to a k > 0.  Each such power, a JTP, a pentagonal (q^b;q^b) or a theta
 atom, has a positive sum of net exponents, so the container's sum is the
 larger and it runs later.  Multiplied onto a dense series in q, every
-pass of that plan runs at full length, in any order, so the estimate
-charges it n * |k| * `_weight` per power.  The spec starts from the
-contained result whose difference costs least, if that is below the
-estimate that chose its own plan.  `_may_only_multiply` screens out most
+pass of that plan runs at full length, priced as `_cost` prices it, at
+the width of the contained result times the powers multiplied in so
+far (`_multiplied`).  The spec starts from the contained result whose
+difference costs least, if that is below the estimate that chose its
+own plan.  `_may_only_multiply` screens out most
 differences before they are planned.
 
 One generator, `theta_terms`, makes every sparse closed form but
@@ -101,6 +108,9 @@ from collections import Counter
 
 from ._backend import theta_terms
 from ._record import Record, setfield
+from .cost import REFERENCE_T as _REFERENCE_T
+from .cost import growth as _growth
+from .cost import multiplied, search
 from .series import InvalidParameter
 
 __all__ = [
@@ -364,98 +374,54 @@ def _atom_trials(powers: list[Power]) -> list[list[Power]]:
     return trials
 
 
-# the horizon at which plans count the terms of their sparse series
-_REFERENCE_T = 10_000
-
-# the work of one coefficient update by one term, in half the time of a
-# multiplication by a term +-1: a multiplication and a division by a term
-# +-1 and by any other term, and Miller's recurrence to a power k > 0 and
-# k < 0, which multiplies at every term.  Set so that the estimate picks
-# the order that ran fastest for the census and catalog quotients, and
-# kept so that every plan stays as it was, although the shift-and-add
-# multiplication now costs less against a division and Miller's
-# recurrence than they say (the measurements are in CHANGES.md).
-_MUL, _DIV = (2, 4), (4, 6)
-_MILLER, _MILLER_NEGATIVE = 6, 7
-
-
 def _cost(powers: list[Power]) -> tuple[int, "int | None", tuple[int, ...]]:
-    """The estimated cost of expanding the sparse powers, the index of their seed, and the order of the others.
+    """The priced cost of expanding the sparse powers, the index of their seed, and the order of the others.
 
-    The expansion keeps its accumulator in q^d, n/d coefficients long,
-    where d is the gcd of the steps of the series applied so far: a
-    series in q^s with d | s keeps d, and any other makes it gcd(d, s).
-    It starts as 1, a constant: the seed is raised outright, by Miller's
-    recurrence in its own step, or by a free scatter when k = 1; with no
-    seed the accumulator starts as 1 in the step of the first power.  A
-    multiplication into a finer step g runs at n/d for its first unit
-    and n/g for the rest, a division at n/g throughout.  The seed and
-    the order are chosen together to minimise the sum; a power the
-    current step divides is best applied at once, as d only gets finer,
-    so only the others branch.  Terms are counted up to a fixed
-    reference horizon, and every count grows as its square root, so
-    neither comparing two costs nor the plan depends on T.  Binomials
-    cost the same whatever the plan takes, so they are left out.
+    `cost.search` prices each pass at the width its coefficients have
+    when it runs, and its docstring says which orders it tries; the memo
+    of its search is keyed by the powers applied, the complement of those
+    left, and the step d of the accumulator.
     """
-    n = _REFERENCE_T + 1
-    steps = [_reference_shape(form, params)[2] for form, params, _ in powers]
-    weights = [_weight(*power) for power in powers]
-    memo: dict = {}
-
-    def length(d: int) -> int:
-        return n // d if d else 1
-
-    def passes(i: int, d: int, g: int) -> int:
-        k = powers[i][2]
-        if k < 0:
-            return -k * weights[i] * length(g)
-        return weights[i] * (length(d or g) + (k - 1) * length(g))
-
-    def rest(todo: tuple[int, ...], d: int) -> tuple[int, tuple[int, ...]]:
-        """The least cost, and its order, of the powers in todo on an accumulator in q^d (d = 0: on 1)."""
-        if not todo:
-            return 0, ()
-        if (todo, d) not in memo:
-            ready = [i for i in todo if d and steps[i] % d == 0]
-            best = None
-            for i in ready[:1] or todo:
-                g = math.gcd(d, steps[i])
-                cost, order = rest(tuple(j for j in todo if j != i), g)
-                cost += passes(i, d, g)
-                if best is None or cost < best[0]:
-                    best = cost, (i, *order)
-            memo[todo, d] = best
-        return memo[todo, d]
-
-    everything = tuple(range(len(powers)))
-    cost, order = rest(everything, 0)
-    best = cost, None, order
-    for i, (form, params, k) in enumerate(powers):
-        units, others, step = _reference_shape(form, params)
-        miller = 0 if k == 1 else (_MILLER if k > 0 else _MILLER_NEGATIVE) * (units + others) * length(step)
-        cost, order = rest(tuple(j for j in everything if j != i), step)
-        if miller + cost < best[0]:
-            best = miller + cost, i, order
-    return best
-
-
-def _weight(form: str, params: tuple, k: int) -> int:
-    """The work of one pass of the series to the power k, a multiplication or a division, per coefficient."""
-    units, others, _ = _reference_shape(form, params)
-    unit, other = _DIV if k < 0 else _MUL
-    return unit * units + other * others
+    return search(powers, [_reference_shape(form, params) for form, params, _ in powers],
+                  [_unit_factors(form, params) for form, params, _ in powers])
 
 
 @functools.lru_cache(maxsize=None)
-def _reference_shape(form: str, params: tuple) -> tuple[int, int, int]:
-    """The terms of a series with coefficient +-1 and the other terms, and the step d of the series in q^d.
+def _reference_shape(form: str, params: tuple) -> tuple[int, int, int, int, int]:
+    """The shape of a series: its terms as a pass, a division and Miller's recurrence price them, its absolute sum, its step.
 
+    The absolute sum is that of its coefficients, and the step the d of
+    its variable q^d.  A term whose coefficient is not +-1 counts more than one: a pass
+    and a division multiply by it, where they only add or subtract a
+    term +-1, and Miller's recurrence cannot share its product with other
+    terms.  J, whose terms are all such, took 1.5-1.9 times as long per
+    term as (q;q) in a pass, 1.6-1.8 times in a division and 1.2 times in
+    Miller's recurrence, in the timings that fitted `_backend.price`; such
+    a term counts 3/2, 7/4 and 8/7, the last the weight, within those
+    timings, at which the paper's plans keep their seeds.  The terms of
+    a division and of Miller's recurrence leave out the constant term.
     Terms are counted up to the reference horizon; a series that is 1 up
     to it has step 0, the step of a constant.
     """
     exps, cofs = FORMS[form](*params, _REFERENCE_T)
-    units = cofs.count(1) + cofs.count(-1)
-    return units, len(cofs) - units, math.gcd(*exps)
+    others = len(cofs) - cofs.count(1) - cofs.count(-1)
+    return (len(cofs) + others // 2, len(cofs) - 1 + 3 * others // 4, len(cofs) - 1 + others // 7,
+            sum(map(abs, cofs)), math.gcd(*exps))
+
+
+def growth(spec: "EtaQuotientSpec | str") -> "Fraction":
+    """X of the spec's product: its coefficients grow like exp(2 pi sqrt(X n)) (`qsigns.cost`)."""
+    return _growth((f.a, f.b, f.delta) for f in _as_spec(spec).factors)
+
+
+def _unit_factors(form: str, params: tuple) -> tuple[tuple[int, int, int], ...]:
+    """One unit of a sparse series as factors (a, b, delta), each (q^a;q^b)^delta."""
+    if form == "jtp":
+        a, b = params
+        return (a, b, 1), (b - a, b, 1), (b, b, 1)
+    (s,) = params
+    # an euler (q^s;q^s) is the signature {1: 1} in q^s
+    return tuple((s * b, s * b, x) for b, x in THETA_ATOMS.get(form, {1: 1}).items())
 
 
 # ----------------------------------------------------------------------
@@ -484,7 +450,9 @@ def _schedule(specs: tuple[EtaQuotientSpec, ...]) -> tuple:
             powers = plan.powers if plan.seed is None else (plan.seed, *plan.powers)
             if plan.binomials or any(k < 1 for *_, k in powers):
                 continue
-            cost = (_REFERENCE_T + 1) * sum(k * _weight(form, params, k) for form, params, k in powers)
+            cost = multiplied([(a, b, d) for (a, b), d in nets[j].items()], powers,
+                              [_reference_shape(form, params) for form, params, _ in powers],
+                              [_unit_factors(form, params) for form, params, _ in powers])
             if cost < best[0]:
                 best = cost, j, powers
         steps.append((i, *best[1:]))

@@ -4,6 +4,8 @@ import importlib.util
 import math
 import random
 import sys
+import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -18,7 +20,7 @@ from qsigns import EtaQuotientSpec, Series, corpus, eta_quotient, pattern_catalo
 from qsigns import quintuple_components
 from qsigns import quintuple_product
 from qsigns import products, ramanujan5, three_dissection_qq
-from qsigns import _backend, cli
+from qsigns import _backend, cli, cost, plan
 from qsigns._backend import (
     _BLOCK,
     _PACK_MAX,
@@ -33,6 +35,8 @@ from qsigns.plan import (
     FORMS,
     THETA_ATOMS,
     ExpansionPlan,
+    PochhammerFactor,
+    growth,
     jacobi_triple_terms,
     pentagonal_terms,
     quintuple_terms,
@@ -234,12 +238,12 @@ def test_packing_is_priced_at_the_exact_slot_width(monkeypatch):
     """k - 1 passes at w-byte slots pay while (k - 1) * 8w < 30 * _MILLER_STEP
     = 1800.  1 + q + q^2 to k = 29 has the pass bound 3^28 + 3, 45 bits, so 28
     passes at 64-bit slots, 1792; to k = 30 it has 29 passes at 64 bits, 1856,
-    and takes Miller's recurrence, though its lower bound, 30 bits, would price
-    32-bit slots.  1 + q + ... + q^5 to k = 25 has 24 passes at 64 bits, 1536,
-    and to k = 26 25 passes at 72 bits, 1800 exactly: Miller's recurrence.  On
-    both routes the power equals k schoolbook products.  (q;q) to k = 10^6 at
-    50 coefficients, 11 live terms, is priced out by the lower bound
-    (10^6 - 1) * 3 + 1 bits before 11^(10^6 - 1) is computed."""
+    and takes Miller's recurrence, though its lower bound, k - 1 = 29 bits, would
+    price 32-bit slots.  1 + q + ... + q^5 to k = 25 has 24 passes at 64 bits,
+    1536, and to k = 26 25 passes at 72 bits, 1800 exactly: Miller's recurrence.
+    On both routes the power equals k schoolbook products.  (q;q) to k = 10^6 at
+    50 coefficients, 11 live terms, is priced out by the lower bound 10^6 - 1
+    bits before 11^(10^6 - 1) is computed."""
     assert 30 * _backend._MILLER_STEP == 1800
     packed = _count_power_passes(monkeypatch)
     for terms, k, bits, width in ((3, 29, 45, 64), (3, 30, 46, 64), (6, 25, 63, 64), (6, 26, 65, 72)):
@@ -328,6 +332,26 @@ def test_small_negative_powers_of_euler_divide(monkeypatch):
     jtp = jacobi_triple_terms(1, 5, 299)
     assert pow_sparse(*jtp, -2, 300) == _repeated_mul_dense(*jtp, -2, 300)
     assert reads == routes == [] and miller == [(300, -2)]
+
+
+def test_small_negative_powers_of_euler_take_the_priced_route(monkeypatch):
+    """(q;q)^k, k = -2 and -3, by the partition table and |k| - 1 divisions or by
+    Miller's recurrence, whichever `_backend.price` prices lower.  Timed, the
+    divisions take 0.40-0.60 of Miller's time at k = -2 from 300 coefficients,
+    1.07-1.10 at k = -3 and 300 coefficients, and 0.80-0.88 at k = -3 from 600
+    (best of 5-7, Python 3.11, 2 vCPUs on a shared host): so at 300 only k = -2
+    divides, and at 1000 both do."""
+    reads = _count_table(monkeypatch)
+    routes = _count_routes(monkeypatch)
+    miller = _count_miller(monkeypatch)
+    for n, k, divides in ((300, -2, True), (300, -3, False), (1000, -2, True), (1000, -3, True)):
+        for calls in (reads, routes, miller):
+            calls.clear()
+        euler = pentagonal_terms(1, n - 1)
+        assert pow_sparse(*euler, k, n) == _repeated_mul_dense(*euler, k, n), (n, k)
+        assert routes == ([("divide", n)] * (-k - 1) if divides else []), (n, k)
+        assert miller == ([] if divides else [(n, k)]), (n, k)
+        assert bool(reads) == divides, (n, k)
 
 
 def _slot_edge_calls(rng, max_stride=5):
@@ -1107,24 +1131,95 @@ def test_quintuple_product_equals_binomial_expansion():
                 assert quintuple_product(M, j, limit) == oracle.truncate(limit), (M, j, limit)
 
 
+# -- coefficient growth ---------------------------------------------------------------
+
+def _random_product(rng):
+    """Factors of a random product of eulers (q^b;q^b)^k and JTP(a,b)^k, b <= 12, |k| <= 3."""
+    factors = []
+    for _ in range(rng.randint(1, 4)):
+        k = rng.choice((-3, -2, -1, 1, 2, 3))
+        if rng.random() < 0.5:
+            b = rng.randint(1, 12)
+            factors.append(PochhammerFactor(b, b, k))
+        else:
+            b = rng.randint(2, 12)
+            a = rng.randint(1, b - 1)
+            factors += [PochhammerFactor(a, b, k), PochhammerFactor(b - a, b, k), PochhammerFactor(b, b, k)]
+    return EtaQuotientSpec(tuple(factors))
+
+
+def test_growth_estimates_the_largest_coefficient():
+    """At T = 2000, 9.07 sqrt(X T) bits, rounded down, is 0.7-1.4 times the bits of
+    the largest coefficient of random products of eulers and JTPs with X > 0, and a
+    product with X <= 0 has no coefficient past 32 bits."""
+    rng = random.Random(36)
+    T = 2000
+    positive = small = 0
+    for _ in range(60):
+        spec = _random_product(rng)
+        X = growth(spec)
+        bits = max(map(abs, eta_quotient(spec, T).coefficients)).bit_length()
+        if X > 0:
+            estimate = cost.bits(X.numerator, X.denominator, T)
+            assert 7 * bits <= 10 * estimate <= 14 * bits, (str(spec), X, estimate, bits)
+            positive += 1
+        else:
+            assert bits <= 32, (str(spec), X, bits)
+            small += 1
+    assert positive >= 30 and small >= 5
+
+
+def test_growth_exact_values():
+    """1/(q;q) has X = 1/6 (Hardy and Ramanujan); (q;q)^k for k > 0 and every theta
+    atom, dilated too, have X <= 0; JTP(a,b)^-1 has its largest order at the
+    cusp 0, 3/(6b); and growth is exact, a Fraction."""
+    assert growth("1^-1") == Fraction(1, 6)
+    assert growth(EtaQuotientSpec.parse("3^-2")) == Fraction(1, 9)
+    for k in range(1, 9):
+        assert growth(f"1^{k}") == Fraction(-k, 6)
+    for name, signature in THETA_ATOMS.items():
+        for s in (1, 2, 3):
+            assert growth(" ".join(f"{s * b}^{x}" for b, x in signature.items())) <= 0, (name, s)
+    for b in range(2, 9):
+        for a in range(1, b):
+            assert growth(f"{a}.{b}^-1 {b - a}.{b}^-1 {b}^-1") == Fraction(1, 2 * b), (a, b)
+
+
+def test_cusp_search_is_bounded():
+    """Moduli whose lcm is 99,400,891 = 9967 * 9973: each factor is bounded alone
+    at the cusps with too many h, so the plan takes milliseconds, and X is at
+    least the order at the cusp 0, 3/(6 * 9967) - 3/(6 * 9973)."""
+    spec = "1.9973 9972.9973 9973 2.9967^-1 9965.9967^-1 9967^-1"
+    plan._plan.cache_clear()
+    start = time.perf_counter()
+    ExpansionPlan.of(spec)
+    assert time.perf_counter() - start < 0.05
+    assert growth(spec) >= Fraction(3, 6 * 9967) - Fraction(3, 6 * 9973)
+
+
 # -- plan shapes --------------------------------------------------------------------
 
 # (seed, powers) of each corpus entry; the spec has no binomial left
 CORPUS_PLANS = {
     "period8-quartic": (
         None,
-        (("euler", (4,), -1), ("phi(-q)", (2,), 1), ("J", (1,), 1), ("euler", (1,), 1)),
+        (("euler", (4,), -1), ("J", (1,), 1), ("euler", (1,), 1), ("phi(-q)", (2,), 1)),
     ),
     "period9-ninth": (("euler", (3,), -5), (("J", (1,), 3),)),
     "rr-quotient": (("jtp", (2, 5), 1), (("jtp", (1, 5), -1),)),
     "octic-quotient": (("jtp", (3, 8), 1), (("jtp", (1, 8), -1),)),
+    # the division by JTP(1,5) or JTP(2,5) runs in q where the growth of the
+    # powers applied so far is <= 0, and 1/(q^10;q^10)^4 is a table read and
+    # one packed division by J(q^10)
     "hirschhorn-a": (
-        ("euler", (10,), -4),
-        (("euler", (5,), 1), ("jtp", (2, 10), 1), ("jtp", (1, 5), -1), ("jtp", (1, 10), 3)),
+        None,
+        (("euler", (10,), -1), ("jtp", (2, 10), 1), ("jtp", (1, 10), 3), ("jtp", (1, 5), -1),
+         ("euler", (5,), 1), ("J", (10,), -1)),
     ),
     "hirschhorn-b": (
-        ("euler", (10,), -4),
-        (("euler", (5,), 1), ("jtp", (4, 10), 1), ("jtp", (2, 5), -1), ("jtp", (3, 10), 3)),
+        None,
+        (("euler", (10,), -1), ("jtp", (4, 10), 1), ("jtp", (3, 10), 3), ("jtp", (2, 5), -1),
+         ("euler", (5,), 1), ("J", (10,), -1)),
     ),
 }
 
@@ -1187,17 +1282,17 @@ PLAN_SHAPES = [
     ("2.5^1 2.5^-1 3.5", None, (), ((3, 5, 1),)),
     ("2.5 3.5^-1", None, (), ((2, 5, 1), (3, 5, -1))),
     ("3.5^2 2.5 5^-1", ("euler", (5,), -2), (("jtp", (2, 5), 1),), ((3, 5, 1),)),
-    ("1.4^-3 3.4^-2", None, (("euler", (4,), 2), ("jtp", (1, 4), -2)), ((1, 4, -1),)),
+    ("1.4^-3 3.4^-2", ("euler", (4,), 2), (("jtp", (1, 4), -2),), ((1, 4, -1),)),
     # (q^a;q^{2a}) = (q^a;q^a) / (q^{2a};q^{2a}), so these are eulers and theta atoms
-    ("1.2^3", None, (("J", (2,), -1), ("J", (1,), 1)), ()),
-    ("1.2^-4", ("phi(-q)", (1,), -2), (("euler", (2,), 2),), ()),
-    ("3.6^-1", ("euler", (6,), 1), (("euler", (3,), -1),), ()),
+    ("1.2^3", ("euler", (2,), -2), (("euler", (1,), 1), ("phi(-q)", (1,), 1)), ()),
+    ("1.2^-4", ("euler", (1,), -2), (("psi", (1,), 2),), ()),
+    ("3.6^-1", None, (("euler", (3,), -1), ("euler", (6,), 1)), ()),
     ("7.5 2.5", None, (), ((7, 5, 1), (2, 5, 1))),
     # partners of opposite signs form no JTP
     (
         "1.4 3.4 2.8^-1 6.8^-1",
-        ("euler", (8,), 1),
-        (("euler", (4,), -1), ("jtp", (2, 8), -1), ("jtp", (1, 4), 1)),
+        None,
+        (("euler", (4,), -1), ("euler", (8,), 1), ("jtp", (2, 8), -1), ("jtp", (1, 4), 1)),
         (),
     ),
 ]
@@ -1217,12 +1312,14 @@ THETA_ATOM_PLANS = [
     ("2^2 1^-1 5^-1", None, (("euler", (5,), -1), ("psi", (1,), 1))),
     ("1^2 2^-1 28^-1", None, (("euler", (28,), -1), ("phi(-q)", (1,), 1))),
     # dilated, and to a negative power
-    ("9^3 3^-1", ("J", (9,), 1), (("euler", (3,), -1),)),
-    # psi(q^2)^-1 costs as much as Miller's (q^4;q^4)^-2 and a pass of (q^2;q^2)
+    ("9^3 3^-1", None, (("euler", (3,), -1), ("J", (9,), 1))),
+    # (q^4;q^4)^-2, a table read and one division in q^4, and a pass of
+    # (q^2;q^2) cost less than psi(q^2)^-1
     ("4^-2 2", ("euler", (4,), -2), (("euler", (2,), 1),)),
     # two atoms take all of (q;q)^7 (q^2;q^2)^-2
     ("1^7 2^-2 3^-1", None, (("euler", (3,), -1), ("J", (1,), 1), ("phi(-q)", (1,), 2))),
-    ("6^-2 3", None, (("psi", (3,), -1),)),
+    # 1/(q^6;q^6)^2 is a table read and one division in q^6; psi(q^3)^-1 is not taken
+    ("6^-2 3", ("euler", (6,), -2), (("euler", (3,), 1),)),
     # partial: what the atom leaves stays with the eulers
     ("1^5 3^-1", None, (("euler", (3,), -1), ("J", (1,), 1), ("euler", (1,), 2))),
 ]
@@ -1258,11 +1355,11 @@ def test_plans_are_cached_per_parsed_spec():
     # 1/(q^4;q^4) at n/4 first, then phi(q)^2 strided; so too a division by (q^5;q^5)
     pytest.param("2^10 1^-4 4^-5", None, id="2^10 1^-4 4^-5-seed2"),
     pytest.param("2 5^-1", None, id="2 5^-1-seed3"),
-    # a division at n/3 costs less than Miller's power -1 at n/3
+    # a power -1 is no seed: the first pass divides 1, here by reading the table
     pytest.param("1^-1 3^-1", None, id="1^-1 3^-1-seed4"),
-    # in q itself Miller costs more than the division
     pytest.param("1^-1", None, id="1^-1-None"),
-    # Miller's power -2 at n/3 beats two divisions at n/3
+    # the table and one division at n/3 raise (q^3;q^3)^-2; as the first pass
+    # they cost the same, and the seed is kept
     pytest.param("1^3 3^-2", (3, -2), id="1^3 3^-2-seed6"),
 ])
 def test_seed_is_the_cheapest(monkeypatch, spec, seed):
