@@ -65,9 +65,9 @@ no other kernel.
   the partition table and |k| - 1 more divisions where they price lower
   than Miller's recurrence.
 
-`price` gives the time of each of these routes from its sizes, in
-`_MILLER_STEP`'s unit: `pow_sparse` picks its routes by it, and `plan`
-prices every pass of an expansion with it.
+`qsigns.cost.price` gives the time of each of these routes from its
+sizes, in `_MILLER_STEP`'s unit: `pow_sparse` picks the route of (y;y)^-2
+and ^-3 by it, and `plan` prices every pass of an expansion with it.
 
 `theta_terms`, the one generator of the sums
 sum_{n in Z} eps^n q^{(A n^2 + B n)/2 + C}, lives here, in the package's
@@ -98,9 +98,16 @@ def mul_dense(xs: list, ys: list, n: int) -> list:
     The package does not call it; it is the tests' oracle for `Series.__mul__`.
     """
     out = [0] * n
-    for i, x in enumerate(xs[:n]):
-        for j, y in enumerate(ys[:n - i], i):
-            out[j] += x * y
+    lx = min(len(xs), n)
+    ly = len(ys)
+    for i in range(lx):
+        xi = xs[i]
+        if xi:
+            hi = min(ly, n - i)
+            for j in range(hi):
+                yj = ys[j]
+                if yj:
+                    out[i + j] += xi * yj
     return out
 
 
@@ -110,9 +117,19 @@ def invert_dense(xs: list, n: int) -> list:
     Requires xs[0] in (1, -1); the recurrence then stays in the integers.
     The package does not call it; it is the tests' oracle for `Series.invert`.
     """
-    out = xs[:1] + [0] * (n - 1)
+    x0 = xs[0]
+    out = [0] * n
+    out[0] = x0
+    m = len(xs)
+    pos = x0 == 1
     for k in range(1, n):
-        out[k] = -xs[0] * sum(map(mul, xs[1:k + 1], out[k - 1::-1]))
+        acc = 0
+        jmax = min(k, m - 1)
+        for j in range(1, jmax + 1):
+            xj = xs[j]
+            if xj:
+                acc += xj * out[k - j]
+        out[k] = -acc if pos else acc
     return out
 
 
@@ -159,7 +176,7 @@ def mul_sparse(xs: list, exps: list, cofs: list, n: int, stride: int = 1, k: int
         w = _slot_bytes((weight * (top + 1)).bit_length())
         bits = 8 * w
         R = _pack([0] * (width + 1 - len(xs)) + xs[::-1], w)
-        by_residue = [[] for _ in range(stride)]
+        by_residue: list = [[] for _ in range(stride)]
         for e, c in reversed(live):
             s, r = divmod(e, stride)
             by_residue[r].append((s + width - len(range(r, n, stride)), c))
@@ -234,9 +251,7 @@ def _unpack(P: int, w: int, k: int) -> list:
     bias = _bias(w, k)
     code = _TYPECODES.get(w)
     if code is None:
-        # the w-byte little-endian unsigned ints of the bytes, decoded in C
-        return list(map(sub, map(int.from_bytes, map(itemgetter(0), struct.iter_unpack(
-            f"{w}s", (P + bias).to_bytes(w * k, "little"))), repeat("little")), repeat(1 << 8 * w - 1)))
+        return list(map(sub, _read((P + bias).to_bytes(w * k, "little"), w), repeat(1 << 8 * w - 1)))
     slots = array(code)
     slots.frombytes(((P + bias) ^ bias).to_bytes(w * k, "little"))
     if _SWAP:
@@ -244,9 +259,14 @@ def _unpack(P: int, w: int, k: int) -> list:
     return slots.tolist()
 
 
+def _read(data: bytes, w: int):
+    """The w-byte little-endian unsigned ints of data, in order, decoded in C."""
+    return map(int.from_bytes, map(itemgetter(0), struct.iter_unpack(f"{w}s", data)), repeat("little"))
+
+
 def _bias(w: int, k: int) -> int:
     """2^(8w-1) in each of k slots of w bytes."""
-    return int.from_bytes((1 << 8 * w - 1).to_bytes(w, "little") * k, "little")
+    return int.from_bytes((1 << (8 * w - 1)).to_bytes(w, "little") * k, "little")
 
 
 # the block length of the division recurrence.  Measured by replaying the
@@ -306,9 +326,10 @@ def div_sparse(xs: list, exps: list, cofs: list, n: int) -> list:
     in q.
     """
     c0 = cofs[0] if exps and exps[0] == 0 else 0
+    if c0 == 0:
+        raise ValueError("div_sparse needs a nonzero constant term")
     if c0 not in (1, -1):
-        raise ValueError(
-            f"div_sparse cannot divide by constant term {c0}" if c0 else "div_sparse needs a nonzero constant term")
+        raise ValueError(f"div_sparse cannot divide by constant term {c0}")
     live = [(e, c) for e, c in zip(exps, cofs) if e < n]
     d = math.gcd(*(e for e, _ in live)) or 1
     terms = [(e // d, c) for e, c in live[1:]]
@@ -323,7 +344,8 @@ def div_sparse(xs: list, exps: list, cofs: list, n: int) -> list:
         if xs[:1] == [1] and not any(islice(xs, 1, n)) and _is_euler(terms, c0, m):
             out[::d] = _partition_numbers(m)[:m]
         else:
-            row = (xs + [0] * n)[r:n:d]
+            row = xs[r:n:d]
+            row += [0] * (len(range(r, n, d)) - len(row))
             _divide(row, terms, c0)
             out[r::d] = row
         return out
@@ -368,7 +390,7 @@ def _partition_numbers(m: int) -> list:
     # (y;y) = JTP(1, 3), its terms past the constant one
     _divide(table, _euler(m)[1:], 1)
     if len(_partitions) < min(m, _PARTITIONS_KEPT):
-        _partitions = table[:_PARTITIONS_KEPT]
+        _partitions = table if m <= _PARTITIONS_KEPT else table[:_PARTITIONS_KEPT]
     return table
 
 
@@ -437,7 +459,7 @@ def _divide(out: list, terms: list, c0: int) -> None:
     and multiplies by the terms' coefficients.
     """
     n = len(out)
-    near = tuple((e, c) for e, c in terms if e < _BLOCK)
+    near = tuple([(e, c) for e, c in terms if e < _BLOCK])
     far = [(e, c) for e, c in terms if _BLOCK <= e < n]
     step = _step(near, c0)
     pad = near[-1][0] if near else 0
@@ -472,7 +494,7 @@ def _step(near: tuple, c0: int):
     bound to a name m<i>, so the source holds only signs and the
     exponents, each checked to be an int.
     """
-    groups = {}
+    groups: dict = {}
     for e, c in near:
         groups.setdefault(abs(c), []).append((int.__index__(e), c > 0))
     rhs = "x"
@@ -513,12 +535,12 @@ def _divide_packed(out: list, d: int, terms: list, c0: int) -> None:
         top = max(map(abs, inverse))
         del inverse
     norms = [sum(map(abs, out[r::d])) for r in range(d)]
+    bound = max(norms) * top
     # Why every slot is exact.  Let D = c0 + sum c*y^e be the divisor,
     # g = 1/D = sum g_i y^i, and let x_r = out[r::d] and q_r = x_r * g,
     # whose first m coefficients are the quotient of x_r.  Then |q_r[k]|
     # = |sum_{j<=k} x_r[j] * g[k-j]| <= ||x_r||_1 * max_{i<m} |g_i| <=
-    # bound = max(norms) * top for every k < m, and |x_r[k]| <= bound
-    # too, since |g_0| = 1.
+    # bound for every k < m, and |x_r[k]| <= bound too, since |g_0| = 1.
     # top is that maximum.  For D = (y;y) the g_i are the partition
     # numbers p(i), and p(i+1) >= p(i), since adding a part 1 maps the
     # partitions of i one-to-one into those of i+1, so the maximum is
@@ -535,7 +557,7 @@ def _divide_packed(out: list, d: int, terms: list, c0: int) -> None:
     # q_r[k] + 2^(W-1), with no carry between them: shifting it right by
     # W*r and keeping the low W bits reads digit r, and less 2^(W-1) that
     # is q_r[k].  A zero x_r has q_r = 0, which is what out[r::d] holds.
-    bits = (max(norms) * top).bit_length() + 1
+    bits = bound.bit_length() + 1
     classes = [r for r in range(d) if norms[r]]
     packed = []
     for k0 in range(0, m, _BLOCK):
@@ -547,13 +569,13 @@ def _divide_packed(out: list, d: int, terms: list, c0: int) -> None:
     _divide(packed, terms, c0)
     half = 1 << bits - 1
     bias = sum(half << bits * r for r in range(d))
-    mask = 2 * half - 1
+    mask = (1 << bits) - 1
     for k0 in reversed(range(0, m, _BLOCK)):
         block = list(map(add, packed[k0:], repeat(bias)))
         del packed[k0:]
         for r in classes:
-            out[d * k0 + r:d * (k0 + len(block)):d] = map(
-                sub, map(and_, map(rshift, block, repeat(bits * r)), repeat(mask)), repeat(half))
+            digits = map(and_, map(rshift, block, repeat(bits * r)), repeat(mask))
+            out[d * k0 + r:d * (k0 + len(block)):d] = map(sub, digits, repeat(half))
 
 
 def _slot_bytes(bits: int) -> int:
@@ -563,7 +585,8 @@ def _slot_bytes(bits: int) -> int:
     (1, 2, 4 and 8) that does, or else the least w that does.  A bound
     of bit length bits, and any x with |x| <= bound, fits.
     """
-    return next((size for size in _TYPECODES if size > bits // 8), bits // 8 + 1)
+    w = (bits + 8) // 8
+    return next((size for size in _TYPECODES if size >= w), w)
 
 
 # The cost of a power k >= 2 below q^n, per live term of the base, in the
@@ -587,47 +610,6 @@ def _slot_bytes(bits: int) -> int:
 _MILLER_STEP = 60
 
 
-def price(route: str, n: int, terms: int, bits: int = 0, d: int = 1) -> int:
-    """The time of one route below q^n by a series of that many terms, in digits (`_MILLER_STEP`'s unit).
-
-    bits is the width of the coefficients the route runs on: the slot
-    bound of a pass, the quotient of a division, the slot of a packed
-    one.  "mul" is that many passes of `mul_sparse` at the slot width
-    `_slot_bytes` gives, and with no terms the packing and unpacking
-    around the passes of one call; "miller" is Miller's recurrence;
-    "divide" is one `div_sparse` of one residue class in y, by the
-    compiled step, or of several in q; "packed" is one of d classes
-    packed into slots of bits bits; "table" a read of the partition
-    table, free up to `_PARTITIONS_KEPT` and otherwise the division that
-    makes it.
-
-    Fitted by least squares to 390 timed calls, each timed beside a run of
-    Miller's recurrence for (q;q)^-5 at 600 coefficients whose step is 60
-    (best of 3 to 5, Python 3.11, 2 vCPUs on a shared host): Miller's
-    recurrence for (q;q) and JTP(1,5) to k = -3, -7 and -24 at 300-3000
-    coefficients, 59-67 a step; divisions by (q;q), JTP(1,5) and JTP(2,7)
-    at 60-3000 coefficients of 3 to 600 bits, each call about 30000, a
-    term at a coefficient 17 below 30 bits and 26 from there, plus one
-    per 70 bits (median error 7%; 26 is the term of (q;q), whose
-    divisions took 24-25, where those by JTPs took up to 29); packed
-    divisions by (q^d;q^d) and JTP(d,5d), d = 2-16, at 1000-6000
-    coefficients (median error 4%, at most 19%); and 1 and 3 passes of
-    (q;q) and JTP(1,5) at 1000 and 3000 coefficients, 0.87-1.05 of
-    8w / 30 a pass and term, and 81 plus 5.4 a byte of slot per
-    coefficient around them.
-    """
-    if route == "mul":
-        return n * (terms * 8 * _slot_bytes(bits) // 30 if terms else 81 + 5 * _slot_bytes(bits))
-    if route == "miller":
-        return n * terms * _MILLER_STEP
-    if route == "table" and n <= _PARTITIONS_KEPT:
-        return 0
-    if route == "packed":
-        digits = d * bits // 30 + 1
-        return n // d * (900 + 125 * d + terms * (9 + 2 * digits // 5) + 3 * d * digits // 2)
-    return 30000 + n * terms * ((17 if bits < 30 else 26) + bits // 70)
-
-
 def _passes_pay(k: int, bits: int) -> bool:
     """Whether k - 1 passes of `mul_sparse` at the slot width of a bound
     of that bit length cost less than Miller's recurrence.
@@ -635,7 +617,7 @@ def _passes_pay(k: int, bits: int) -> bool:
     The price grows with bits, so a lower bound on bits that does not pay
     rules the passes out.
     """
-    return price("mul", 1, k - 1, bits) < _MILLER_STEP
+    return (k - 1) * 8 * _slot_bytes(bits) < 30 * _MILLER_STEP
 
 
 def pow_sparse(exps: list, cofs: list, k: int, n: int) -> list:
@@ -658,8 +640,8 @@ def pow_sparse(exps: list, cofs: list, k: int, n: int) -> list:
     width of their bound below Miller's recurrence.  k = -1 is one
     division of 1 by `div_sparse` instead, which reads the partition table
     for (y;y) and runs the divisor's compiled step otherwise; k = -2 and
-    -3 of (y;y) read the table and divide it |k| - 1 times where `price`
-    puts that below Miller's recurrence.  n = 0 gives [].
+    -3 of (y;y) read the table and divide it |k| - 1 times where
+    `qsigns.cost.price` puts that below Miller's recurrence.  n = 0 gives [].
     """
     c0 = cofs[0] if exps and exps[0] == 0 else 0
     if c0 == 0:
@@ -668,42 +650,47 @@ def pow_sparse(exps: list, cofs: list, k: int, n: int) -> list:
         raise ValueError(f"pow_sparse cannot raise constant term {c0} to the power {k}")
     if n < 1:
         return []
+    if k == -1:
+        return div_sparse([1], exps, cofs, n)
     live = [(e, c) for e, c in zip(exps, cofs) if e < n]
     d = math.gcd(*(e for e, _ in live))
     if d > 1:
+        short = pow_sparse([e // d for e, _ in live], [c for _, c in live], k, (n - 1) // d + 1)
         out = [0] * n
-        out[::d] = pow_sparse(*zip(*((e // d, c) for e, c in live)), k, (n - 1) // d + 1)
+        out[::d] = short
         return out
-    base = [0] * (n if k == 1 else live[-1][0] + 1)
-    for e, c in live:
-        base[e] = c
-    if k == 1:
-        return base
-    # the first division of (y;y) reads the table and the others run on
-    # coefficients below 2^isqrt(14|k|n), since the coefficients of
-    # (y;y)^k are below exp(pi sqrt(2|k|m/3)) at y^m and (pi sqrt(2/3) /
-    # ln 2)^2 < 14.  Timed against Miller's recurrence for (q;q) (best of
-    # 5-7, Python 3.11, 2 vCPUs on a shared host), k = -2 by divisions
-    # takes 0.67-0.75 of its time at 100 coefficients and 0.40-0.60 at
-    # 300-4000, and k = -3 1.20-1.24 at 100, 1.07-1.10 at 300 and
-    # 0.80-0.88 at 600-4000; the prices pick the faster route in each.
-    if k == -1 or k in (-2, -3) and _is_euler(live[1:], c0, n) and price("table", n, 0) - (k + 1) * price(
-            "divide", n, len(live) - 1, math.isqrt(-14 * k * n)) < price("miller", n, len(live) - 1):
-        base = [1]
-        for _ in range(-k):
-            base = div_sparse(base, exps, cofs, n)
-        return base
-    # the passes' slot bound norm * (top * norm^(k-2) + 1) is at least
-    # 2^(k-1) when the base has two terms; pricing that first spares
-    # computing a huge power when k is large
+    # the first division of (y;y) reads the table; by divisions k = -2 takes
+    # 0.68 of the time of Miller's recurrence for (q;q) at 100 coefficients
+    # and 0.38-0.57 at 300-4000, k = -3 1.17 at 100, 1.02-1.07 at 300 and
+    # 0.80-0.88 at 600-4000 (best of 5-7, Python 3.11, 2 vCPUs on a shared
+    # host), and the prices pick the faster route at each
+    from .cost import by_table  # cost imports this module
+
+    if k in (-2, -3) and by_table(k, live, c0, n):
+        out = div_sparse([1], exps, cofs, n)
+        for _ in range(-k - 1):
+            out = div_sparse(out, exps, cofs, n)
+        return out
     if k > 1:
         norm, top = sum(abs(c) for _, c in live), max(abs(c) for _, c in live)
-        if _passes_pay(k, k - 1) and _passes_pay(k, (top * norm ** (k - 1) + norm).bit_length()):
+        # the passes' slot bound norm * (top * norm^(k-2) + 1) has at least
+        # this many bits; pricing it first spares computing a huge power
+        # when k is large
+        least = (k - 1) * (norm.bit_length() - 1) + top.bit_length()
+        if _passes_pay(k, least) and _passes_pay(k, (norm * (top * norm ** (k - 2) + 1)).bit_length()):
+            base = [0] * (live[-1][0] + 1)
+            for e, c in live:
+                base[e] = c
             return mul_sparse(base, exps, cofs, n, 1, k - 1)
+    out = [0] * n
+    if k == 1:
+        for e, c in live:
+            out[e] += c
+        return out
     # c0^|k| is c0^k whenever k < 0, since then c0 is 1 or -1
-    out = [c0 ** abs(k)] + [0] * (n - 1)
-    # k = 0 stops at q^1, and any other power is zero past its degree
-    _miller(out, live[1:], k, c0, n if k < 0 else min(n, k * live[-1][0] + 1))
+    out[0] = c0 ** abs(k)
+    if k != 0:
+        _miller(out, live[1:], k, c0, n if k < 0 else min(n, k * live[-1][0] + 1))
     return out
 
 
@@ -729,7 +716,7 @@ def _miller(out: list, terms: list, k: int, c0: int, stop: int) -> None:
     groups.
     """
     counts = Counter(c for _, c in terms)
-    groups = {}
+    groups: dict = {}
     singles = []
     for (e, c), end in zip(terms, [e for e, _ in terms[1:]] + [stop]):
         if counts[c] < 3:

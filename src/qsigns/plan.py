@@ -45,10 +45,10 @@ raised to a power, and names the one to raise outright:
   that makes every pass of the power, its first with a stride.
   Every order gives the same coefficients, since truncated
   series over Z form a commutative ring, but not the same work.  The
-  estimate (`_cost`, which runs `cost.search`) prices each pass with
-  `_backend.price`, for the route its kernel takes, at the length n/d
-  of the accumulator and at the width its coefficients have when the
-  pass runs, and picks the seed and the order together.
+  estimate, `cost.search`, prices each pass with `cost.price`, for the
+  route its kernel takes, at the length n/d of the accumulator and at
+  the width its coefficients have when the pass runs, and picks the
+  seed and the order together.
 * **Coefficient growth.** The width comes from `growth` (`cost`): the
   coefficients of prod (q^a;q^b)^delta grow like exp(2 pi sqrt(X n)),
   about 9.07 sqrt(X n) bits at q^n, where X is the largest order of the
@@ -77,12 +77,12 @@ multiplications only: no binomial, and every power, the seed included,
 to a k > 0.  Each such power, a JTP, a pentagonal (q^b;q^b) or a theta
 atom, has a positive sum of net exponents, so the container's sum is the
 larger and it runs later.  Multiplied onto a dense series in q, every
-pass of that plan runs at full length, priced as `_cost` prices it, at
-the width of the contained result times the powers multiplied in so
-far (`_multiplied`).  The spec starts from the contained result whose
-difference costs least, if that is below the estimate that chose its
-own plan.  `_may_only_multiply` screens out most
-differences before they are planned.
+pass of that plan runs at full length, priced as `cost.search` prices
+it, at the width of the contained result times the powers multiplied
+in so far (`cost.multiplied`).  The spec starts from the contained
+result whose difference costs least, if that is below the estimate that
+chose its own plan.  `_may_only_multiply` screens out most differences
+before they are planned.
 
 One generator, `theta_terms`, makes every sparse closed form but
 Jacobi's cube.  It lives in `_backend`, the package's leaf module, whose
@@ -108,9 +108,6 @@ from collections import Counter
 
 from ._backend import theta_terms
 from ._record import Record, setfield
-from .cost import REFERENCE_T as _REFERENCE_T
-from .cost import growth as _growth
-from .cost import multiplied, search
 from .series import InvalidParameter
 
 __all__ = [
@@ -335,11 +332,18 @@ def _toward_zero(d: int, e: int) -> int:
 def _with_theta_atoms(powers: list[Power]) -> tuple[list[Power], tuple]:
     """Take theta atoms out of the eulers greedily, first the one that lowers the cost estimate most.
 
-    Returns the powers and their `_cost`.
+    Returns the powers and what `cost.search` makes of them.
     """
-    estimate = _cost(powers)
+    # `cost` is imported where a plan is priced, not with this module: with
+    # no bytecode, compiling it took a tenth of the time to import qsigns.cli
+    from .cost import search
+
+    # the trials share the prices of their passes
+    priced: dict = {}
+    estimate = search(powers, *_priced(powers), priced)
     while trials := _atom_trials(powers):
-        trial, best = min(((trial, _cost(trial)) for trial in trials), key=lambda t: t[1][0])
+        trial, best = min(((trial, search(trial, *_priced(trial), priced)) for trial in trials),
+                          key=lambda t: t[1][0])
         if best[0] >= estimate[0]:
             break
         powers, estimate = trial, best
@@ -374,16 +378,10 @@ def _atom_trials(powers: list[Power]) -> list[list[Power]]:
     return trials
 
 
-def _cost(powers: list[Power]) -> tuple[int, "int | None", tuple[int, ...]]:
-    """The priced cost of expanding the sparse powers, the index of their seed, and the order of the others.
-
-    `cost.search` prices each pass at the width its coefficients have
-    when it runs, and its docstring says which orders it tries; the memo
-    of its search is keyed by the powers applied, the complement of those
-    left, and the step d of the accumulator.
-    """
-    return search(powers, [_reference_shape(form, params) for form, params, _ in powers],
-                  [_unit_factors(form, params) for form, params, _ in powers])
+def _priced(powers) -> tuple[list, list]:
+    """The shape of each power and the factors of one unit of it, as `cost.search` and `cost.multiplied` take them."""
+    return ([_reference_shape(form, params) for form, params, _ in powers],
+            [_unit_factors(form, params) for form, params, _ in powers])
 
 
 @functools.lru_cache(maxsize=None)
@@ -391,19 +389,21 @@ def _reference_shape(form: str, params: tuple) -> tuple[int, int, int, int, int]
     """The shape of a series: its terms as a pass, a division and Miller's recurrence price them, its absolute sum, its step.
 
     The absolute sum is that of its coefficients, and the step the d of
-    its variable q^d.  A term whose coefficient is not +-1 counts more than one: a pass
-    and a division multiply by it, where they only add or subtract a
-    term +-1, and Miller's recurrence cannot share its product with other
-    terms.  J, whose terms are all such, took 1.5-1.9 times as long per
+    its variable q^d.  A term whose coefficient is not +-1 counts more
+    than one: a pass and a division multiply by it, where they only add
+    or subtract a term +-1, and Miller's recurrence cannot share its
+    product with other terms.  J, whose terms are all such, took 1.5-1.9 times as long per
     term as (q;q) in a pass, 1.6-1.8 times in a division and 1.2 times in
-    Miller's recurrence, in the timings that fitted `_backend.price`; such
+    Miller's recurrence, in the timings that fitted `cost.price`; such
     a term counts 3/2, 7/4 and 8/7, the last the weight, within those
     timings, at which the paper's plans keep their seeds.  The terms of
     a division and of Miller's recurrence leave out the constant term.
     Terms are counted up to the reference horizon; a series that is 1 up
     to it has step 0, the step of a constant.
     """
-    exps, cofs = FORMS[form](*params, _REFERENCE_T)
+    from .cost import REFERENCE_T
+
+    exps, cofs = FORMS[form](*params, REFERENCE_T)
     others = len(cofs) - cofs.count(1) - cofs.count(-1)
     return (len(cofs) + others // 2, len(cofs) - 1 + 3 * others // 4, len(cofs) - 1 + others // 7,
             sum(map(abs, cofs)), math.gcd(*exps))
@@ -411,7 +411,9 @@ def _reference_shape(form: str, params: tuple) -> tuple[int, int, int, int, int]
 
 def growth(spec: "EtaQuotientSpec | str") -> "Fraction":
     """X of the spec's product: its coefficients grow like exp(2 pi sqrt(X n)) (`qsigns.cost`)."""
-    return _growth((f.a, f.b, f.delta) for f in _as_spec(spec).factors)
+    from .cost import growth as estimate
+
+    return estimate((f.a, f.b, f.delta) for f in _as_spec(spec).factors)
 
 
 def _unit_factors(form: str, params: tuple) -> tuple[tuple[int, int, int], ...]:
@@ -435,6 +437,8 @@ def _schedule(specs: tuple[EtaQuotientSpec, ...]) -> tuple:
     The module docstring says which start each spec takes and how a
     start is priced.
     """
+    from .cost import multiplied
+
     nets = [{key: d for key, d in net_exponents(spec).items() if d} for spec in specs]
     order = sorted(range(len(specs)), key=lambda i: sum(nets[i].values()))
     steps = []
@@ -450,9 +454,7 @@ def _schedule(specs: tuple[EtaQuotientSpec, ...]) -> tuple:
             powers = plan.powers if plan.seed is None else (plan.seed, *plan.powers)
             if plan.binomials or any(k < 1 for *_, k in powers):
                 continue
-            cost = multiplied([(a, b, d) for (a, b), d in nets[j].items()], powers,
-                              [_reference_shape(form, params) for form, params, _ in powers],
-                              [_unit_factors(form, params) for form, params, _ in powers])
+            cost = multiplied([(a, b, d) for (a, b), d in nets[j].items()], powers, *_priced(powers))
             if cost < best[0]:
                 best = cost, j, powers
         steps.append((i, *best[1:]))

@@ -238,12 +238,12 @@ def test_packing_is_priced_at_the_exact_slot_width(monkeypatch):
     """k - 1 passes at w-byte slots pay while (k - 1) * 8w < 30 * _MILLER_STEP
     = 1800.  1 + q + q^2 to k = 29 has the pass bound 3^28 + 3, 45 bits, so 28
     passes at 64-bit slots, 1792; to k = 30 it has 29 passes at 64 bits, 1856,
-    and takes Miller's recurrence, though its lower bound, k - 1 = 29 bits, would
-    price 32-bit slots.  1 + q + ... + q^5 to k = 25 has 24 passes at 64 bits,
-    1536, and to k = 26 25 passes at 72 bits, 1800 exactly: Miller's recurrence.
-    On both routes the power equals k schoolbook products.  (q;q) to k = 10^6 at
-    50 coefficients, 11 live terms, is priced out by the lower bound 10^6 - 1
-    bits before 11^(10^6 - 1) is computed."""
+    and takes Miller's recurrence, though its lower bound, 30 bits, would price
+    32-bit slots.  1 + q + ... + q^5 to k = 25 has 24 passes at 64 bits, 1536,
+    and to k = 26 25 passes at 72 bits, 1800 exactly: Miller's recurrence.  On
+    both routes the power equals k schoolbook products.  (q;q) to k = 10^6 at
+    50 coefficients, 11 live terms, is priced out by the lower bound
+    (10^6 - 1) * 3 + 1 bits before 11^(10^6 - 1) is computed."""
     assert 30 * _backend._MILLER_STEP == 1800
     packed = _count_power_passes(monkeypatch)
     for terms, k, bits, width in ((3, 29, 45, 64), (3, 30, 46, 64), (6, 25, 63, 64), (6, 26, 65, 72)):
@@ -336,15 +336,16 @@ def test_small_negative_powers_of_euler_divide(monkeypatch):
 
 def test_small_negative_powers_of_euler_take_the_priced_route(monkeypatch):
     """(q;q)^k, k = -2 and -3, by the partition table and |k| - 1 divisions or by
-    Miller's recurrence, whichever `_backend.price` prices lower.  Timed, the
-    divisions take 0.40-0.60 of Miller's time at k = -2 from 300 coefficients,
-    1.07-1.10 at k = -3 and 300 coefficients, and 0.80-0.88 at k = -3 from 600
-    (best of 5-7, Python 3.11, 2 vCPUs on a shared host): so at 300 only k = -2
-    divides, and at 1000 both do."""
+    Miller's recurrence, whichever `cost.price` prices lower.  Timed, the
+    divisions take 0.38-0.57 of Miller's time at k = -2 from 300 coefficients,
+    1.02-1.07 at k = -3 and 300 coefficients, and 0.80-0.88 at k = -3 from 600
+    to 4000 (best of 5-7, Python 3.11, 2 vCPUs on a shared host): so at 300
+    only k = -2 divides, and at 1000, 2000 and 4000 both do."""
     reads = _count_table(monkeypatch)
     routes = _count_routes(monkeypatch)
     miller = _count_miller(monkeypatch)
-    for n, k, divides in ((300, -2, True), (300, -3, False), (1000, -2, True), (1000, -3, True)):
+    for n, k, divides in ((300, -2, True), (300, -3, False), (1000, -2, True), (1000, -3, True),
+                          (2000, -2, True), (2000, -3, True), (4000, -2, True), (4000, -3, True)):
         for calls in (reads, routes, miller):
             calls.clear()
         euler = pentagonal_terms(1, n - 1)
@@ -1186,15 +1187,36 @@ def test_growth_exact_values():
 
 
 def test_cusp_search_is_bounded():
-    """Moduli whose lcm is 99,400,891 = 9967 * 9973: each factor is bounded alone
-    at the cusps with too many h, so the plan takes milliseconds, and X is at
-    least the order at the cusp 0, 3/(6 * 9967) - 3/(6 * 9973)."""
-    spec = "1.9973 9972.9973 9973 2.9967^-1 9965.9967^-1 9967^-1"
+    """Moduli whose lcm is 99,400,891 = 9967 * 9973, and a 20-digit modulus: a
+    factor whose b is past the reference horizon is bounded alone, with no b
+    factored, so the plan takes milliseconds.  X of the first is at least the
+    order at the cusp 0, 3/(6 * 9967) - 3/(6 * 9973), and 1/JTP(1,b) keeps its
+    exact X = 1/(2b), the sum of its factors' orders at the cusp 0, alone."""
+    big = 12345678901234567891
+    for spec in ("1.9973 9972.9973 9973 2.9967^-1 9965.9967^-1 9967^-1",
+                 f"1.{big} {big - 1}.{big}", f"1.{big}^-1 {big - 1}.{big}^-1 {big}^-1 2.7^-1"):
+        plan._plan.cache_clear()
+        start = time.perf_counter()
+        ExpansionPlan.of(spec)
+        assert time.perf_counter() - start < 0.05, spec
+        growth(spec)
+        assert time.perf_counter() - start < 0.05, spec
+    assert growth("1.9973 9972.9973 9973 2.9967^-1 9965.9967^-1 9967^-1") >= (
+        Fraction(3, 6 * 9967) - Fraction(3, 6 * 9973))
+    assert growth(f"1.{big}^-1 {big - 1}.{big}^-1 {big}^-1") == Fraction(1, 2 * big)
+    assert growth(f"1.{cost.REFERENCE_T + 1}^-1 {cost.REFERENCE_T}.{cost.REFERENCE_T + 1}^-1 "
+                  f"{cost.REFERENCE_T + 1}^-1 1^-1") == Fraction(1, 6) + Fraction(1, 2 * cost.REFERENCE_T + 2)
+
+
+def test_many_moduli_plan_quickly():
+    """(q^b;q^b)^-1 for b = 1..40: the lcm of the b's has more divisors than the
+    cusp search tries, so every factor is bounded alone, and the widths of the
+    search's sets of powers are each found from one set before, so the plan takes
+    well under a second (0.2 s here)."""
     plan._plan.cache_clear()
     start = time.perf_counter()
-    ExpansionPlan.of(spec)
-    assert time.perf_counter() - start < 0.05
-    assert growth(spec) >= Fraction(3, 6 * 9967) - Fraction(3, 6 * 9973)
+    ExpansionPlan.of(" ".join(f"{b}^-1" for b in range(1, 41)))
+    assert time.perf_counter() - start < 2
 
 
 # -- plan shapes --------------------------------------------------------------------
